@@ -7,9 +7,10 @@ rest of the package relies on:
   * monomial product is integer addition of codes;
   * ascending code order is a graded order (degree first), fixed once per
     alphabet, which makes serialization canonical;
-  * alphabets with at most 9 variables use 6-bit fields so every code of a
-    jet of order <= 30 fits in a signed 64-bit word (the compiled kernel's
-    fast path); larger alphabets fall back to 16-bit fields.
+  * alphabets with at most 9 variables use 6-bit fields, so every code of
+    a jet of order <= 30 fits in a signed 64-bit word and code arithmetic
+    stays on machine-size ints; larger alphabets fall back to 16-bit
+    fields.
 
 Conjugation is a name-level involution. Variables the involution fixes are
 real. An alphabet may also carry no conjugation at all (holomorphic side
@@ -40,7 +41,6 @@ class Alphabet:
         "max_exponent",
         "conj_map",
         "conj_perm",
-        "fits64",
         "_hash",
     )
 
@@ -68,7 +68,6 @@ class Alphabet:
         # Exponent cap leaves one bit of headroom: two in-range exponents
         # may be added (code addition) without crossing field boundaries.
         self.max_exponent = (1 << (self.var_bits - 1)) - 2
-        self.fits64 = self.deg_shift + self.var_bits <= 63
 
         if conjugation is None:
             self.conj_map = None

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .alphabet import Alphabet
 from .errors import (
     DegenerateFormError,
     InvariantError,
@@ -38,7 +39,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .germs import StructureGerm, make_germ, standard_alphabet, t_hessian
-from .jets import Jet, compose, compose_many, jet_sqrt
+from .jets import Jet, jet_sqrt, substitute
 from .linalg import invert_matrix, symmetric_diagonalize
 from .solve import implicit_solve
 
@@ -71,15 +72,11 @@ def central_manifold(germ: StructureGerm) -> CentralManifold:
         if not g.is_real():
             raise InvariantError("critical graph of a real jet came out non-real")
 
-    assignment: dict[str, Jet] = {
-        name: Jet.variable(central, order, name) for name in central.names
-    }
-    for name, g in zip(germ.t_names(), graph):
-        # Promotion is exact here: phi has no t-linear terms with constant
-        # coefficient, so top-order terms of F influence phi(., F) only
-        # beyond the working order.
-        assignment[name] = g.with_order(order)
-    sigma = compose(germ.phi, assignment, alphabet=central, order=order)
+    # Promotion is exact here: phi has no t-linear terms with constant
+    # coefficient, so top-order terms of F influence phi(., F) only
+    # beyond the working order.
+    on_graph = {name: g.with_order(order) for name, g in zip(germ.t_names(), graph)}
+    sigma = substitute(germ.phi, on_graph, central, order)
     make_germ(germ.nu, 0, sigma)  # eager validation: real, flat at 0
     return CentralManifold(germ, tuple(graph), sigma)
 
@@ -94,12 +91,11 @@ def straighten(germ: StructureGerm, manifold: CentralManifold | None = None) -> 
         return germ
     order = germ.order
     full = germ.alphabet
-    assignment: dict[str, Jet] = {
-        name: Jet.variable(full, order, name) for name in full.names
+    shift = {
+        name: Jet.variable(full, order, name) + g.rename({}, full).with_order(order)
+        for name, g in zip(germ.t_names(), manifold.graph)
     }
-    for name, g in zip(germ.t_names(), manifold.graph):
-        assignment[name] = assignment[name] + g.rename({}, full).with_order(order)
-    phi_new = compose(germ.phi, assignment, alphabet=full, order=order)
+    phi_new = substitute(germ.phi, shift, full, order)
     return make_germ(germ.nu, germ.nprime, phi_new)
 
 
@@ -112,6 +108,21 @@ def is_straightened(germ: StructureGerm) -> bool:
         if tdeg == 1:
             return False
     return True
+
+
+def _linear_t_change(
+    matrix: list[list[Fraction]], t_names: list[str], full: Alphabet, order: int
+) -> dict[str, Jet]:
+    """The substitution t_l -> sum_k matrix[l][k] t_k."""
+    t_vars = [Jet.variable(full, order, name) for name in t_names]
+    change = {}
+    for row, name in zip(matrix, t_names):
+        acc = Jet.zero(full, order)
+        for c, tk in zip(row, t_vars):
+            if c:
+                acc = acc + tk * c
+        change[name] = acc
+    return change
 
 
 @dataclass(frozen=True)
@@ -159,12 +170,7 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
             "germ is not straightened: phi has a monomial of t-degree one"
         )
 
-    base_assignment: dict[str, Jet | int] = {
-        name: Jet.variable(central, order, name) for name in central.names
-    }
-    for name in germ.t_names():
-        base_assignment[name] = 0
-    base = compose(germ.phi, base_assignment, alphabet=central, order=order)
+    base = substitute(germ.phi, dict.fromkeys(germ.t_names(), 0), central, order)
 
     if npr == 0:
         return MorseNormalForm(germ, base, (), (), ())
@@ -178,19 +184,14 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
 
     # Diagonalize the quadratic t-part: substitute t_l -> sum_k P[l][k] t_k.
     t_names = germ.t_names()
-    ident = {name: Jet.variable(full, order, name) for name in full.names}
-    lin_assignment = dict(ident)
-    for l, tname in enumerate(t_names):
-        acc = Jet.zero(full, order)
-        for k, uname in enumerate(t_names):
-            if congruence[l][k]:
-                acc = acc + ident[uname] * congruence[l][k]
-        lin_assignment[tname] = acc
-    remainder = compose(remainder, lin_assignment, alphabet=full, order=order)
+    remainder = substitute(
+        remainder, _linear_t_change(congruence, t_names, full, order), full, order
+    )
 
     squares: list[Jet] = []
     coeffs: list[Fraction] = []
-    for l, tname in enumerate(t_names):
+    for tname in t_names:
+        tvar = Jet.variable(full, order, tname)
         slope = remainder.derive(tname)
         reduced = full.subalphabet([n for n in full.names if n != tname])
         critical = implicit_solve([slope], [tname], target=reduced)[0]
@@ -199,12 +200,8 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
         # so top-order terms of the critical point shift the composition
         # only past the working order.
 
-        shift = dict(ident)
-        shift[tname] = ident[tname] + critical_full
-        shifted = compose(remainder, shift, alphabet=full, order=order)
-        at_crit = dict(ident)
-        at_crit[tname] = critical_full
-        rest = compose(remainder, at_crit, alphabet=full, order=order)
+        shifted = substitute(remainder, {tname: tvar + critical_full}, full, order)
+        rest = substitute(remainder, {tname: critical_full}, full, order)
 
         doubly = shifted - rest
         try:
@@ -215,9 +212,8 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
                 "the critical point was not critical"
             ) from None
 
-        unshift = {name: Jet.variable(full, order - 2, name) for name in full.names}
-        unshift[tname] = unshift[tname] - critical_full.truncate(order - 2)
-        factor = compose(quotient, unshift, alphabet=full, order=order - 2)
+        unshift = Jet.variable(full, order - 2, tname) - critical_full.truncate(order - 2)
+        factor = substitute(quotient, {tname: unshift}, full, order - 2)
 
         c0 = factor.constant_term()
         if not c0.is_real() or c0.is_zero():
@@ -225,7 +221,7 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
         c = c0.real
         root = jet_sqrt(factor * (Fraction(1) / c))
         # root has constant term one; reliable at order - 2.
-        linear_factor = ident[tname].truncate(order - 1) - critical_full.truncate(order - 1)
+        linear_factor = tvar.truncate(order - 1) - critical_full.truncate(order - 1)
         square = linear_factor * root.with_order(order - 1)
         # The promotion of the root is exact to this order because the
         # linear factor has positive valuation.
@@ -238,18 +234,8 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
             "Morse remainder after eliminating every t variable is nonzero"
         )
 
-    inverse = invert_matrix(congruence)
-    down = {name: Jet.variable(full, order - 1, name) for name in full.names}
-    back = dict(down)
-    for k, uname in enumerate(t_names):
-        acc = Jet.zero(full, order - 1)
-        for j, tname in enumerate(t_names):
-            if inverse[k][j]:
-                acc = acc + down[tname] * inverse[k][j]
-        back[uname] = acc
-    maps = tuple(
-        compose(v, back, alphabet=full, order=order - 1) for v in squares
-    )
+    back = _linear_t_change(invert_matrix(congruence), t_names, full, order - 1)
+    maps = tuple(substitute(v, back, full, order - 1) for v in squares)
 
     form = MorseNormalForm(
         germ,

@@ -46,7 +46,7 @@ from .io import (
     map_from_json,
     scalar_to_json,
 )
-from .jets import Jet, compose
+from .jets import Jet, compose, substitute
 from .marson import external_levi, external_lift, lift_levi_relation, predicted_external_levi
 from .rationals import GaussianRational
 from .segre import (
@@ -214,13 +214,11 @@ def cmd_central(args: argparse.Namespace) -> dict[str, Any]:
     if args.check:
         residuals = []
         full = germ.alphabet
-        assignment: dict[str, Jet] = {
-            name: Jet.variable(full, germ.order - 1, name) for name in full.names
+        on_graph = {
+            name: g.rename({}, full) for name, g in zip(germ.t_names(), manifold.graph)
         }
-        for name, g in zip(germ.t_names(), manifold.graph):
-            assignment[name] = g.rename({}, full)
         for name in germ.t_names():
-            res = compose(germ.phi.derive(name), assignment)
+            res = substitute(germ.phi.derive(name), on_graph, full, germ.order - 1)
             residuals.append(res.is_zero())
         payload["checks"] = {
             "gradient_vanishes_on_graph": all(residuals),
@@ -260,18 +258,6 @@ def cmd_normalize(args: argparse.Namespace) -> dict[str, Any]:
         if not exact:
             raise InvariantError("normal form does not reconstruct the straightened jet")
     return payload
-
-
-def _central_core(germ: StructureGerm) -> StructureGerm:
-    """Restrict a straightened germ to its center t = 0."""
-    central = standard_alphabet(germ.nu, 0)
-    assignment: dict[str, Jet | int] = {
-        name: Jet.variable(central, germ.order, name) for name in central.names
-    }
-    for name in germ.t_names():
-        assignment[name] = 0
-    base = compose(germ.phi, assignment, alphabet=central, order=germ.order)
-    return make_germ(germ.nu, 0, base)
 
 
 def cmd_phi(args: argparse.Namespace) -> dict[str, Any]:
@@ -411,8 +397,16 @@ def cmd_ode(args: argparse.Namespace) -> dict[str, Any]:
 def cmd_lift(args: argparse.Namespace) -> dict[str, Any]:
     source = germ_from_json(load_json(args.file), args.order)
     target = germ_from_json(load_json(args.file2), args.order)
-    source_core = _central_core(source)
-    target_core = _central_core(target)
+    source_core, target_core = (
+        make_germ(
+            g.nu,
+            0,
+            substitute(
+                g.phi, dict.fromkeys(g.t_names(), 0), standard_alphabet(g.nu, 0), g.order
+            ),
+        )
+        for g in (source, target)
+    )
     # certify split shape before any heavier work
     split_coefficients(source, source_core)
     split_coefficients(target, target_core)

@@ -29,12 +29,13 @@ from .alphabet import Alphabet
 from .errors import InvariantError, NotDivisibleError, PreconditionError
 from .germs import (
     StructureGerm,
+    defining_pullback,
     is_solution,
     levi_form,
     make_germ,
     standard_alphabet,
 )
-from .jets import Jet, compose, jet_sqrt
+from .jets import Jet, jet_sqrt, substitute
 from .linalg import rank
 from .rationals import I, rational_sqrt
 
@@ -52,6 +53,19 @@ def multiplier_alphabet(nu: int) -> Alphabet:
         + ["s", "v"]
     )
     return Alphabet(names, {f"z{j}": f"zb{j}" for j in range(1, nu + 1)})
+
+
+def _pull_back_map(
+    z_maps: Sequence[Jet], w_map: Jet, eta: Jet, order: int
+) -> tuple[list[Jet], Jet]:
+    """Core map components with eta replaced by ``eta``, z kept, over
+    the alphabet of ``eta``."""
+    target = eta.alphabet
+    along = {"eta": eta}
+    return (
+        [substitute(jet, along, target, order) for jet in z_maps],
+        substitute(w_map, along, target, order),
+    )
 
 
 @dataclass(frozen=True)
@@ -109,18 +123,8 @@ def make_equivalence(
 
     central = standard_alphabet(nu, 0)
     w1 = Jet.variable(central, order, "s") + source.phi * I
-    assignment: dict[str, Jet] = {
-        f"z{j}": Jet.variable(central, order, f"z{j}") for j in range(1, nu + 1)
-    }
-    assignment["eta"] = w1
-    pulled_z = [compose(jet, assignment, alphabet=central, order=order) for jet in z_maps]
-    pulled_w = compose(w_map, assignment, alphabet=central, order=order)
-    check: dict[str, Jet] = {}
-    for j in range(1, nu + 1):
-        check[f"z{j}"] = pulled_z[j - 1]
-        check[f"zb{j}"] = pulled_z[j - 1].conjugate()
-    check["s"] = pulled_w.real_part()
-    rhs = compose(target.phi, check, alphabet=central, order=order)
+    pulled_z, pulled_w = _pull_back_map(z_maps, w_map, w1, order)
+    rhs = defining_pullback(target.phi, pulled_z, pulled_w, central, order)
     if pulled_w.imag_part() != rhs:
         raise PreconditionError(
             "map does not satisfy the defining identity at this order"
@@ -138,26 +142,14 @@ def extract_multiplier(eq: CentralEquivalence) -> Jet:
     nu = eq.nu
     order = eq.order
     big = multiplier_alphabet(nu)
-    eta_value = Jet.variable(big, order, "s") + Jet.variable(big, order, "v") * I
-    assignment: dict[str, Jet] = {
-        f"z{j}": Jet.variable(big, order, f"z{j}") for j in range(1, nu + 1)
-    }
-    assignment["eta"] = eta_value
-    fz = [compose(jet, assignment, alphabet=big, order=order) for jet in eq.z_maps]
-    gw = compose(eq.w_map, assignment, alphabet=big, order=order)
-    check: dict[str, Jet] = {}
-    for j in range(1, nu + 1):
-        check[f"z{j}"] = fz[j - 1]
-        check[f"zb{j}"] = fz[j - 1].conjugate()
-    check["s"] = gw.real_part()
-    defect = gw.imag_part() - compose(eq.target.phi, check, alphabet=big, order=order)
+    v = Jet.variable(big, order, "v")
+    fz, gw = _pull_back_map(
+        eq.z_maps, eq.w_map, Jet.variable(big, order, "s") + v * I, order
+    )
+    defect = gw.imag_part() - defining_pullback(eq.target.phi, fz, gw, big, order)
 
     sigma1 = eq.source.phi.rename({}, big)
-    shift: dict[str, Jet] = {
-        name: Jet.variable(big, order, name) for name in big.names
-    }
-    shift["v"] = shift["v"] + sigma1
-    shifted = compose(defect, shift, alphabet=big, order=order)
+    shifted = substitute(defect, {"v": v + sigma1}, big, order)
     try:
         ratio = shifted.divide_by_coordinate("v")
     except NotDivisibleError:
@@ -165,11 +157,8 @@ def extract_multiplier(eq: CentralEquivalence) -> Jet:
             "defect failed to vanish on the source hypersurface after the "
             "identity was already validated"
         ) from None
-    unshift: dict[str, Jet] = {
-        name: Jet.variable(big, order - 1, name) for name in big.names
-    }
-    unshift["v"] = unshift["v"] - sigma1.truncate(order - 1)
-    multiplier = compose(ratio, unshift, alphabet=big, order=order - 1)
+    unshift = Jet.variable(big, order - 1, "v") - sigma1.truncate(order - 1)
+    multiplier = substitute(ratio, {"v": unshift}, big, order - 1)
     if not multiplier.is_real():
         raise InvariantError("multiplier of real defining data must be real")
     return multiplier
@@ -258,26 +247,14 @@ def lift_equivalence(
             "square; the lift leaves exact arithmetic"
         )
 
-    nu = eq.nu
     order = eq.order
     full = source_model.alphabet
     w1 = Jet.variable(full, order, "s") + source_model.phi * I
-    assignment: dict[str, Jet] = {
-        f"z{j}": Jet.variable(full, order, f"z{j}") for j in range(1, nu + 1)
-    }
-    assignment["eta"] = w1
-    z_maps = tuple(
-        compose(jet, assignment, alphabet=full, order=order) for jet in eq.z_maps
-    )
-    w_map = compose(eq.w_map, assignment, alphabet=full, order=order)
+    z_maps, w_map = _pull_back_map(eq.z_maps, eq.w_map, w1, order)
 
-    pull: dict[str, Jet] = {
-        name: Jet.variable(full, order - 1, name)
-        for name in multiplier.alphabet.names
-        if name != "v"
-    }
-    pull["v"] = source_model.phi.truncate(order - 1)
-    multiplier_full = compose(multiplier, pull, alphabet=full, order=order - 1)
+    multiplier_full = substitute(
+        multiplier, {"v": source_model.phi.truncate(order - 1)}, full, order - 1
+    )
     root = jet_sqrt(multiplier_full * (Fraction(1) / head.real))
     t_maps = []
     for l in range(1, source_model.nprime + 1):
@@ -286,7 +263,7 @@ def lift_equivalence(
             raise InvariantError("lifted t component of real data must be real")
         t_maps.append(t_map)
     return LiftedEquivalence(
-        eq, source_model, target_model, z_maps, w_map, tuple(t_maps), scale
+        eq, source_model, target_model, tuple(z_maps), w_map, tuple(t_maps), scale
     )
 
 
@@ -319,12 +296,7 @@ def verify_lift(lift: LiftedEquivalence) -> LiftVerification:
     nu = src.nu
     coeffs = split_coefficients(lift.target, eq.target)
 
-    check: dict[str, Jet] = {}
-    for j in range(1, nu + 1):
-        check[f"z{j}"] = lift.z_maps[j - 1]
-        check[f"zb{j}"] = lift.z_maps[j - 1].conjugate()
-    check["s"] = lift.w_map.real_part()
-    total = compose(eq.target.phi, check, alphabet=full, order=order)
+    total = defining_pullback(eq.target.phi, lift.z_maps, lift.w_map, full, order)
     for c, t_map in zip(coeffs, lift.t_maps):
         # Promotion exact: the unknown top-order part of the t component
         # has valuation >= order, and the component itself valuation 1.
@@ -337,33 +309,15 @@ def verify_lift(lift: LiftedEquivalence) -> LiftVerification:
     )
 
     central = standard_alphabet(nu, 0)
-    restrict: dict[str, Jet | int] = {
-        name: Jet.variable(central, order, name) for name in central.names
-    }
-    for l in range(1, src.nprime + 1):
-        restrict[f"t{l}"] = 0
-    z_restricted = [
-        compose(jet, restrict, alphabet=central, order=order) for jet in lift.z_maps
-    ]
-    w_restricted = compose(lift.w_map, restrict, alphabet=central, order=order)
-    core_assignment: dict[str, Jet] = {
-        f"z{j}": Jet.variable(central, order, f"z{j}") for j in range(1, nu + 1)
-    }
-    core_assignment["eta"] = Jet.variable(central, order, "s") + eq.source.phi * I
-    z_core = [
-        compose(jet, core_assignment, alphabet=central, order=order)
-        for jet in eq.z_maps
-    ]
-    w_core = compose(eq.w_map, core_assignment, alphabet=central, order=order)
+    at_center = dict.fromkeys(src.t_names(), 0)
+    z_restricted = [substitute(jet, at_center, central, order) for jet in lift.z_maps]
+    w_restricted = substitute(lift.w_map, at_center, central, order)
+    z_core, w_core = _pull_back_map(
+        eq.z_maps, eq.w_map, Jet.variable(central, order, "s") + eq.source.phi * I, order
+    )
     restricts = z_restricted == z_core and w_restricted == w_core
 
-    restrict_low: dict[str, Jet | int] = {
-        name: Jet.variable(central, order - 1, name) for name in central.names
-    }
-    for l in range(1, src.nprime + 1):
-        restrict_low[f"t{l}"] = 0
     vanish = all(
-        compose(jet, restrict_low, alphabet=central, order=order - 1).is_zero()
-        for jet in lift.t_maps
+        substitute(jet, at_center, central, order - 1).is_zero() for jet in lift.t_maps
     )
     return LiftVerification(defining, solutions, restricts, vanish)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .alphabet import Alphabet
 from .errors import InvariantError, PreconditionError
-from .jets import Jet, generators
+from .jets import Jet, compose, generators
 from .linalg import hermitian_signature
 from .rationals import GaussianRational, I, MINUS_I
 
@@ -102,6 +102,30 @@ def first_integrals(germ: StructureGerm) -> dict[str, Jet]:
     out = {name: Jet.variable(alpha, order, name) for name in germ.z_names()}
     out["w"] = Jet.variable(alpha, order, "s") + germ.phi * I
     return out
+
+
+def defining_pullback(
+    phi: Jet,
+    z_maps: Sequence[Jet],
+    w_map: Jet,
+    target: Alphabet,
+    order: int,
+    t_maps: Sequence[Jet] = (),
+) -> Jet:
+    """phi(f, conj f, Re g, t-components) for a map with components
+    z -> f, w -> g and t -> ``t_maps``.
+
+    The map sends a structure into the one defined by phi exactly when
+    this equals Im g; callers compare or subtract.
+    """
+    assignment: dict[str, Jet] = {}
+    for j, f in enumerate(z_maps, start=1):
+        assignment[f"z{j}"] = f
+        assignment[f"zb{j}"] = f.conjugate()
+    assignment["s"] = w_map.real_part()
+    for l, t in enumerate(t_maps, start=1):
+        assignment[f"t{l}"] = t
+    return compose(phi, assignment, alphabet=target, order=order)
 
 
 class VectorField:

@@ -213,10 +213,14 @@ def load_json(path: str) -> Any:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path} nests JSON values too deeply to parse") from None
 
 
 def canonical_dumps(payload: Any) -> str:

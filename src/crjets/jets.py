@@ -299,11 +299,7 @@ class Jet:
         if isinstance(other, Jet):
             self._check_compatible(other)
             terms = _kernels.mul_terms(
-                self.terms,
-                other.terms,
-                self.alphabet.deg_shift,
-                self.order,
-                self.alphabet.fits64,
+                self.terms, other.terms, self.alphabet.deg_shift, self.order
             )
             return Jet._raw(self.alphabet, self.order, terms)
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -605,6 +601,32 @@ def compose(
     return compose_many(
         [outer], assignment, allow_constant=allow_constant, alphabet=alphabet, order=order
     )[0]
+
+
+def substitute(
+    jet: Jet,
+    changes: Mapping[str, Jet | Scalar],
+    target: Alphabet,
+    order: int,
+    *,
+    allow_constant: Iterable[str] = (),
+) -> Jet:
+    """Apply ``changes`` to ``jet`` and re-express the result over ``target``.
+
+    Every variable of the jet's alphabet that ``changes`` leaves out and
+    ``target`` also carries is mapped to itself; a support variable with
+    neither a change nor a namesake in ``target`` is an error. The rest
+    is the contract of compose, result order included.
+    """
+    assignment: dict[str, Jet | Scalar] = {
+        name: Jet.variable(target, order, name)
+        for name in jet.alphabet.names
+        if name not in changes and name in target.index
+    }
+    assignment.update(changes)
+    return compose(
+        jet, assignment, allow_constant=allow_constant, alphabet=target, order=order
+    )
 
 
 def jet_sqrt(a: Jet) -> Jet:

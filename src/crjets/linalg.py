@@ -2,7 +2,7 @@
 
 Everything here is fraction-free only in spirit: entries are exact field
 elements, pivots are chosen by position (lowest index), never by size,
-so results are deterministic across runs and backends. Matrices are
+so results are deterministic across runs. Matrices are
 lists of row lists and are never mutated in place by public functions.
 """
 
@@ -49,23 +49,50 @@ def matmul(a: Sequence[Sequence[F]], b: Sequence[Sequence[F]]) -> list[list[F]]:
     return out
 
 
-def matvec(a: Sequence[Sequence[F]], v: Sequence[F]) -> list[F]:
-    return [row[0] for row in matmul(a, [[x] for x in v])]
-
-
 def transpose(a: Sequence[Sequence[F]]) -> list[list[F]]:
     rows, cols = _check_rect(a)
     return [[a[i][j] for i in range(rows)] for j in range(cols)]
 
 
-def conjugate_transpose(a: Sequence[Sequence[GaussianRational]]) -> list[list[GaussianRational]]:
-    rows, cols = _check_rect(a)
-    return [[a[i][j].conjugate() for i in range(rows)] for j in range(cols)]
-
-
 def identity_matrix(n: int, one: F) -> list[list[F]]:
     zero = one - one
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _gauss_jordan(m: list[list[F]], cols: int) -> list[int]:
+    """Reduce the first ``cols`` columns of m in place to reduced row
+    echelon form and return the pivot columns.
+
+    Each pivot is the first nonzero entry at or below the current row, and
+    its row is scaled to a leading one before clearing the column.
+    """
+    rows = len(m)
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
+def _reduce_square(m: list[list[F]], n: int, what: str) -> None:
+    """Gauss-Jordan on an n x n block augmented on the right; raises
+    SingularJacobianError naming the first column without a pivot."""
+    pivots = _gauss_jordan(m, n)
+    if len(pivots) < n:
+        k = next((i for i, c in enumerate(pivots) if i != c), len(pivots))
+        raise SingularJacobianError(f"singular {what}, no pivot in column {k}")
 
 
 def solve_linear(a: Sequence[Sequence[F]], b: Sequence[F]) -> list[F]:
@@ -74,19 +101,8 @@ def solve_linear(a: Sequence[Sequence[F]], b: Sequence[F]) -> list[F]:
     if n != cols or n != len(b):
         raise PreconditionError("solve_linear needs a square system")
     m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot_row is None:
-            raise SingularJacobianError(f"singular system, no pivot in column {k}")
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return [m[i][n] for i in range(n)]
+    _reduce_square(m, n, "system")
+    return [row[n] for row in m]
 
 
 def invert_matrix(a: Sequence[Sequence[F]]) -> list[list[F]]:
@@ -96,21 +112,9 @@ def invert_matrix(a: Sequence[Sequence[F]]) -> list[list[F]]:
         raise PreconditionError("only square matrices invert")
     if n == 0:
         return []
-    one = _field_one(a)
-    ident = identity_matrix(n, one)
+    ident = identity_matrix(n, _field_one(a))
     m = [list(row) + ident[i] for i, row in enumerate(a)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot_row is None:
-            raise SingularJacobianError(f"singular matrix, no pivot in column {k}")
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    _reduce_square(m, n, "matrix")
     return [row[n:] for row in m]
 
 
@@ -127,23 +131,7 @@ def rank(a: Sequence[Sequence[F]]) -> int:
     rows, cols = _check_rect(a)
     if rows == 0 or cols == 0:
         return 0
-    m = _copy(a)
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_gauss_jordan(_copy(a), cols))
 
 
 def symmetric_diagonalize(h: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:

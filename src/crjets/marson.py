@@ -29,13 +29,14 @@ from .errors import InvariantError, PreconditionError
 from .germs import (
     LeviForm,
     StructureGerm,
+    defining_pullback,
     first_integrals,
     is_solution,
     levi_form,
     make_germ,
     standard_alphabet,
 )
-from .jets import Jet, compose
+from .jets import Jet, substitute
 from .linalg import rank
 from .rationals import HALF_I, I, MINUS_HALF_I, MINUS_I, GaussianRational
 
@@ -58,36 +59,28 @@ def external_lift(germ: StructureGerm) -> ExternalLift:
     big = standard_alphabet(nu + npr, 0)
     full = germ.alphabet
 
-    assignment: dict[str, Jet] = {
-        name: Jet.variable(big, order, name)
-        for name in full.names
-        if name not in germ.t_names()
-    }
     chart = []
+    absorb: dict[str, Jet] = {}
     for l in range(1, npr + 1):
         new = f"z{nu + l}"
         chart.append((new, f"t{l}"))
-        assignment[f"t{l}"] = (
+        absorb[f"t{l}"] = (
             Jet.variable(big, order, new) - Jet.variable(big, order, f"zb{nu + l}")
         ) * MINUS_HALF_I
-    phi_lift = compose(germ.phi, assignment, alphabet=big, order=order)
+    phi_lift = substitute(germ.phi, absorb, big, order)
     lifted = make_germ(nu + npr, 0, phi_lift)
 
-    back: dict[str, Jet] = {
-        name: Jet.variable(full, order, name)
-        for name in full.names
-        if name not in germ.t_names()
-    }
+    back: dict[str, Jet] = {}
     for l in range(1, npr + 1):
         tvar = Jet.variable(full, order, f"t{l}")
         back[f"z{nu + l}"] = tvar * I
         back[f"zb{nu + l}"] = tvar * MINUS_I
-    if compose(phi_lift, back, alphabet=full, order=order) != germ.phi:
+    if substitute(phi_lift, back, full, order) != germ.phi:
         raise InvariantError("re-substituting the slice did not recover phi")
 
     integrals = first_integrals(lifted)
     pulled = [
-        compose(integrals[name], back, alphabet=full, order=order)
+        substitute(integrals[name], back, full, order)
         for name in [f"z{j}" for j in range(1, nu + npr + 1)] + ["w"]
     ]
     linear_rows = [
@@ -197,18 +190,9 @@ def descend_map(
             raise PreconditionError("map components must vanish at the origin")
 
     full = germ.alphabet
-    w_jet = Jet.variable(full, order, "s") + germ.phi * I
-    assignment: dict[str, Jet] = {
-        f"z{j}": Jet.variable(full, order, f"z{j}") for j in range(1, nu + 1)
-    }
-    assignment["w"] = w_jet
-
-    pulled_core = [
-        compose(jet, assignment, alphabet=full, order=order) for jet in core_map
-    ]
-    pulled_shear = [
-        compose(jet, assignment, alphabet=full, order=order) for jet in shear
-    ]
+    along = {"w": Jet.variable(full, order, "s") + germ.phi * I}
+    pulled_core = [substitute(jet, along, full, order) for jet in core_map]
+    pulled_shear = [substitute(jet, along, full, order) for jet in shear]
     for jet in pulled_core + pulled_shear:
         if not is_solution(germ, jet):
             raise InvariantError(
@@ -228,15 +212,8 @@ def descend_map(
             raise PreconditionError("target germ has mismatched dimensions")
         if target.order < order:
             raise PreconditionError("target germ order is too low to verify against")
-        check_assignment: dict[str, Jet] = {}
-        for j in range(1, nu + 1):
-            check_assignment[f"z{j}"] = new_z[j - 1]
-            check_assignment[f"zb{j}"] = new_z[j - 1].conjugate()
-        check_assignment["s"] = new_w.real_part()
-        for l in range(1, npr + 1):
-            check_assignment[f"t{l}"] = new_t[l - 1]
-        rhs = compose(
-            target.phi.truncate(order), check_assignment, alphabet=full, order=order
+        rhs = defining_pullback(
+            target.phi.truncate(order), new_z, new_w, full, order, new_t
         )
         if rhs != new_w.imag_part():
             raise PreconditionError(

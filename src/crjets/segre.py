@@ -18,9 +18,9 @@ every section at once. Two independent constructions are implemented:
     functions of (z, w, wp) and substitutes into the plain second
     derivative of the graph.
 
-They share only the parameter elimination and must agree entrywise; the
-comparison is left to callers so neither route can quietly stand in for
-the other.
+Besides the complexified defining function they start from, they share
+only the parameter elimination and must agree entrywise; the comparison
+is left to callers so neither route can quietly stand in for the other.
 
 The rigidity test checks whether any of that matrix depends on w. A
 monomial with positive w-exponent is a conclusive obstruction at the jet
@@ -42,7 +42,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .germs import StructureGerm
-from .jets import Jet, compose
+from .jets import Jet, substitute
 from .rationals import HALF, GaussianRational, as_gaussian
 from .solve import implicit_solve
 
@@ -80,6 +80,23 @@ def section_parameter_alphabet(nu: int) -> Alphabet:
     return Alphabet(names, None)
 
 
+def _stand_ins(nu: int) -> dict[str, str]:
+    """Renaming of the frozen conjugate parameters (zb, wb) to their
+    stand-ins (ab, bb) in the elimination alphabet."""
+    renaming = {f"zb{j}": f"ab{j}" for j in range(1, nu + 1)}
+    renaming["wb"] = "bb"
+    return renaming
+
+
+def _defining_function(core: StructureGerm, order: int) -> Jet:
+    """w - wb - 2i * sigma(z, zb, (w + wb)/2) over segre_alphabet(nu)."""
+    big = segre_alphabet(core.nu)
+    w = Jet.variable(big, order, "w")
+    wb = Jet.variable(big, order, "wb")
+    sigma_big = substitute(core.phi, {"s": (w + wb) * HALF}, big, order)
+    return w - wb - sigma_big * GaussianRational(0, 2)
+
+
 @dataclass(frozen=True)
 class ComplexifiedHypersurface:
     core: StructureGerm
@@ -103,33 +120,15 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
         )
     if core.nu < 1:
         raise PreconditionError("complexification needs at least one complex variable")
-    nu = core.nu
     order = core.order
-    big = segre_alphabet(nu)
-    halves = Jet.variable(big, order, "w") + Jet.variable(big, order, "wb")
-    assignment: dict[str, Jet] = {
-        name: Jet.variable(big, order, name)
-        for name in core.alphabet.names
-        if name != "s"
-    }
-    assignment["s"] = halves * HALF
-    sigma_big = compose(core.phi, assignment, alphabet=big, order=order)
-    equation = (
-        Jet.variable(big, order, "w")
-        - Jet.variable(big, order, "wb")
-        - sigma_big * GaussianRational(0, 2)
-    )
+    equation = _defining_function(core, order)
+    big = equation.alphabet
     graph = implicit_solve([equation], ["w"])[0]
     rho = graph.rename({}, big)
 
     if rho.coefficient({"wb": 1}) != as_gaussian(1):
         raise InvariantError("graph jet must start as wb plus higher terms")
-    reflected = rho.conjugate()
-    back_assignment: dict[str, Jet] = {
-        name: Jet.variable(big, order, name) for name in big.names if name != "wb"
-    }
-    back_assignment["wb"] = reflected
-    round_trip = compose(rho, back_assignment, alphabet=big, order=order)
+    round_trip = substitute(rho, {"wb": rho.conjugate()}, big, order)
     if round_trip != Jet.variable(big, order, "w"):
         raise InvariantError(
             "reality identity failed: reflecting the graph through itself "
@@ -152,19 +151,11 @@ def segre_section(
     if len(zb_values) != nu:
         raise PreconditionError(f"expected {nu} conjugate coordinates")
     zonly = Alphabet(tuple(f"z{j}" for j in range(1, nu + 1)), None)
-    order = ch.order
-    assignment: dict[str, Jet | GaussianRational] = {
-        f"z{j}": Jet.variable(zonly, order, f"z{j}") for j in range(1, nu + 1)
+    frozen: dict[str, GaussianRational] = {
+        f"zb{j}": as_gaussian(v) for j, v in enumerate(zb_values, start=1)
     }
-    frozen = []
-    for j, v in enumerate(zb_values, start=1):
-        assignment[f"zb{j}"] = as_gaussian(v)
-        frozen.append(f"zb{j}")
-    assignment["wb"] = as_gaussian(wb_value)
-    frozen.append("wb")
-    return compose(
-        ch.rho, assignment, allow_constant=frozen, alphabet=zonly, order=order
-    )
+    frozen["wb"] = as_gaussian(wb_value)
+    return substitute(ch.rho, frozen, zonly, ch.order, allow_constant=frozen)
 
 
 def segre_graph(ch: ComplexifiedHypersurface, z_point: tuple, w_point) -> Jet:
@@ -208,8 +199,7 @@ def conjugate_elimination(ch: ComplexifiedHypersurface) -> ConjugateElimination:
     nu = ch.nu
     order = ch.order
     big5 = elimination_alphabet(nu)
-    renaming = {f"zb{j}": f"ab{j}" for j in range(1, nu + 1)}
-    renaming["wb"] = "bb"
+    renaming = _stand_ins(nu)
 
     rho5 = ch.rho.rename(renaming, big5)
     equations = [rho5 - Jet.variable(big5, order, "w")]
@@ -263,14 +253,9 @@ def _substitute_elimination(
     jet4_or_5: Jet, elim: ConjugateElimination, nu: int, order: int
 ) -> Jet:
     """Replace the frozen-parameter stand-ins by their eliminated values."""
-    target = section_parameter_alphabet(nu)
-    assignment: dict[str, Jet] = {
-        name: Jet.variable(target, order, name) for name in target.names
-    }
-    for j in range(1, nu + 1):
-        assignment[f"ab{j}"] = elim.zb[j - 1].truncate(order)
-    assignment["bb"] = elim.wb.truncate(order)
-    return compose(jet4_or_5, assignment, alphabet=target, order=order)
+    eliminated = {f"ab{j}": zb.truncate(order) for j, zb in enumerate(elim.zb, start=1)}
+    eliminated["bb"] = elim.wb.truncate(order)
+    return substitute(jet4_or_5, eliminated, section_parameter_alphabet(nu), order)
 
 
 def phi_elimination(
@@ -283,8 +268,7 @@ def phi_elimination(
     if elim is None:
         elim = conjugate_elimination(ch)
     big5 = elimination_alphabet(nu)
-    renaming = {f"zb{j}": f"ab{j}" for j in range(1, nu + 1)}
-    renaming["wb"] = "bb"
+    renaming = _stand_ins(nu)
     rows: list[list[Jet | None]] = [[None] * nu for _ in range(nu)]
     for i in range(1, nu + 1):
         for j in range(i, nu + 1):
@@ -303,8 +287,9 @@ def phi_determinant(
     """Section Hessian by bordered determinants of a defining function.
 
     Uses the unsolved defining function (w - wb - 2i sigma_c) * (-i/2),
-    never the graph jet, so the only shared ingredient with the
-    elimination route is the frozen-parameter elimination itself.
+    never the graph jet, so past that defining function the only shared
+    ingredient with the elimination route is the frozen-parameter
+    elimination itself.
     """
     nu = ch.nu
     order = ch.order
@@ -312,20 +297,7 @@ def phi_determinant(
     if elim is None:
         elim = conjugate_elimination(ch)
 
-    big = segre_alphabet(nu)
-    halves = Jet.variable(big, order, "w") + Jet.variable(big, order, "wb")
-    assignment: dict[str, Jet] = {
-        name: Jet.variable(big, order, name)
-        for name in ch.core.alphabet.names
-        if name != "s"
-    }
-    assignment["s"] = halves * HALF
-    sigma_big = compose(ch.core.phi, assignment, alphabet=big, order=order)
-    defining = (
-        Jet.variable(big, order, "w")
-        - Jet.variable(big, order, "wb")
-        - sigma_big * GaussianRational(0, 2)
-    ) * GaussianRational(0, Fraction(-1, 2))
+    defining = _defining_function(ch.core, order) * GaussianRational(0, Fraction(-1, 2))
 
     d_w = defining.derive("w").truncate(out_order)
     d_ww = defining.derive("w").derive("w")
@@ -334,8 +306,7 @@ def phi_determinant(
     base = defining.truncate(out_order)
 
     big5 = elimination_alphabet(nu)
-    renaming = {f"zb{j}": f"ab{j}" for j in range(1, nu + 1)}
-    renaming["wb"] = "bb"
+    renaming = _stand_ins(nu)
 
     rows: list[list[Jet | None]] = [[None] * nu for _ in range(nu)]
     for i in range(1, nu + 1):

@@ -196,6 +196,22 @@ def test_exit_one_on_bad_input(tmp_path, capsys):
     assert "phi term 0" in capsys.readouterr().err
 
 
+def test_exit_one_on_invalid_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"nu": 1, "note": "caf\xe9"}')
+    assert cli.run(["levi", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and str(path) in err
+
+
+def test_exit_one_on_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert cli.run(["levi", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and str(path) in err
+
+
 def test_exit_one_on_usage_errors(capsys):
     assert cli.run([]) == 1
     assert cli.run(["no-such-command", "x.json"]) == 1

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crjets import Alphabet, GaussianRational, I, Jet, compose, compose_many, generators, jet_sqrt
+from crjets.alphabet import SMALL_LIMIT
 from crjets.errors import (
     AlphabetMismatchError,
     NonUnitConstantError,
@@ -29,6 +30,8 @@ from oracles import (
 
 XY = Alphabet(("x", "y"), None)
 ZZB = Alphabet(("z", "zb"), {"z": "zb"})
+# More variables than the 6-bit packing holds: codes use 16-bit fields.
+WIDE = Alphabet(tuple(f"v{i}" for i in range(SMALL_LIMIT + 3)), None)
 
 fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 coefs = st.tuples(fracs, fracs)
@@ -93,11 +96,46 @@ def test_addition_matches_oracle(p, q):
     assert jet_to_poly(jp + jq) == padd(p, q)
 
 
-@given(polys(), polys())
+@st.composite
+def products(draw):
+    """(alphabet, order, p, q): operands of one truncated product."""
+    alphabet = draw(st.sampled_from([XY, WIDE]))
+    order = draw(st.integers(1, 5))
+    width = alphabet.nvars
+    return alphabet, order, draw(polys(order, width)), draw(polys(order, width))
+
+
+MINUS_ONE = (Fraction(-1), Fraction(0))
+
+
+def wide_monomial(*indices):
+    exps = [0] * WIDE.nvars
+    for i in indices:
+        exps[i] += 1
+    return tuple(exps)
+
+
+@given(products())
+# an empty operand
+@example((XY, 5, {}, {(0, 0): ONE, (1, 0): ONE}))
+# (1 + x)(1 - x): the x terms cancel and x^2 lies past the cap
+@example((XY, 1, {(0, 0): ONE, (1, 0): ONE}, {(0, 0): ONE, (1, 0): MINUS_ONE}))
+# every product monomial lies past the cap
+@example((XY, 1, {(1, 0): ONE}, {(0, 1): ONE}))
+# exponents spread over the last fields of the 16-bit packing
+@example(
+    (
+        WIDE,
+        5,
+        {wide_monomial(0, 11): ONE, wide_monomial(10, 11, 11): (Fraction(2), Fraction(-3, 4))},
+        {wide_monomial(11): MINUS_ONE, wide_monomial(3, 9): (Fraction(0), Fraction(1, 7))},
+    )
+)
 @settings(max_examples=60)
-def test_multiplication_matches_oracle(p, q):
-    jp, jq = poly_to_jet(p, XY, 5), poly_to_jet(q, XY, 5)
-    assert jet_to_poly(jp * jq) == pmul(p, q, 5)
+def test_multiplication_matches_oracle(case):
+    alphabet, order, p, q = case
+    jp, jq = poly_to_jet(p, alphabet, order), poly_to_jet(q, alphabet, order)
+    assert jet_to_poly(jp * jq) == pmul(p, q, order)
 
 
 @given(polys(), polys(), polys())
