@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .central import central_manifold, is_straightened, morse_normalize, straighten
 from .equivalence import (
@@ -30,7 +30,6 @@ from .germs import (
     characteristic_covector,
     first_integrals,
     frame,
-    is_solution,
     levi_form,
     make_germ,
     standard_alphabet,
@@ -142,6 +141,15 @@ def render_report(payload: dict[str, Any], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_file(path: str, parse: Callable[..., Any], *args: Any) -> Any:
+    """Load a JSON input file and parse it; parse errors name the file."""
+    obj = load_json(path)
+    try:
+        return parse(obj, *args)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _germ_echo(germ: StructureGerm) -> dict[str, Any]:
     return {"nu": germ.nu, "nprime": germ.nprime, "order": germ.order}
 
@@ -152,7 +160,7 @@ def _germ_echo(germ: StructureGerm) -> dict[str, Any]:
 
 
 def cmd_levi(args: argparse.Namespace) -> dict[str, Any]:
-    germ = germ_from_json(load_json(args.file), args.order)
+    germ = _parse_file(args.file, germ_from_json, args.order)
     form = levi_form(germ)
     cov = characteristic_covector(germ)
     payload: dict[str, Any] = {
@@ -190,7 +198,7 @@ def cmd_levi(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_central(args: argparse.Namespace) -> dict[str, Any]:
-    germ = germ_from_json(load_json(args.file), args.order)
+    germ = _parse_file(args.file, germ_from_json, args.order)
     manifold = central_manifold(germ)
     flat = straighten(germ, manifold)
     payload: dict[str, Any] = {
@@ -230,7 +238,7 @@ def cmd_central(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_normalize(args: argparse.Namespace) -> dict[str, Any]:
-    germ = germ_from_json(load_json(args.file), args.order)
+    germ = _parse_file(args.file, germ_from_json, args.order)
     manifold = central_manifold(germ)
     flat = straighten(germ, manifold)
     form = morse_normalize(flat)
@@ -261,7 +269,7 @@ def cmd_normalize(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_phi(args: argparse.Namespace) -> dict[str, Any]:
-    germ = germ_from_json(load_json(args.file), args.order)
+    germ = _parse_file(args.file, germ_from_json, args.order)
     reduced = False
     core = germ
     if germ.nprime:
@@ -301,7 +309,7 @@ def cmd_phi(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_external(args: argparse.Namespace) -> dict[str, Any]:
-    germ = germ_from_json(load_json(args.file), args.order)
+    germ = _parse_file(args.file, germ_from_json, args.order)
     ext = external_lift(germ)
     form = external_levi(ext)
     payload: dict[str, Any] = {
@@ -341,7 +349,7 @@ def cmd_external(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_rigid_check(args: argparse.Namespace) -> dict[str, Any]:
-    germ = germ_from_json(load_json(args.file), args.order)
+    germ = _parse_file(args.file, germ_from_json, args.order)
     report = rigid_phi_test(germ)
     names = list(section_parameter_alphabet(germ.nu).names)
     offenders = [
@@ -370,7 +378,7 @@ def cmd_rigid_check(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_ode(args: argparse.Namespace) -> dict[str, Any]:
-    height = height_from_json(load_json(args.file), args.order)
+    height = _parse_file(args.file, height_from_json, args.order)
     profile = ode_right_side(height)
     payload: dict[str, Any] = {
         "command": "ode",
@@ -395,8 +403,8 @@ def cmd_ode(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_lift(args: argparse.Namespace) -> dict[str, Any]:
-    source = germ_from_json(load_json(args.file), args.order)
-    target = germ_from_json(load_json(args.file2), args.order)
+    source = _parse_file(args.file, germ_from_json, args.order)
+    target = _parse_file(args.file2, germ_from_json, args.order)
     source_core, target_core = (
         make_germ(
             g.nu,
@@ -410,8 +418,8 @@ def cmd_lift(args: argparse.Namespace) -> dict[str, Any]:
     # certify split shape before any heavier work
     split_coefficients(source, source_core)
     split_coefficients(target, target_core)
-    z_maps, w_map = map_from_json(
-        load_json(args.mapfile), equivalence_alphabet(source.nu), source.nu, args.order
+    z_maps, w_map = _parse_file(
+        args.mapfile, map_from_json, equivalence_alphabet(source.nu), source.nu, args.order
     )
     eq = make_equivalence(source_core, target_core, z_maps, w_map)
     multiplier = extract_multiplier(eq)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .alphabet import Alphabet
 from .errors import InvariantError, PreconditionError
-from .jets import Jet, compose, generators
+from .jets import Jet, compose
 from .linalg import hermitian_signature
 from .rationals import GaussianRational, I, MINUS_I
 

@@ -11,6 +11,8 @@ they occurred at.
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -38,10 +40,34 @@ def text_to_fraction(value: Any) -> Fraction:
         )
     if not isinstance(value, str):
         raise ParseError(f"expected a rational string, got {type(value).__name__}")
+    limit = sys.get_int_max_str_digits()
+    if limit and _literal_digits(value, limit) > limit:
+        raise ParseError(
+            f"rational {reprlib.repr(value)} would need an integer of more than "
+            f"{limit} decimal digits"
+        )
     try:
         return Fraction(value.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {value!r}: {exc}") from None
+
+
+def _literal_digits(text: str, limit: int) -> int:
+    """Bound on the decimal digits of the numerator or denominator that
+    Fraction(text) builds, read off the literal without building it.
+
+    A mantissa contributes its digits (the larger side of p/q), and a
+    decimal exponent adds its magnitude; an exponent too long to matter
+    counts as ``limit + 1``. Malformed literals are left to Fraction.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = max(sum(ch.isdigit() for ch in part) for part in mantissa.split("/"))
+    magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if not magnitude.isdigit():
+        return digits
+    if len(magnitude) > len(str(limit)):
+        return limit + 1
+    return digits + int(magnitude)
 
 
 def scalar_to_json(value: GaussianRational) -> Any:

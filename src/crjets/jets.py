@@ -22,7 +22,7 @@ serialize identically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _kernels
 from .alphabet import Alphabet

@@ -1,13 +1,16 @@
 """Implicit function solving and series reversion over exact jets.
 
-The workhorse is a chord iteration: the Jacobian with respect to the
-unknowns is inverted once at the origin, and each sweep replaces the
-current guess u by u - J0^{-1} F(x, u). Because the exact solution and
-the guess agree to order m after m sweeps (the correction term has one
-extra order of vanishing each time), at most ``order`` sweeps reach the
-full truncation, and usually the residual hits exact zero earlier. The
-final residual is recomputed and must vanish identically; anything else
-is a bug, not noise, since all arithmetic is exact.
+The workhorse is a chord iteration with graded precision. The Jacobian
+with respect to the unknowns is inverted once at the origin. Sweep k
+(k = 1 .. order) composes the equations truncated to order k at the
+current guesses; since the guesses are exact below degree k, the
+residual has valuation at least k, and its degree-k part is J0 times the
+degree-k error of the guesses. Subtracting J0^{-1} times that part makes
+the guesses exact through degree k. The valuation is checked: a graded
+residual with a term below degree k raises InvariantError naming the
+sweep and the degree. After the last sweep one composition at the full
+order recomputes the residual, which must vanish identically; anything
+else is a bug, not noise, since all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .alphabet import Alphabet
 from .errors import InvariantError, PreconditionError, SingularJacobianError
 from .jets import Jet, compose_many
 from .linalg import invert_matrix
-from .rationals import GaussianRational
 
 
 def implicit_solve(
@@ -36,6 +38,15 @@ def implicit_solve(
     returned jets live over ``target`` (default: the parameter
     subalphabet, in source order) and have zero constant term. They
     satisfy the equations identically at the working order.
+
+    The working order N is the least equation order, or ``order`` if
+    given. Sweep k = 1 .. N composes the equations truncated to order k
+    at the guesses truncated to order k and raises InvariantError if a
+    residual has a term below degree k; the degree-k residual, mapped
+    through J0^{-1}, corrects the guesses, which stay at order N. One
+    composition at order N then certifies the result: every residual
+    must be exactly zero, or InvariantError is raised. That is N + 1
+    compositions, N of them below full order.
     """
     if not equations:
         raise PreconditionError("no equations")
@@ -91,29 +102,39 @@ def implicit_solve(
             "Jacobian with respect to the unknowns is singular at the origin"
         ) from None
 
-    assignment: dict[str, Jet] = {
-        n: Jet.variable(target, work_order, n) for n in params
-    }
     guesses: list[Jet] = [Jet.zero(target, work_order) for _ in unknowns]
-
-    for _ in range(work_order + 1):
-        for name, g in zip(unknowns, guesses):
-            assignment[name] = g
-        residuals = compose_many(eqs, assignment, alphabet=target, order=work_order)
-        if all(r.is_zero() for r in residuals):
-            return guesses
+    for k in range(1, work_order + 1):
+        assignment: dict[str, Jet] = {n: Jet.variable(target, k, n) for n in params}
+        assignment.update((u, g.truncate(k)) for u, g in zip(unknowns, guesses))
+        residuals = compose_many(
+            [eq.truncate(k) for eq in eqs], assignment, alphabet=target, order=k
+        )
+        for i, r in enumerate(residuals):
+            low = r.valuation()
+            if low is not None and low < k:
+                raise InvariantError(
+                    f"chord sweep {k}: residual of equation {i} has a term of "
+                    f"degree {low}, below the swept degree {k}"
+                )
         for j in range(len(unknowns)):
-            delta = Jet.zero(target, work_order)
-            for k, r in enumerate(residuals):
-                c = j0_inv[j][k]
+            delta = Jet.zero(target, k)
+            for i, r in enumerate(residuals):
+                c = j0_inv[j][i]
                 if not c.is_zero():
                     delta = delta + r * c
-            guesses[j] = guesses[j] - delta
+            # Every term of delta has degree exactly k: it is exact data at
+            # any order, so raising it to the working order asserts nothing.
+            guesses[j] = guesses[j] - delta.with_order(work_order)
 
-    raise InvariantError(
-        "chord iteration failed to reach an exactly zero residual; "
-        "this indicates corrupted coefficient arithmetic"
-    )
+    assignment = {n: Jet.variable(target, work_order, n) for n in params}
+    assignment.update(zip(unknowns, guesses))
+    residuals = compose_many(eqs, assignment, alphabet=target, order=work_order)
+    if not all(r.is_zero() for r in residuals):
+        raise InvariantError(
+            "chord iteration failed to reach an exactly zero residual; "
+            "this indicates corrupted coefficient arithmetic"
+        )
+    return guesses
 
 
 def revert_series(f: Jet, variable: str | None = None) -> Jet:

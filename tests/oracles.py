@@ -105,6 +105,59 @@ def pconj(p: Poly, swap: list[int]) -> Poly:
     return clean(out)
 
 
+def cinv(a: Coef) -> Coef:
+    norm = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / norm, -a[1] / norm)
+
+
+def cmatinv(m: list[list[Coef]]) -> list[list[Coef]]:
+    """Gauss-Jordan inverse; ZeroDivisionError when m is singular."""
+    n = len(m)
+    rows = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != ZERO), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular matrix")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = cinv(rows[col][col])
+        rows[col] = [cmul(v, inv) for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != ZERO:
+                f = rows[r][col]
+                rows[r] = [cadd(v, cmul((-f[0], -f[1]), p)) for v, p in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def reference_solve(eqs: list[Poly], unknowns: list[int], width: int, order: int) -> list[Poly]:
+    """Solve eqs(x, u) = 0 for u(x), u(0) = 0, by the full-precision chord
+    iteration: J0 inverted once, every sweep composes at ``order`` and
+    subtracts J0^{-1} times the whole residual, until it is exactly zero.
+
+    ``unknowns`` are variable positions; the other positions are the
+    parameters, and the solutions are polys over them in source order.
+    """
+    params = [i for i in range(width) if i not in unknowns]
+    nparams = len(params)
+    eqs = [ptruncate(e, order) for e in eqs]
+    unit = [tuple(int(k == i) for k in range(width)) for i in range(width)]
+    j0_inv = cmatinv([[e.get(unit[u], ZERO) for u in unknowns] for e in eqs])
+    args: list[Poly] = [{} for _ in range(width)]
+    for k, i in enumerate(params):
+        args[i] = {tuple(int(j == k) for j in range(nparams)): ONE}
+    guesses: list[Poly] = [{} for _ in unknowns]
+    for _ in range(order + 1):
+        for i, g in zip(unknowns, guesses):
+            args[i] = g
+        residuals = [pcompose(e, args, order, nparams) for e in eqs]
+        if not any(residuals):
+            return guesses
+        for j in range(len(unknowns)):
+            for i, r in enumerate(residuals):
+                c = j0_inv[j][i]
+                guesses[j] = padd(guesses[j], pscale(r, (-c[0], -c[1])))
+    raise AssertionError("chord iteration failed to reach an exactly zero residual")
+
+
 def catalan(count: int) -> list[int]:
     """c_0..c_{count-1} by the convolution recurrence."""
     cs = [1]

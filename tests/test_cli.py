@@ -212,6 +212,19 @@ def test_exit_one_on_deeply_nested_json(tmp_path, capsys):
     assert err.startswith("parse error") and str(path) in err
 
 
+def test_exit_one_on_coefficient_past_the_digit_limit(tmp_path, capsys):
+    """1e999999 would be a million-digit integer that str() refuses."""
+    path = drop(
+        tmp_path,
+        "huge.json",
+        dict(QUADRIC, phi=[{"monomial": {"z1": 1, "zb1": 1}, "coefficient": "1e999999"}]),
+    )
+    assert cli.run(["levi", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and path in err
+    assert "phi term 0" in err and "1e999999" in err
+
+
 def test_exit_one_on_usage_errors(capsys):
     assert cli.run([]) == 1
     assert cli.run(["no-such-command", "x.json"]) == 1

@@ -1,5 +1,6 @@
-"""The repository tracks no file that its own .gitignore excludes."""
+"""Repository hygiene: no tracked ignored files, no unused imports."""
 
+import ast
 import subprocess
 from pathlib import Path
 
@@ -19,3 +20,34 @@ def test_no_ignored_file_is_tracked():
         check=True,
     ).stdout
     assert listed == "", f"tracked files that .gitignore excludes:\n{listed}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+def test_package_modules_use_every_import():
+    """__init__.py is exempt: its imports are the public re-exports."""
+    modules = sorted((ROOT / "src" / "crjets").glob("*.py"))
+    unused = [
+        entry
+        for path in modules
+        if path.name != "__init__.py"
+        for entry in _unused_imports(path)
+    ]
+    assert modules
+    assert not unused, "unused imports:\n" + "\n".join(unused)

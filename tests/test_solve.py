@@ -1,13 +1,27 @@
-"""Implicit solving and series reversion against closed-form oracles."""
+"""Implicit solving and series reversion against closed-form oracles and
+the full-precision chord iteration of the test oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from crjets import Alphabet, GaussianRational, Jet, compose, implicit_solve, revert_series
-from crjets.errors import PreconditionError, SingularJacobianError
+import crjets.solve
+from crjets import (
+    Alphabet,
+    GaussianRational,
+    Jet,
+    complexify,
+    compose,
+    conjugate_elimination,
+    implicit_solve,
+    revert_series,
+)
+from crjets.errors import InvariantError, PreconditionError, SingularJacobianError
 
-from oracles import catalan
+from germ_corpus import random_central
+from oracles import ONE, ZERO, catalan, cmul, jet_to_poly, poly_to_jet, reference_solve
 
 ST = Alphabet(("s", "t"), None)
 
@@ -89,3 +103,157 @@ def test_reversion_needs_unit_slope():
     t = Jet.variable(a, 5, "t")
     with pytest.raises((PreconditionError, SingularJacobianError)):
         revert_series(t * t)
+
+
+# ---------------------------------------------------------------------------
+# graded sweeps against the full-precision chord iteration
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_reference(equations, unknowns):
+    """implicit_solve equals the full-precision chord iteration exactly."""
+    names = equations[0].alphabet.names
+    order = min(eq.order for eq in equations)
+    expected = reference_solve(
+        [jet_to_poly(eq) for eq in equations],
+        [names.index(u) for u in unknowns],
+        len(names),
+        order,
+    )
+    solved = implicit_solve(equations, unknowns)
+    assert [jet_to_poly(sol) for sol in solved] == expected
+    assert all(sol.order == order for sol in solved)
+
+
+fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+coefs = st.tuples(fracs, fracs)
+
+
+@st.composite
+def systems(draw):
+    """1-2 unknowns, 1-2 parameters, order 1-6, invertible J0.
+
+    Returns (variable names, unknowns, order, equations as oracle polys).
+    """
+    nunknowns = draw(st.integers(1, 2))
+    nparams = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 6))
+    names = draw(
+        st.permutations(
+            [f"u{k}" for k in range(nunknowns)] + [f"x{k}" for k in range(nparams)]
+        )
+    )
+    unknowns = [n for n in names if n.startswith("u")]
+    width = len(names)
+    j0 = [[draw(coefs) for _ in unknowns] for _ in unknowns]
+    if nunknowns == 1:
+        det = j0[0][0]
+    else:
+        a, b = cmul(j0[0][0], j0[1][1]), cmul(j0[0][1], j0[1][0])
+        det = (a[0] - b[0], a[1] - b[1])
+    if det == ZERO:
+        j0 = [[ONE if i == j else ZERO for j in range(nunknowns)] for i in range(nunknowns)]
+    eqs = []
+    for row in j0:
+        eq = {}
+        for u, c in zip(unknowns, row):
+            eq[tuple(int(n == u) for n in names)] = c
+        for n in names:
+            if n.startswith("x"):
+                eq[tuple(int(m == n) for m in names)] = draw(coefs)
+        for _ in range(draw(st.integers(0, 5))):
+            exps = [0] * width
+            for _ in range(draw(st.integers(2, max(2, order)))):
+                exps[draw(st.integers(0, width - 1))] += 1
+            eq[tuple(exps)] = draw(coefs)
+        eqs.append({m: c for m, c in eq.items() if c != ZERO and sum(m) <= order})
+    return tuple(names), unknowns, order, eqs
+
+
+MINUS_ONE = (Fraction(-1), Fraction(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems())
+# polynomial solution u = x + x^2: the reference iteration stops after two sweeps
+@example((("x0", "u0"), ["u0"], 5, [{(0, 1): ONE, (1, 0): MINUS_ONE, (2, 0): MINUS_ONE}]))
+# the coupled system u = x + v^2, v = x^2 + u*v
+@example(
+    (
+        ("x0", "u0", "u1"),
+        ["u0", "u1"],
+        5,
+        [
+            {(0, 1, 0): ONE, (1, 0, 0): MINUS_ONE, (0, 0, 2): MINUS_ONE},
+            {(0, 0, 1): ONE, (2, 0, 0): MINUS_ONE, (0, 1, 1): MINUS_ONE},
+        ],
+    )
+)
+def test_graded_sweeps_match_full_precision_chord(system):
+    names, unknowns, order, polys = system
+    alphabet = Alphabet(names, None)
+    assert_matches_reference([poly_to_jet(p, alphabet, order) for p in polys], unknowns)
+
+
+def test_conjugate_elimination_system_matches_full_precision_chord(monkeypatch):
+    """The nu=2 incidence system that conjugate_elimination solves."""
+    calls = []
+
+    def recording_solve(equations, unknowns, **kwargs):
+        calls.append((list(equations), list(unknowns)))
+        return implicit_solve(equations, unknowns, **kwargs)
+
+    ch = complexify(random_central(random.Random(7), nu=2, order=4))
+    monkeypatch.setattr("crjets.segre.implicit_solve", recording_solve)
+    conjugate_elimination(ch)
+    [(equations, unknowns)] = calls
+    assert len(unknowns) == 3
+    assert_matches_reference(equations, unknowns)
+
+
+# ---------------------------------------------------------------------------
+# the valuation check and the certifying composition
+# ---------------------------------------------------------------------------
+
+
+def catalan_equation(order):
+    s, t = Jet.variable(ST, order, "s"), Jet.variable(ST, order, "t")
+    return t - s - t * t
+
+
+def recording_compose(monkeypatch, corrupt_call=None, degree=None):
+    """Replace solve.compose_many by one that records the order of each
+    call and, on call number ``corrupt_call``, adds s^degree to the first
+    residual. Returns the recorded orders."""
+    real = crjets.solve.compose_many
+    orders = []
+
+    def compose_many(outers, assignment, **kwargs):
+        out = real(outers, assignment, **kwargs)
+        orders.append(kwargs["order"])
+        if len(orders) == corrupt_call:
+            r = out[0]
+            out[0] = r + Jet.variable(r.alphabet, r.order, "s") ** degree
+        return out
+
+    monkeypatch.setattr(crjets.solve, "compose_many", compose_many)
+    return orders
+
+
+def test_sweeps_are_graded_and_one_composition_certifies(monkeypatch):
+    orders = recording_compose(monkeypatch)
+    implicit_solve([catalan_equation(5)], ["t"])
+    assert orders == [1, 2, 3, 4, 5, 5]
+
+
+def test_term_below_the_swept_degree_is_an_invariant_error(monkeypatch):
+    recording_compose(monkeypatch, corrupt_call=3, degree=2)
+    with pytest.raises(InvariantError, match="sweep 3.*degree 2"):
+        implicit_solve([catalan_equation(5)], ["t"])
+
+
+def test_corrupted_certifying_residual_is_an_invariant_error(monkeypatch):
+    orders = recording_compose(monkeypatch, corrupt_call=6, degree=5)
+    with pytest.raises(InvariantError, match="exactly zero residual"):
+        implicit_solve([catalan_equation(5)], ["t"])
+    assert orders == [1, 2, 3, 4, 5, 5]
