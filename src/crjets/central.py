@@ -145,9 +145,9 @@ class MorseNormalForm:
         total = self.base.rename({}, full) if self.base.alphabet != full else self.base
         total = total.with_order(order)
         for c, g in zip(self.quad_coeffs, self.maps):
-            # G is reliable one order down; squaring doubles the valuation
-            # of the unknown part past the working order.
-            gk = g.with_order(order)
+            # G is reliable one order down and has valuation >= 1, so the
+            # unknown part of G^2 lies past the working order.
+            gk = g.promote(order, min_valuation=1)
             total = total + gk * gk * c
         return total
 

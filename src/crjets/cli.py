@@ -68,11 +68,25 @@ CHART_NOTE = (
 )
 
 
+class ParserExit(Exception):
+    """argparse finished the run itself (-h printed the help)."""
+
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
+
+
 class CliParser(argparse.ArgumentParser):
-    """Reroute argparse failures into the parse-error exit code."""
+    """Reroute argparse failures into the parse-error exit code, and
+    argparse's own exits (-h) into a returned status."""
 
     def error(self, message: str):
         raise ParseError(message)
+
+    def exit(self, status: int = 0, message: str | None = None):
+        if message:
+            sys.stderr.write(message)
+        raise ParserExit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +518,8 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = build_parser().parse_args(list(argv))
         payload = _COMMANDS[args.command][0](args)
+    except ParserExit as exc:
+        return exc.status
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

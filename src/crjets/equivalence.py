@@ -300,7 +300,7 @@ def verify_lift(lift: LiftedEquivalence) -> LiftVerification:
     for c, t_map in zip(coeffs, lift.t_maps):
         # Promotion exact: the unknown top-order part of the t component
         # has valuation >= order, and the component itself valuation 1.
-        tk = t_map.with_order(order)
+        tk = t_map.promote(order, min_valuation=1)
         total = total + tk * tk * c
     defining = lift.w_map.imag_part() == total
 

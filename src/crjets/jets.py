@@ -28,6 +28,7 @@ from . import _kernels
 from .alphabet import Alphabet
 from .errors import (
     AlphabetMismatchError,
+    InvariantError,
     NonUnitConstantError,
     NotDivisibleError,
     OrderMismatchError,
@@ -142,14 +143,12 @@ class Jet:
 
     def support(self) -> set[str]:
         """Variables appearing with a positive exponent."""
-        out: set[str] = set()
-        decode = self.alphabet.decode
-        names = self.alphabet.names
+        # A field is nonzero in the OR of all codes iff some term uses it.
+        used = 0
         for code in self.terms:
-            for name, e in zip(names, decode(code)):
-                if e:
-                    out.add(name)
-        return out
+            used |= code
+        alpha = self.alphabet
+        return {n for n, s in zip(alpha.names, alpha.shifts) if (used >> s) & alpha.mask}
 
     def monomials(self) -> Iterator[tuple[tuple[int, ...], GaussianRational]]:
         """Terms in the canonical graded order."""
@@ -164,11 +163,6 @@ class Jet:
             self.order,
             {c: v for c, v in self.terms.items() if deg(c) == degree},
         )
-
-    def max_exponent_of(self, name: str) -> int:
-        shift = self.alphabet.shifts[self.alphabet.index[name]]
-        mask = self.alphabet.mask
-        return max(((c >> shift) & mask for c in self.terms), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Jet):
@@ -233,6 +227,27 @@ class Jet:
         if order > self.alphabet.max_order():
             raise PreconditionError("requested order exceeds the packing limit")
         return Jet._raw(self.alphabet, order, dict(self.terms))
+
+    def promote(self, order: int, *, min_valuation: int) -> Jet:
+        """Raise the reliable order on a checked valuation argument.
+
+        The caller argues that the missing coefficients cannot influence
+        the use the result is put to because no term of this jet has
+        degree below ``min_valuation``. That bound is checked: a term
+        below it raises InvariantError. Lowering the order is truncate's
+        job and is refused.
+        """
+        if order < self.order:
+            raise OrderMismatchError(
+                f"cannot promote order {self.order} jet down to {order}; use truncate"
+            )
+        low = self.valuation()
+        if low is not None and low < min_valuation:
+            raise InvariantError(
+                f"promotion to order {order} assumes valuation >= {min_valuation}, "
+                f"but the jet has a term of degree {low}"
+            )
+        return self.with_order(order)
 
     def _check_compatible(self, other: Jet) -> None:
         if self.alphabet != other.alphabet:
@@ -502,9 +517,19 @@ def compose_many(
     must have zero constant term unless the variable is listed in
     ``allow_constant``; a constant shift is exact polynomial recentering
     at the stored truncation. The result order is the minimum of the outer
-    orders, the substituted jet orders, and ``order`` if given. Power
-    tables are shared across the batch, which is what makes Newton solves
-    cheap; prefer one compose_many call over many compose calls.
+    orders, the substituted jet orders, and ``order`` if given.
+
+    A support variable whose substitute, truncated to the result order,
+    is one non-constant monomial with coefficient exactly 1 (an identity,
+    a renaming, x -> y^2) is substituted by code arithmetic: its part of
+    a term becomes e times the monomial's code, and the part is dropped
+    when its degree passes the result order. The other variables U are
+    grouped: each outer's terms are collected by their exponents b in U
+    into one polynomial P_b over the target, and the result is P_0 plus
+    one truncated product P_b * U^b per group. The products U^b are
+    memoised per call and shared by every outer; each is built from a
+    memoised shorter one. Prefer one compose_many call over many compose
+    calls.
     """
     if not outers:
         return []
@@ -535,9 +560,7 @@ def compose_many(
     if target is None:
         raise PreconditionError("all-scalar assignment needs an explicit target alphabet")
 
-    support: set[str] = set()
-    for o in outers:
-        support |= o.support()
+    support: set[str] = set().union(*(o.support() for o in outers))
     missing = support - jets_assigned.keys()
     if missing:
         raise PreconditionError(f"assignment misses support variables {sorted(missing)}")
@@ -550,43 +573,115 @@ def compose_many(
                 "recentering must be requested via allow_constant"
             )
 
-    # Promote scalars to constant jets once and align orders.
-    sub: dict[str, Jet] = {}
-    for name in support:
+    mask = src.mask
+    deg_shift = target.deg_shift
+    # Source fields of monomial substitutes: (shift, target code, degree).
+    monomial: list[tuple[int, int, int]] = []
+    # Source fields of the other variables U, and their substitutes' terms.
+    grouped: list[tuple[int, dict[int, GaussianRational]]] = []
+    group_mask = 0
+    for name, shift in zip(src.names, src.shifts):
+        if name not in support:
+            continue
         v = jets_assigned[name]
         if isinstance(v, Jet):
-            sub[name] = v.truncate(result_order)
+            terms = v.truncate(result_order).terms
         else:
-            sub[name] = Jet.constant(target, result_order, v)
+            terms = {} if v.is_zero() else {0: v}
+        if len(terms) == 1:
+            ((code, c),) = terms.items()
+            if code and c.a == 1 and c.b == 0 and c.d == 1:
+                monomial.append((shift, code, code >> deg_shift))
+                continue
+        grouped.append((shift, terms))
+        group_mask |= mask << shift
 
-    one = Jet.constant(target, result_order, 1)
-    powers: dict[str, list[Jet]] = {}
-    for name in support:
-        need = max(o.max_exponent_of(name) for o in outers)
-        table = [one]
-        base = sub[name]
-        for _ in range(need):
-            table.append(table[-1] * base)
-        powers[name] = table
+    # U^b is keyed by the source code of b (its U fields, no degree field)
+    # and is the product of two shorter ones: x^e = x^(e-1) * x, and a
+    # product of several variables is the one without its last variable
+    # times that variable's power. The substitutes are the products of
+    # length one.
+    products = {1 << shift: terms for shift, terms in grouped}
 
-    names = src.names
-    out: list[Jet] = []
+    def halves(b: int) -> tuple[int, int] | None:
+        for shift, _ in reversed(grouped):
+            e = (b >> shift) & mask
+            if e:
+                break
+        power = e << shift
+        if b != power:
+            return b - power, power
+        if e > 1:
+            return power - (1 << shift), 1 << shift
+        return None
+
+    # Group every outer's terms by b first. Each U^b is then built once,
+    # used by every outer that has the group, and kept only if a longer
+    # product is built from it.
+    accs: list[dict[int, GaussianRational]] = []
+    users: dict[int, list[tuple[dict, dict]]] = {}
     for o in outers:
-        acc = Jet.zero(target, result_order)
-        for code in sorted(o.terms):
-            coeff = o.terms[code]
-            vec = src.decode(code)
-            term: Jet | None = None
-            for name, e in zip(names, vec):
+        groups: dict[int, dict[int, GaussianRational]] = {}
+        for code, coeff in o.terms.items():
+            # Sum the degree first: past the result order the monomial
+            # part is dropped; within it, the code fields cannot carry.
+            deg = 0
+            mono = 0
+            for shift, mcode, mdeg in monomial:
+                e = (code >> shift) & mask
                 if e:
-                    p = powers[name][e]
-                    term = p if term is None else term * p
-            if term is None:
-                acc = acc + coeff
+                    deg += e * mdeg
+                    mono += e * mcode
+            if deg > result_order:
+                continue
+            b = code & group_mask
+            poly = groups.get(b)
+            if poly is None:
+                groups[b] = {mono: coeff}
+            elif mono in poly:
+                s = poly[mono] + coeff
+                if s.a or s.b:
+                    poly[mono] = s
+                else:
+                    del poly[mono]
             else:
-                acc = acc + term * coeff
-        out.append(acc)
-    return out
+                poly[mono] = coeff
+        acc = groups.pop(0, {})
+        accs.append(acc)
+        for b, poly in groups.items():
+            users.setdefault(b, []).append((poly, acc))
+
+    kept: set[int] = set()
+    pending = list(users)
+    while pending:
+        parts = halves(pending.pop())
+        if parts:
+            for part in parts:
+                if part not in kept:
+                    kept.add(part)
+                    pending.append(part)
+
+    # Both halves of U^b have smaller codes than b: ascending order builds
+    # every product after its halves.
+    for b in sorted(kept.union(users)):
+        u = products.get(b)
+        if u is None:
+            first, second = halves(b)
+            u = _kernels.mul_terms(products[first], products[second], deg_shift, result_order)
+            if b in kept:
+                products[b] = u
+        for poly, acc in users.get(b, ()):
+            for code, coeff in _kernels.mul_terms(poly, u, deg_shift, result_order).items():
+                cur = acc.get(code)
+                if cur is None:
+                    acc[code] = coeff
+                else:
+                    s = cur + coeff
+                    if s.a or s.b:
+                        acc[code] = s
+                    else:
+                        del acc[code]
+    return [Jet._raw(target, result_order, acc) for acc in accs]
 
 
 def compose(

@@ -124,7 +124,7 @@ def implicit_solve(
                     delta = delta + r * c
             # Every term of delta has degree exactly k: it is exact data at
             # any order, so raising it to the working order asserts nothing.
-            guesses[j] = guesses[j] - delta.with_order(work_order)
+            guesses[j] = guesses[j] - delta.promote(work_order, min_valuation=k)
 
     assignment = {n: Jet.variable(target, work_order, n) for n in params}
     assignment.update(zip(unknowns, guesses))

@@ -1,8 +1,13 @@
 """Command line driver: outputs, exit codes, order overrides."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crjets import cli
 from crjets.errors import InvariantError
@@ -231,6 +236,13 @@ def test_exit_one_on_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_help_returns_zero(capsys):
+    assert cli.run(["-h"]) == 0
+    assert "COMMAND" in capsys.readouterr().out
+    assert cli.run(["levi", "-h"]) == 0
+    assert "--order" in capsys.readouterr().out
+
+
 def test_exit_two_on_precondition(tmp_path, capsys):
     degenerate = {
         "nu": 1,
@@ -254,3 +266,131 @@ def test_exit_three_on_invariant(tmp_path, capsys, monkeypatch):
     path = drop(tmp_path, "g.json", QUADRIC)
     assert cli.run(["levi", path]) == 3
     assert "invariant violated" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+# ---------------------------------------------------------------------------
+
+real_literals = st.fractions(min_value=-5, max_value=5, max_denominator=4).map(str)
+literals = st.one_of(
+    real_literals,
+    real_literals,
+    real_literals,
+    st.builds(
+        lambda re, im: {"re": re, "im": im},
+        st.sampled_from(["1", "-1/2", "0"]),
+        st.sampled_from(["0", "2", "1/3"]),
+    ),
+    st.sampled_from(["1e3", "1/0", "x", "", None, 7, [], {"re": "y"}]),
+)
+
+
+@st.composite
+def monomials(draw, names, order):
+    """Exponents of total degree <= order, and now and then order + 1."""
+    room = order + (draw(st.integers(0, 9)) == 0)
+    mono = {}
+    for name in draw(st.permutations(names)):
+        e = draw(st.integers(0, room))
+        if e:
+            mono[name] = e
+        room -= e
+    return mono
+
+
+def term_records(names, order):
+    return st.lists(
+        st.builds(lambda m, c: {"monomial": m, "coefficient": c}, monomials(names, order), literals),
+        max_size=5,
+        unique_by=lambda record: tuple(sorted(record["monomial"].items())),
+    )
+
+
+@st.composite
+def germ_objects(draw):
+    """Small germ files: nu <= 2, nprime <= 1, order <= 4."""
+    nu, nprime, order = draw(st.integers(0, 2)), draw(st.integers(0, 1)), draw(st.integers(1, 4))
+    names = [f"z{j}" for j in range(1, nu + 1)] + [f"zb{j}" for j in range(1, nu + 1)] + ["s"]
+    names += [f"t{l}" for l in range(1, nprime + 1)]
+    phi = draw(term_records(names, order))
+    if draw(st.booleans()):
+        # a quadric part, so that some germs get past the nondegeneracy checks
+        phi += [{"monomial": {f"z{j}": 1, f"zb{j}": 1}, "coefficient": "1"} for j in range(1, nu + 1)]
+        phi += [{"monomial": {f"t{l}": 2}, "coefficient": "1"} for l in range(1, nprime + 1)]
+    return {"nu": nu, "nprime": nprime, "order": order, "phi": phi}
+
+
+@st.composite
+def height_objects(draw):
+    order = draw(st.integers(2, 4))
+    h = draw(term_records(["x"], order))
+    if draw(st.booleans()):
+        h.append({"monomial": {"x": 2}, "coefficient": "1"})
+    return {"order": order, "h": h}
+
+
+@st.composite
+def map_objects(draw):
+    nu, order = draw(st.integers(0, 2)), draw(st.integers(1, 4))
+    names = [f"z{j}" for j in range(1, nu + 1)] + ["eta"]
+    z = [draw(term_records(names, order)) for _ in range(nu)]
+    return {"order": order, "z": z, "w": draw(term_records(names, order))}
+
+
+FILE_KINDS = {
+    "germ": st.one_of(germ_objects(), st.sampled_from([QUADRIC, SPLIT_MODEL, TILTED, MIZOHATA])),
+    "height": height_objects(),
+    "map": st.one_of(map_objects(), st.just(SCALING_MAP)),
+}
+FLAG_GROUPS = st.sampled_from(
+    [
+        ["--check"],
+        ["--format", "json"],
+        ["--format", "text"],
+        *(["--order", v] for v in ("1", "2", "4", "0", "-3", "99", "x")),
+        ["-h"],
+        ["--bogus"],
+        ["--format", "yaml"],
+        ["--order"],
+        ["extra.json"],
+    ]
+)
+
+
+@st.composite
+def invocations(draw):
+    """argv for cli.run: a command, its input files' bytes, and flags."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS) + ["no-such-command"]))
+    kinds = {"lift": ["germ", "germ", "map"], "ode": ["height"]}.get(command, ["germ"])
+    if draw(st.integers(0, 9)) == 0:
+        kinds = draw(st.lists(st.sampled_from(sorted(FILE_KINDS)), max_size=3))
+    contents = []
+    for kind in kinds:
+        other = st.sampled_from(sorted(FILE_KINDS)).flatmap(FILE_KINDS.get)
+        obj = draw(st.one_of(*[FILE_KINDS[kind]] * 4, other))
+        text = canonical_dumps(obj).encode()
+        contents.append(draw(st.one_of(*[st.just(text)] * 4, st.binary(max_size=64))))
+    flags = [f for group in draw(st.lists(FLAG_GROUPS, max_size=2)) for f in group]
+    return command, contents, flags
+
+
+@given(invocations())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_runs_keep_the_exit_code_contract(invocation):
+    command, contents, flags = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, content in enumerate(contents):
+            path = os.path.join(tmp, f"in{k}.json")
+            with open(path, "wb") as handle:
+                handle.write(content)
+            paths.append(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.run([command, *paths, *flags])
+            except (Exception, SystemExit) as exc:  # nothing may escape run
+                pytest.fail(f"cli.run raised {exc!r}")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import crjets._kernels
 from crjets import Alphabet, GaussianRational, I, Jet, compose, compose_many, generators, jet_sqrt
 from crjets.alphabet import SMALL_LIMIT
 from crjets.errors import (
     AlphabetMismatchError,
+    InvariantError,
     NonUnitConstantError,
     NotDivisibleError,
     OrderMismatchError,
@@ -185,6 +187,114 @@ def test_compose_rejects_nonzero_constant():
     assert got[0] == y + 1
 
 
+# compose_many's grouped evaluation: x and y are often mapped by monomials
+# with coefficient 1 (code arithmetic), u by a general substitute (U^b).
+XYU = Alphabet(("x", "y", "u"), None)
+TWO = (Fraction(2), Fraction(0))
+X, Y, YY = (1, 0), (0, 1), (0, 2)
+U_ARG = {X: ONE, (1, 1): (Fraction(-1, 2), Fraction(1))}
+
+
+@st.composite
+def substitutes(draw, order):
+    """A substitute over XY: a coefficient-1 monomial, a monomial with
+    another coefficient, a polynomial, or a polynomial with a constant."""
+    kind = draw(st.sampled_from(("monomial", "scaled", "poly", "shifted")))
+    if kind in ("monomial", "scaled"):
+        degree = draw(st.integers(1, order + 1))
+        i = draw(st.integers(0, degree))
+        coef = ONE if kind == "monomial" else draw(coefs.filter(lambda c: c != ZERO))
+        return {(i, degree - i): coef}
+    p = draw(polys(order, 2, min_degree=1))
+    if kind == "shifted":
+        p[(0, 0)] = draw(coefs.filter(lambda c: c != ZERO))
+    return p
+
+
+@st.composite
+def compositions(draw):
+    """(outers over XYU, substitutes over XY for x, y, u, order, cap)."""
+    order = draw(st.integers(1, 5))
+    args = [draw(substitutes(order)) for _ in XYU.names]
+    outers = draw(st.lists(polys(order, 3), min_size=1, max_size=3))
+    cap = draw(st.one_of(st.none(), st.integers(0, order)))
+    return outers, args, order, cap
+
+
+@given(compositions())
+# identity on x and y, as for the parameters of implicit_solve
+@example(([{(1, 0, 0): ONE, (1, 1, 1): TWO, (0, 0, 2): ONE, (3, 1, 0): ONE}], [{X: ONE}, {Y: ONE}, U_ARG], 5, None))
+# a renaming: x and y swapped
+@example(([{(2, 1, 0): ONE, (1, 0, 1): TWO, (0, 0, 1): ONE}], [{Y: ONE}, {X: ONE}, U_ARG], 4, None))
+# x and y both become x: x*y^2 - x^2*y and u*x - u*y cancel, u^2 stays
+@example(([{(1, 2, 0): ONE, (2, 1, 0): MINUS_ONE, (1, 0, 1): ONE, (0, 1, 1): MINUS_ONE, (0, 0, 2): ONE}], [{X: ONE}, {X: ONE}, U_ARG], 4, None))
+# x -> y^2, a monomial of degree 2
+@example(([{(2, 0, 0): ONE, (1, 1, 1): ONE, (1, 0, 0): TWO}], [{YY: ONE}, {X: ONE}, U_ARG], 5, None))
+# x -> 2x, a monomial whose coefficient is not 1
+@example(([{(2, 0, 0): ONE, (1, 1, 0): ONE, (1, 0, 1): ONE}], [{X: TWO}, {Y: ONE}, U_ARG], 4, None))
+# x -> y^3 at order 4: x^2 lies past the order, x*u does not
+@example(([{(2, 0, 0): ONE, (1, 0, 1): ONE, (1, 0, 0): TWO}], [{(0, 3): ONE}, {X: ONE}, {X: ONE, Y: ONE}], 4, None))
+# u -> 1 + x, a constant shift
+@example(([{(0, 0, 3): ONE, (1, 0, 2): TWO, (0, 1, 0): ONE}], [{X: ONE}, {Y: ONE}, {(0, 0): ONE, X: ONE}], 4, None))
+# several outers sharing one assignment and U^b = u^2
+@example(([{(1, 0, 2): ONE}, {(0, 1, 2): TWO}, {(0, 0, 2): ONE, (1, 0, 0): ONE}], [{X: ONE}, {Y: ONE}, U_ARG], 5, 4))
+# an empty outer
+@example(([{}, {(1, 0, 1): ONE}], [{X: ONE}, {Y: ONE}, U_ARG], 3, None))
+@settings(max_examples=80, deadline=None)
+def test_compose_many_matches_oracle(case):
+    outer_polys, args, order, cap = case
+    outers = [poly_to_jet(p, XYU, order) for p in outer_polys]
+    subs = [poly_to_jet(a, XY, order) for a in args]
+    allow = [n for n, g in zip(XYU.names, subs) if not g.constant_term().is_zero()]
+    got = compose_many(
+        outers, dict(zip(XYU.names, subs)), allow_constant=allow, alphabet=XY, order=cap
+    )
+    result_order = order if cap is None else cap
+    arg_polys = [jet_to_poly(g) for g in subs]
+    assert [g.order for g in got] == [result_order] * len(outers)
+    assert [jet_to_poly(g) for g in got] == [
+        pcompose(jet_to_poly(o), arg_polys, result_order, 2) for o in outers
+    ]
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    real = crjets._kernels.mul_terms
+
+    def mul_terms(a, b, deg_shift, cap):
+        calls.append((len(a), len(b)))
+        return real(a, b, deg_shift, cap)
+
+    monkeypatch.setattr(crjets._kernels, "mul_terms", mul_terms)
+    return calls
+
+
+def test_monomial_substitutes_need_no_product(monkeypatch):
+    x, y, u = (Jet.variable(XYU, 5, n) for n in XYU.names)
+    tx, ty = Jet.variable(XY, 5, "x"), Jet.variable(XY, 5, "y")
+    outer = x * x * y + y * 3 + u * u * x
+    assignment = {"x": ty, "y": tx * tx, "u": tx}
+    calls = count_kernel_calls(monkeypatch)
+    got = compose_many([outer], assignment)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == [tx * tx * ty * ty + tx * tx * 3 + tx * tx * ty]
+
+
+def test_power_products_are_shared_across_outers(monkeypatch):
+    x, y, u = (Jet.variable(XYU, 6, n) for n in XYU.names)
+    tx, ty = Jet.variable(XY, 6, "x"), Jet.variable(XY, 6, "y")
+    arg = tx + ty * tx
+    outers = [u * u * x, u * u * u * y, u * u * x * x + u * u * u]
+    calls = count_kernel_calls(monkeypatch)
+    got = compose_many(outers, {"x": tx, "y": ty, "u": arg})
+    # u^2 and u^3 once each, then one product P_b * U^b per outer and group
+    assert len(calls) == 2 + 4
+    monkeypatch.undo()
+    cube = arg * arg * arg
+    assert got == [arg * arg * tx, cube * ty, arg * arg * tx * tx + cube]
+
+
 @given(polys(width=2))
 def test_conjugation_matches_oracle(p):
     jp = poly_to_jet(p, ZZB, 5)
@@ -273,3 +383,15 @@ def test_valuation_and_homogeneous_part():
     assert f.valuation() == 2
     assert f.homogeneous_part(2) == x * y
     assert Jet.zero(XY, 5).valuation() is None
+
+
+def test_promote_checks_the_valuation():
+    x, y = Jet.variable(XY, 3, "x"), Jet.variable(XY, 3, "y")
+    f = x * y + x * x * y
+    assert f.promote(5, min_valuation=2) == f.with_order(5)
+    assert Jet.zero(XY, 3).promote(6, min_valuation=4).order == 6
+    with pytest.raises(InvariantError) as err:
+        (f + x).promote(5, min_valuation=2)
+    assert "degree 1" in str(err.value)
+    with pytest.raises(OrderMismatchError):
+        f.promote(2, min_valuation=0)
