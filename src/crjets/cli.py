@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 malformed input, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -488,7 +489,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> CliParser:
+    """The argument parser, built on the first call and shared afterwards;
+    parsing never mutates it."""
     parser = CliParser(
         prog="crjets",
         description="exact jet computations for locally integrable structures",

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .alphabet import Alphabet
 from .errors import InvariantError, PreconditionError
 from .jets import Jet, compose
 from .linalg import hermitian_signature
-from .rationals import GaussianRational, I, MINUS_I
+from .rationals import ZERO, GaussianRational, I, MINUS_I
 
 DEFAULT_ORDER = 6
 
@@ -222,22 +222,18 @@ def levi_form(germ: StructureGerm) -> LeviForm:
     t_l t_r coefficient off it. Reality of phi makes this Hermitian.
     """
     nu, npr = germ.nu, germ.nprime
-    phi = germ.phi
     size = nu + npr
-    m: list[list[GaussianRational]] = [[None] * size for _ in range(size)]  # type: ignore[list-item]
-    for j in range(nu):
-        for k in range(nu):
-            m[j][k] = phi.coefficient({f"z{j+1}": 1, f"zb{k+1}": 1})
-        for r in range(npr):
-            m[j][nu + r] = phi.coefficient({f"z{j+1}": 1, f"t{r+1}": 1})
-    for l in range(npr):
-        for k in range(nu):
-            m[nu + l][k] = phi.coefficient({f"t{l+1}": 1, f"zb{k+1}": 1})
-        for r in range(npr):
-            if l == r:
-                m[nu + l][nu + r] = phi.coefficient({f"t{l+1}": 2}) * 2
-            else:
-                m[nu + l][nu + r] = phi.coefficient({f"t{l+1}": 1, f"t{r+1}": 1})
+    m = [[ZERO] * size for _ in range(size)]
+    if size:
+        # alphabet index -> Levi row (z_j, t_l) and Levi column (zb_k, t_r)
+        t0 = 2 * nu + 1
+        row_of = {j: j for j in range(nu)} | {t0 + l: nu + l for l in range(npr)}
+        col_of = {nu + k: k for k in range(nu)} | {t0 + r: nu + r for r in range(npr)}
+        for a, b, coeff in _quadratic_terms(germ.phi):
+            value = coeff * 2 if a == b else coeff
+            for p, q in {(a, b), (b, a)}:
+                if p in row_of and q in col_of:
+                    m[row_of[p]][col_of[q]] = value
     for i in range(size):
         for j in range(size):
             if m[i][j] != m[j][i].conjugate():
@@ -252,18 +248,29 @@ def levi_form(germ: StructureGerm) -> LeviForm:
 def t_hessian(germ: StructureGerm) -> list[list[Fraction]]:
     """Constant Hessian of phi in the t variables alone, as rational numbers."""
     npr = germ.nprime
-    phi = germ.phi
     h: list[list[Fraction]] = [[Fraction(0)] * npr for _ in range(npr)]
-    for l in range(npr):
-        for r in range(npr):
-            if l == r:
-                c = phi.coefficient({f"t{l+1}": 2}) * 2
-            else:
-                c = phi.coefficient({f"t{l+1}": 1, f"t{r+1}": 1})
+    if npr:
+        t0 = 2 * germ.nu + 1
+        for a, b, coeff in _quadratic_terms(germ.phi):
+            if a < t0:
+                continue
+            c = coeff * 2 if a == b else coeff
             if not c.is_real():
                 raise InvariantError("t-Hessian of a real jet must be real")
-            h[l][r] = c.real
+            h[a - t0][b - t0] = h[b - t0][a - t0] = c.real
     return h
+
+
+def _quadratic_terms(phi: Jet) -> Iterator[tuple[int, int, GaussianRational]]:
+    """The degree-2 terms of phi as (a, b, coefficient), a <= b the
+    alphabet indices of the two factors; each code is decoded once."""
+    if phi.order < 2:
+        raise PreconditionError(f"coefficient of degree 2 is beyond order {phi.order}")
+    alpha = phi.alphabet
+    for code, coeff in phi.terms.items():
+        if alpha.degree(code) == 2:
+            a, b = (i for i, e in enumerate(alpha.decode(code)) for _ in range(e))
+            yield a, b, coeff
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import json
 import reprlib
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
 
 from .alphabet import Alphabet
@@ -250,9 +251,65 @@ def load_json(path: str) -> Any:
 
 
 def canonical_dumps(payload: Any) -> str:
-    """Deterministic encoding: sorted keys, fixed indentation, one trailing
-    newline. Identical payloads give identical bytes."""
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Canonical JSON text of a tree of dicts, lists, str, int, bool and None.
+
+    The bytes are fixed: object keys in sorted order, each item on its own
+    line indented two spaces per level, "," between items and ": " after a
+    key, "{}" and "[]" for empty containers, strings and keys escaped to
+    ASCII by the C string encoder of the ``json`` module, integers in
+    decimal, true/false/null, and one trailing newline. Identical payloads
+    give identical bytes. A float, a non-str key or any other type raises
+    TypeError. The standard library's encoder with sort_keys=True,
+    indent=2 and ensure_ascii=True writes the same text and serves as the
+    test oracle; it is not called here because with an indent it runs in
+    pure Python.
+    """
+    out: list[str] = []
+    _emit(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(value: Any, newline: str, out: list[str]) -> None:
+    """Append the canonical text of value; newline carries the indent."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _emit(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"cannot encode {type(value).__name__} as canonical JSON")
 
 
 def matrix_to_json(rows: Iterable[Iterable[GaussianRational]]) -> list[list[Any]]:

@@ -208,8 +208,11 @@ def _as_fraction(x: int | Fraction | str) -> Fraction:
 def _coerce(x: object):
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
+    if isinstance(x, int):
+        # int() stores a bool as a plain 0 or 1
+        return GaussianRational.from_normalized(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return GaussianRational.from_normalized(x.numerator, 0, x.denominator)
     return NotImplemented
 
 

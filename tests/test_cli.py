@@ -243,6 +243,33 @@ def test_help_returns_zero(capsys):
     assert "--order" in capsys.readouterr().out
 
 
+def test_parser_reuse_matches_a_fresh_parser(tmp_path, capsys):
+    path = drop(tmp_path, "g.json", SPLIT_MODEL)
+    calls = [
+        ["levi", path, "--format", "json"],
+        ["levi", path, "--format", "yaml"],
+        ["levi", "-h"],
+        ["levi", "--format", "json"],
+        ["levi", path, "--format", "json"],
+    ]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = cli.run(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    reused = outcomes(fresh=False)
+    assert [code for code, _, _ in reused] == [0, 1, 0, 1, 0]
+    assert reused[-1][1] == reused[0][1]
+    assert outcomes(fresh=True) == reused
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_exit_two_on_precondition(tmp_path, capsys):
     degenerate = {
         "nu": 1,

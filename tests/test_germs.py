@@ -20,7 +20,13 @@ from crjets import (
 )
 from crjets.errors import PreconditionError
 
-from germ_corpus import random_germ
+from germ_corpus import (
+    rand_fraction,
+    rand_scalar,
+    random_central,
+    random_definite_germ,
+    random_germ,
+)
 
 
 def quadric(order=6):
@@ -131,3 +137,66 @@ def test_frame_annihilation_on_random_germs():
         for field in frame(germ):
             for h in ints.values():
                 assert field.apply(h).is_zero()
+
+
+def per_entry_levi(germ):
+    """The Levi matrix and t-Hessian read off by one coefficient lookup
+    per entry, as the block layout in the levi_form docstring states."""
+    nu, npr, phi = germ.nu, germ.nprime, germ.phi
+    z = [f"z{j}" for j in range(1, nu + 1)] + [f"t{l}" for l in range(1, npr + 1)]
+    zb = [f"zb{k}" for k in range(1, nu + 1)] + [f"t{r}" for r in range(1, npr + 1)]
+    m = [
+        [phi.coefficient({a: 2} if a == b else {a: 1, b: 1}) * (2 if a == b else 1) for b in zb]
+        for a in z
+    ]
+    return m, [[c.real for c in row[nu:]] for row in m[nu:]]
+
+
+def scattered_quadratic_germ(rng, nu, nprime, count):
+    """A real germ whose quadratic part has `count` random terms (with
+    their conjugate mirrors) of every kind, plus cubic noise."""
+    alphabet = standard_alphabet(nu, nprime)
+    zs = [f"z{j}" for j in range(1, nu + 1)]
+    zbs = [f"zb{j}" for j in range(1, nu + 1)]
+    conj = dict(zip(zs, zbs)) | dict(zip(zbs, zs))
+    pool = zs + zbs + ["s"] + [f"t{l}" for l in range(1, nprime + 1)]
+    terms = {}
+    for _ in range(count):
+        a, b = rng.choice(pool), rng.choice(pool + ["s"] * 3)
+        mono = {a: 2} if a == b else {a: 1, b: 1}
+        mirror = {conj.get(name, name): e for name, e in mono.items()}
+        code, mirror_code = alphabet.encode_dict(mono), alphabet.encode_dict(mirror)
+        if code == mirror_code:
+            terms[code] = GaussianRational(rand_fraction(rng, nonzero=True))
+        else:
+            c = rand_scalar(rng)
+            terms[code], terms[mirror_code] = c, c.conjugate()
+    cubic = {zs[0]: 1, "zb1": 1, "s": 1}
+    terms[alphabet.encode_dict(cubic)] = GaussianRational(5)
+    return make_germ(nu, nprime, Jet(alphabet, 3, terms))
+
+
+def test_levi_form_matches_per_entry_lookups():
+    rng = random.Random(2718)
+    germs = [random_central(rng, nu=2, order=4) for _ in range(3)]
+    germs += [random_germ(rng, nu=nu, nprime=npr, order=4, degmax=3) for nu, npr in ((1, 1), (1, 2), (2, 1))]
+    germs += [random_definite_germ(rng, nu=2, nprime=1, order=4, degmax=3)]
+    germs += [scattered_quadratic_germ(rng, 60, 0, 40), scattered_quadratic_germ(rng, 7, 5, 60)]
+    filled = []
+    for germ in germs:
+        matrix, hessian = per_entry_levi(germ)
+        assert [list(row) for row in levi_form(germ).matrix] == matrix
+        assert t_hessian(germ) == hessian
+        filled.append(sum(c != 0 for row in matrix for c in row))
+    assert filled[-2] > 40 and filled[-1] > 40
+
+
+def test_levi_form_needs_the_quadratic_part():
+    a = standard_alphabet(1, 1)
+    germ = make_germ(1, 1, Jet.zero(a, 1))
+    with pytest.raises(PreconditionError):
+        levi_form(germ)
+    with pytest.raises(PreconditionError):
+        t_hessian(germ)
+    empty = make_germ(0, 0, Jet.zero(standard_alphabet(0, 0), 1))
+    assert levi_form(empty).matrix == ()

@@ -1,8 +1,10 @@
 """JSON serialization: round trips, located diagnostics, order overrides."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crjets import GaussianRational, Jet, make_germ, generators, standard_alphabet
 from crjets.errors import ParseError
@@ -151,6 +153,73 @@ def test_canonical_dumps_is_stable():
     two = canonical_dumps({"a": {"x": "0", "y": "1/2"}, "b": [3, 2]})
     assert one == two
     assert one.endswith("\n")
+
+
+json_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+json_leaves = st.one_of(
+    json_text,
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.booleans(),
+    st.none(),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def stdlib_canonical(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+@given(json_trees)
+def test_canonical_dumps_matches_the_stdlib_encoder(payload):
+    assert canonical_dumps(payload) == stdlib_canonical(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        "top",
+        -(2**80),
+        None,
+        True,
+        {"b": [], "a": {}, "\u00e9\"\\": ["\u2603", "\U0001f600", "\x00"]},
+        [[[]], [{}], [1, [2, [3]]]],
+    ],
+)
+def test_canonical_dumps_examples(payload):
+    assert canonical_dumps(payload) == stdlib_canonical(payload)
+
+
+def test_canonical_dumps_exact_bytes():
+    assert canonical_dumps({}) == "{}\n"
+    assert canonical_dumps(7) == "7\n"
+    assert canonical_dumps({"b": [1, {}], "a": "\u00e9"}) == (
+        '{\n  "a": "\\u00e9",\n  "b": [\n    1,\n    {}\n  ]\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [0.5, {"a": [1.0]}, {1: "a"}, {"a": {None: 1}}, {"a": 1, 2: "b"}, ("a", 1), {1, 2}, b"x", Fraction(1, 2)],
+)
+def test_canonical_dumps_rejects_non_json_values(payload):
+    with pytest.raises(TypeError):
+        canonical_dumps(payload)
 
 
 def test_jet_json_terms_are_graded():

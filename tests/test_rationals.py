@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crjets import GaussianRational, I, rational_sqrt
+from crjets.rationals import as_gaussian
 from crjets.errors import ParseError
 
 
@@ -43,6 +44,18 @@ def test_mixed_coercion():
     assert Fraction(1, 2) + gr(1, 1) == gr(Fraction(3, 2), 1)
     assert 1 - I == gr(1, -1)
     assert 6 / gr(0, 2) == gr(0, -3)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0, 1, -7, 2**70, -(2**70), True, False, Fraction(-3, 4), Fraction(6, -8), Fraction(5), Fraction(-(2**65), 3)],
+)
+def test_coercion_matches_the_constructor(x):
+    built, coerced = GaussianRational(x), as_gaussian(x)
+    assert built == coerced
+    assert (built.a, built.b, built.d) == (coerced.a, coerced.b, coerced.d)
+    assert type(coerced.a) is int and type(coerced.d) is int
+    assert coerced.d > 0
 
 
 def test_predicates():
