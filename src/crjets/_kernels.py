@@ -1,41 +1,52 @@
 """Truncated product kernel.
 
+    unpack(T) -> list             code-sorted (code, a, b, d) tuples of T
+    mul_into(acc, A, B, bcodes, deg_shift, cap)
+    finish(acc) -> dict
     mul_terms(A, B, deg_shift, cap) -> dict
 
-A and B map packed monomial codes to GaussianRational coefficients; the
-result contains every product monomial of total degree <= cap, exactly,
-with zero coefficients dropped.
+Coefficient maps send packed monomial codes to GaussianRational values.
+Products run on unpacked operands: each term is a (code, a, b, d) tuple
+holding the coefficient (a + b*i)/d, and the list is sorted by code.
 
-Coefficients accumulate as raw (a, b, d) integer triples with a
-least-common-multiple denominator merge, and are normalized once per
-output monomial.
+``mul_into`` adds every product monomial of total degree <= cap of the
+unpacked A and B into ``acc``, a dict from code to a raw [a, b, d]
+accumulator; ``bcodes`` lists B's codes. The degree is the topmost field
+of a code, so for a term of A of degree k the admissible terms of B are
+the prefix of codes below (cap - k + 1) << deg_shift: one bisect per term
+of A bounds the pair loop, and no pair tests a degree. Since A is sorted
+too, the loop stops at the first term of A with an empty prefix. Raw
+triples accumulate with a least-common-multiple denominator merge; when
+the product's denominator divides the accumulated one, which is the
+common case, the product is scaled up to it and no gcd is taken.
+
+``finish`` normalizes each accumulated monomial once and drops exact
+zeros. Several products may accumulate into one ``acc`` before it is
+finished, which is how ``jets.compose_many`` sums its P_b * U^b.
+
+``mul_terms`` is unpack + mul_into + finish on two coefficient maps; the
+result contains every product monomial of degree <= cap, exactly, with
+zero coefficients dropped.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 
 from .rationals import GaussianRational
 
 
-def mul_terms(A: dict, B: dict, deg_shift: int, cap: int) -> dict:
-    if not A or not B:
-        return {}
-    if len(A) > len(B):
-        A, B = B, A
-    bitems = sorted(B.items())
-    bcodes = [c for c, _ in bitems]
-    bvals = [(v.a, v.b, v.d) for _, v in bitems]
-    nb = len(bcodes)
-    acc: dict[int, list[int]] = {}
-    for ca, va in A.items():
-        budget = cap - (ca >> deg_shift)
-        aa, ab, ad = va.a, va.b, va.d
-        for i in range(nb):
-            cb = bcodes[i]
-            if (cb >> deg_shift) > budget:
-                break
-            ba, bb, bd = bvals[i]
+def unpack(terms: dict) -> list[tuple[int, int, int, int]]:
+    return sorted([(c, v.a, v.b, v.d) for c, v in terms.items()])
+
+
+def mul_into(acc: dict, A: list, B: list, bcodes: list, deg_shift: int, cap: int) -> None:
+    for ca, aa, ab, ad in A:
+        stop = bisect_left(bcodes, (cap - (ca >> deg_shift) + 1) << deg_shift)
+        if not stop:
+            break
+        for cb, ba, bb, bd in B[:stop]:
             pa = aa * ba - ab * bb
             pb = aa * bb + ab * ba
             pd = ad * bd
@@ -48,14 +59,31 @@ def mul_terms(A: dict, B: dict, deg_shift: int, cap: int) -> dict:
                 cur[1] += pb
             else:
                 qd = cur[2]
-                g = gcd(qd, pd)
-                m_cur = pd // g
-                m_new = qd // g
-                cur[0] = cur[0] * m_cur + pa * m_new
-                cur[1] = cur[1] * m_cur + pb * m_new
-                cur[2] = qd * m_cur
-    out = {}
-    for c, (x, y, z) in acc.items():
-        if x or y:
-            out[c] = GaussianRational.normalize(x, y, z)
-    return out
+                m_new, r = divmod(qd, pd)
+                if r:
+                    g = gcd(qd, pd)
+                    m_cur = pd // g
+                    m_new = qd // g
+                    cur[0] = cur[0] * m_cur + pa * m_new
+                    cur[1] = cur[1] * m_cur + pb * m_new
+                    cur[2] = qd * m_cur
+                else:
+                    cur[0] += pa * m_new
+                    cur[1] += pb * m_new
+
+
+def finish(acc: dict) -> dict:
+    # Looked up per call, so that a wrapper installed on the class is seen.
+    normalize = GaussianRational.normalize
+    return {c: normalize(x, y, z) for c, (x, y, z) in acc.items() if x or y}
+
+
+def mul_terms(A: dict, B: dict, deg_shift: int, cap: int) -> dict:
+    if not A or not B:
+        return {}
+    if len(A) > len(B):
+        A, B = B, A
+    inner = unpack(B)
+    acc: dict[int, list[int]] = {}
+    mul_into(acc, unpack(A), inner, [t[0] for t in inner], deg_shift, cap)
+    return finish(acc)

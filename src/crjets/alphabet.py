@@ -103,11 +103,6 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet({list(self.names)!r})"
 
-    def is_real_variable(self, name: str) -> bool:
-        if self.conj_map is None:
-            raise PreconditionError(f"alphabet {self.names} carries no conjugation")
-        return self.conj_map[name] == name
-
     # ------------------------------------------------------------------
     # monomial codes
     # ------------------------------------------------------------------
@@ -138,9 +133,6 @@ class Alphabet:
 
     def degree(self, code: int) -> int:
         return code >> self.deg_shift
-
-    def exponent_of(self, code: int, name: str) -> int:
-        return (code >> self.shifts[self.index[name]]) & self.mask
 
     def conjugate_code(self, code: int) -> int:
         if self.conj_perm is None:

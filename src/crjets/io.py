@@ -15,7 +15,7 @@ import reprlib
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable
+from typing import Any
 
 from .alphabet import Alphabet
 from .errors import ParseError, PreconditionError
@@ -310,7 +310,3 @@ def _emit(value: Any, newline: str, out: list[str]) -> None:
         out.append(newline + "]")
     else:
         raise TypeError(f"cannot encode {type(value).__name__} as canonical JSON")
-
-
-def matrix_to_json(rows: Iterable[Iterable[GaussianRational]]) -> list[list[Any]]:
-    return [[scalar_to_json(v) for v in row] for row in rows]

@@ -528,7 +528,12 @@ def compose_many(
     into one polynomial P_b over the target, and the result is P_0 plus
     one truncated product P_b * U^b per group. The products U^b are
     memoised per call and shared by every outer; each is built from a
-    memoised shorter one. Prefer one compose_many call over many compose
+    memoised shorter one and kept normalized, since it is an operand of
+    several products. Each U^b is unpacked once for all its users. Every
+    P_b * U^b of one outer is multiplied straight into that outer's raw
+    (a, b, d) accumulator, seeded with P_0 and with the shorter operand
+    as the kernel's outer loop, and each output monomial is normalized
+    once at the end. Prefer one compose_many call over many compose
     calls.
     """
     if not outers:
@@ -617,8 +622,9 @@ def compose_many(
 
     # Group every outer's terms by b first. Each U^b is then built once,
     # used by every outer that has the group, and kept only if a longer
-    # product is built from it.
-    accs: list[dict[int, GaussianRational]] = []
+    # product is built from it. Each outer's accumulator maps a target
+    # code to a raw [a, b, d] sum, seeded with P_0.
+    accs: list[dict[int, list[int]]] = []
     users: dict[int, list[tuple[dict, dict]]] = {}
     for o in outers:
         groups: dict[int, dict[int, GaussianRational]] = {}
@@ -646,7 +652,7 @@ def compose_many(
                     del poly[mono]
             else:
                 poly[mono] = coeff
-        acc = groups.pop(0, {})
+        acc = {c: [v.a, v.b, v.d] for c, v in groups.pop(0, {}).items()}
         accs.append(acc)
         for b, poly in groups.items():
             users.setdefault(b, []).append((poly, acc))
@@ -670,18 +676,17 @@ def compose_many(
             u = _kernels.mul_terms(products[first], products[second], deg_shift, result_order)
             if b in kept:
                 products[b] = u
-        for poly, acc in users.get(b, ()):
-            for code, coeff in _kernels.mul_terms(poly, u, deg_shift, result_order).items():
-                cur = acc.get(code)
-                if cur is None:
-                    acc[code] = coeff
-                else:
-                    s = cur + coeff
-                    if s.a or s.b:
-                        acc[code] = s
-                    else:
-                        del acc[code]
-    return [Jet._raw(target, result_order, acc) for acc in accs]
+        if b not in users:
+            continue
+        ub = _kernels.unpack(u)
+        ucodes = [t[0] for t in ub]
+        for poly, acc in users[b]:
+            pb = _kernels.unpack(poly)
+            if len(pb) <= len(ub):
+                _kernels.mul_into(acc, pb, ub, ucodes, deg_shift, result_order)
+            else:
+                _kernels.mul_into(acc, ub, pb, [t[0] for t in pb], deg_shift, result_order)
+    return [Jet._raw(target, result_order, _kernels.finish(acc)) for acc in accs]
 
 
 def compose(
@@ -742,7 +747,3 @@ def jet_sqrt(a: Jet) -> Jet:
             break
         y = y + r.homogeneous_part(k) * half
     return y
-
-
-def truncate_all(jets: Iterable[Jet], order: int) -> list[Jet]:
-    return [j.truncate(order) for j in jets]

@@ -48,10 +48,6 @@ class ExternalLift:
     chart: tuple[tuple[str, str], ...]
     """Pairs (new complex variable, source parameter it absorbs)."""
 
-    @property
-    def lifted_names(self) -> tuple[str, ...]:
-        return tuple(new for new, _ in self.chart)
-
 
 def external_lift(germ: StructureGerm) -> ExternalLift:
     """Build the lifted germ and certify the embedding invariants."""

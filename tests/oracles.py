@@ -10,6 +10,7 @@ between the two is evidence, not tautology.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Coef = tuple[Fraction, Fraction]
 Poly = dict[tuple[int, ...], Coef]
@@ -170,6 +171,13 @@ def catalan(count: int) -> list[int]:
 
 def jet_to_poly(jet) -> Poly:
     return {vec: (c.real, c.imag) for vec, c in jet.monomials()}
+
+
+def assert_normalized(terms) -> None:
+    """Every coefficient is (a + b*i)/d in lowest terms, d > 0, and nonzero."""
+    for c in terms.values():
+        assert c.d > 0 and gcd(c.a, c.b, c.d) == 1, (c.a, c.b, c.d)
+        assert c.a or c.b
 
 
 def poly_to_jet(p: Poly, alphabet, order: int):

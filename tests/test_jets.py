@@ -1,4 +1,4 @@
-"""Jet arithmetic against the naive oracle, plus the strictness contract."""
+"""Jet arithmetic and its product kernel against the naive oracle, plus the strictness contract."""
 
 from fractions import Fraction
 
@@ -20,6 +20,7 @@ from crjets.errors import (
 from oracles import (
     ONE,
     ZERO,
+    assert_normalized,
     jet_to_poly,
     padd,
     pcompose,
@@ -37,10 +38,17 @@ WIDE = Alphabet(tuple(f"v{i}" for i in range(SMALL_LIMIT + 3)), None)
 
 fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 coefs = st.tuples(fracs, fracs)
+BIG = 1 << 1000
+# Parts with a numerator or a denominator of at least 1000 bits.
+big_fracs = st.one_of(
+    st.builds(lambda n, sign, d: Fraction(sign * n, d), st.integers(BIG, 4 * BIG), st.sampled_from([1, -1]), st.integers(1, 30)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(BIG, 4 * BIG)),
+)
+wide_coefs = st.tuples(st.one_of(fracs, big_fracs), st.one_of(fracs, big_fracs))
 
 
 @st.composite
-def polys(draw, order=5, width=2, min_degree=0):
+def polys(draw, order=5, width=2, min_degree=0, coefficients=coefs):
     n = draw(st.integers(0, 5))
     p = {}
     for _ in range(n):
@@ -52,7 +60,7 @@ def polys(draw, order=5, width=2, min_degree=0):
             room -= e
         if sum(exps) < min_degree:
             continue
-        c = draw(coefs)
+        c = draw(coefficients)
         if c != ZERO:
             p[tuple(exps)] = c
     return p
@@ -100,14 +108,17 @@ def test_addition_matches_oracle(p, q):
 
 @st.composite
 def products(draw):
-    """(alphabet, order, p, q): operands of one truncated product."""
+    """(alphabet, order, cap, p, q): operands of one order and a kernel cap <= order."""
     alphabet = draw(st.sampled_from([XY, WIDE]))
     order = draw(st.integers(1, 5))
-    width = alphabet.nvars
-    return alphabet, order, draw(polys(order, width)), draw(polys(order, width))
+    cap = draw(st.integers(0, order))
+    p = draw(polys(order, alphabet.nvars, coefficients=wide_coefs))
+    q = draw(polys(order, alphabet.nvars, coefficients=wide_coefs))
+    return alphabet, order, cap, p, q
 
 
 MINUS_ONE = (Fraction(-1), Fraction(0))
+HUGE = (Fraction(3 * BIG + 1, 7), Fraction(-1, 2 * BIG + 3))
 
 
 def wide_monomial(*indices):
@@ -119,25 +130,99 @@ def wide_monomial(*indices):
 
 @given(products())
 # an empty operand
-@example((XY, 5, {}, {(0, 0): ONE, (1, 0): ONE}))
+@example((XY, 5, 5, {}, {(0, 0): ONE, (1, 0): ONE}))
 # (1 + x)(1 - x): the x terms cancel and x^2 lies past the cap
-@example((XY, 1, {(0, 0): ONE, (1, 0): ONE}, {(0, 0): ONE, (1, 0): MINUS_ONE}))
+@example((XY, 1, 1, {(0, 0): ONE, (1, 0): ONE}, {(0, 0): ONE, (1, 0): MINUS_ONE}))
 # every product monomial lies past the cap
-@example((XY, 1, {(1, 0): ONE}, {(0, 1): ONE}))
+@example((XY, 1, 1, {(1, 0): ONE}, {(0, 1): ONE}))
+# both valuations are 2 and the kernel's cap is 1: no product term survives
+@example((XY, 5, 1, {(2, 0): ONE, (1, 1): HUGE}, {(0, 2): HUGE, (3, 0): ONE}))
+# the same on the 16-bit packing, where the bisect bound shifts by deg_shift
+@example((WIDE, 5, 2, {wide_monomial(11, 11, 11): HUGE}, {wide_monomial(10, 10, 10): ONE, wide_monomial(0, 1, 11): HUGE}))
+# mixed denominators: -(2 + 2i)/12 and then (1 + i)/6 meet at x*y and
+# merge to zero, and the constant 3/2 * 2/3 comes out as 1
+@example(
+    (
+        XY,
+        2,
+        2,
+        {(0, 0): (Fraction(3, 2), Fraction(0)), (1, 0): (Fraction(1, 2), Fraction(1, 2)), (0, 1): (Fraction(-1, 4), Fraction(-1, 4))},
+        {(0, 0): (Fraction(2, 3), Fraction(0)), (0, 1): (Fraction(1, 3), Fraction(0)), (1, 0): (Fraction(2, 3), Fraction(0))},
+    )
+)
 # exponents spread over the last fields of the 16-bit packing
 @example(
     (
         WIDE,
         5,
+        4,
         {wide_monomial(0, 11): ONE, wide_monomial(10, 11, 11): (Fraction(2), Fraction(-3, 4))},
         {wide_monomial(11): MINUS_ONE, wide_monomial(3, 9): (Fraction(0), Fraction(1, 7))},
     )
 )
-@settings(max_examples=60)
+# v11^2 * v10^3 has degree exactly the cap
+@example(
+    (
+        WIDE,
+        5,
+        5,
+        {wide_monomial(11, 11): HUGE, wide_monomial(0, 11, 11): ONE},
+        {wide_monomial(10, 10, 10): (Fraction(1, 3), Fraction(1, 6)), wide_monomial(10, 10, 10, 11): ONE},
+    )
+)
+@settings(max_examples=60, deadline=None)
 def test_multiplication_matches_oracle(case):
-    alphabet, order, p, q = case
+    """Jet * Jet at the operands' order, and the kernel's mul_terms at a cap up to it."""
+    alphabet, order, cap, p, q = case
     jp, jq = poly_to_jet(p, alphabet, order), poly_to_jet(q, alphabet, order)
-    assert jet_to_poly(jp * jq) == pmul(p, q, order)
+    product = jp * jq
+    assert jet_to_poly(product) == pmul(p, q, order)
+    assert_normalized(product.terms)
+    # the constructor refuses a term past the cap
+    low = crjets._kernels.mul_terms(jp.terms, jq.terms, alphabet.deg_shift, cap)
+    assert jet_to_poly(Jet(alphabet, cap, low)) == pmul(p, q, cap)
+    assert_normalized(low)
+
+
+@st.composite
+def accumulations(draw):
+    """(alphabet, cap, seed, p, q, r, s): a seed of degree <= cap and two products."""
+    alphabet = draw(st.sampled_from([XY, WIDE]))
+    cap = draw(st.integers(0, 5))
+    seed = draw(polys(cap, alphabet.nvars, coefficients=wide_coefs))
+    operands = tuple(draw(polys(5, alphabet.nvars, coefficients=wide_coefs)) for _ in range(4))
+    return (alphabet, cap, seed) + operands
+
+
+@given(accumulations())
+# a cap below every operand's valuation leaves the seed as it was
+@example((XY, 1, {(0, 1): HUGE}, {(2, 0): ONE}, {(1, 1): HUGE}, {(0, 3): ONE}, {(2, 1): ONE}))
+@settings(max_examples=60, deadline=None)
+def test_mul_into_accumulates_raw_products(case):
+    """A seed and two products summed raw in one accumulator, finished once."""
+    alphabet, cap, seed, p, q, r, s = case
+    acc = {c: [v.a, v.b, v.d] for c, v in poly_to_jet(seed, alphabet, cap).terms.items()}
+    for outer, inner in ((p, q), (r, s)):
+        a = crjets._kernels.unpack(poly_to_jet(outer, alphabet, 5).terms)
+        b = crjets._kernels.unpack(poly_to_jet(inner, alphabet, 5).terms)
+        crjets._kernels.mul_into(acc, a, b, [t[0] for t in b], alphabet.deg_shift, cap)
+    got = crjets._kernels.finish(acc)
+    assert jet_to_poly(Jet(alphabet, cap, got)) == padd(padd(seed, pmul(p, q, cap)), pmul(r, s, cap))
+    assert_normalized(got)
+
+
+def test_unpack_sorts_by_code():
+    p = {wide_monomial(3): ONE, wide_monomial(): HUGE, wide_monomial(0, 1): ONE, wide_monomial(11): ONE}
+    terms = poly_to_jet(p, WIDE, 5).terms
+    got = crjets._kernels.unpack(terms)
+    assert [t[0] for t in got] == sorted(terms)
+    assert [GaussianRational.from_normalized(*t[1:]) for t in got] == [terms[t[0]] for t in got]
+
+
+def test_finish_normalizes_once_and_drops_zeros():
+    got = crjets._kernels.finish({5: [2, 4, -6], 7: [0, 0, 35], 9: [6, 0, 4]})
+    assert got == {5: GaussianRational(Fraction(-1, 3), Fraction(-2, 3)), 9: GaussianRational(Fraction(3, 2))}
+    assert_normalized(got)
 
 
 @given(polys(), polys(), polys())
@@ -255,17 +340,54 @@ def test_compose_many_matches_oracle(case):
     assert [jet_to_poly(g) for g in got] == [
         pcompose(jet_to_poly(o), arg_polys, result_order, 2) for o in outers
     ]
+    for g in got:
+        assert_normalized(g.terms)
+
+
+def test_cancelling_groups_leave_no_zero_term():
+    # x -> x + y and u -> x - y are grouped, y -> y is a monomial; the
+    # groups x^2, u^2 and x (with P_x = -4y) and P_0 = 4y^2 meet on x^2,
+    # x*y and y^2 and cancel there exactly.
+    x, y, u = (Jet.variable(XYU, 4, n) for n in XYU.names)
+    tx, ty = Jet.variable(XY, 4, "x"), Jet.variable(XY, 4, "y")
+    third = GaussianRational(Fraction(1, 3), Fraction(-1, 6))
+    base = x * x - u * u - x * y * 4
+    outers = [(base + y * y * 4) * third, base * third]
+    assignment = {"x": tx + ty, "y": ty, "u": tx - ty}
+    got = compose_many(outers, assignment)
+    assert got[0].terms == {}
+    assert got[1].terms == {XY.encode((0, 2)): third * -4}
+    args = [jet_to_poly(assignment[n]) for n in XYU.names]
+    assert [jet_to_poly(g) for g in got] == [pcompose(jet_to_poly(o), args, 4, 2) for o in outers]
+    assert_normalized(got[1].terms)
 
 
 def count_kernel_calls(monkeypatch):
+    """Record each product by the kernel entry point it came through.
+
+    mul_terms runs its product through mul_into, which is not counted a
+    second time.
+    """
     calls = []
-    real = crjets._kernels.mul_terms
+    nested = []
+    real_terms = crjets._kernels.mul_terms
+    real_into = crjets._kernels.mul_into
 
     def mul_terms(a, b, deg_shift, cap):
-        calls.append((len(a), len(b)))
-        return real(a, b, deg_shift, cap)
+        calls.append("mul_terms")
+        nested.append(True)
+        try:
+            return real_terms(a, b, deg_shift, cap)
+        finally:
+            nested.pop()
+
+    def mul_into(acc, a, b, bcodes, deg_shift, cap):
+        if not nested:
+            calls.append("mul_into")
+        return real_into(acc, a, b, bcodes, deg_shift, cap)
 
     monkeypatch.setattr(crjets._kernels, "mul_terms", mul_terms)
+    monkeypatch.setattr(crjets._kernels, "mul_into", mul_into)
     return calls
 
 
@@ -288,8 +410,9 @@ def test_power_products_are_shared_across_outers(monkeypatch):
     outers = [u * u * x, u * u * u * y, u * u * x * x + u * u * u]
     calls = count_kernel_calls(monkeypatch)
     got = compose_many(outers, {"x": tx, "y": ty, "u": arg})
-    # u^2 and u^3 once each, then one product P_b * U^b per outer and group
-    assert len(calls) == 2 + 4
+    # u^2 and u^3 once each, each followed by one fused product P_b * U^b
+    # per outer that has the group
+    assert calls == ["mul_terms", "mul_into", "mul_into"] * 2
     monkeypatch.undo()
     cube = arg * arg * arg
     assert got == [arg * arg * tx, cube * ty, arg * arg * tx * tx + cube]
