@@ -164,15 +164,6 @@ def _require_count(obj: Any, key: str, minimum: int = 0) -> int:
     return value
 
 
-def germ_to_json(germ: StructureGerm) -> dict[str, Any]:
-    return {
-        "nu": germ.nu,
-        "nprime": germ.nprime,
-        "order": germ.order,
-        "phi": terms_to_json(germ.phi),
-    }
-
-
 def germ_from_json(obj: Any, order_override: int | None = None) -> StructureGerm:
     """Parse a germ file object; precondition failures surface as such.
 
@@ -189,7 +180,7 @@ def germ_from_json(obj: Any, order_override: int | None = None) -> StructureGerm
     if order_override is not None:
         if order_override < 1:
             raise ParseError("order override must be at least 1")
-        phi = phi.truncate(order_override) if order_override <= order else phi.with_order(order_override)
+        phi = phi.with_order(order_override)
     return make_germ(nu, nprime, phi)
 
 
@@ -211,12 +202,8 @@ def map_from_json(
     if order_override is not None:
         if order_override < 1:
             raise ParseError("order override must be at least 1")
-        if order_override <= order:
-            jets = [j.truncate(order_override) for j in jets]
-            w_jet = w_jet.truncate(order_override)
-        else:
-            jets = [j.with_order(order_override) for j in jets]
-            w_jet = w_jet.with_order(order_override)
+        jets = [j.with_order(order_override) for j in jets]
+        w_jet = w_jet.with_order(order_override)
     return tuple(jets), w_jet
 
 
@@ -230,7 +217,7 @@ def height_from_json(obj: Any, order_override: int | None = None) -> Jet:
     if order_override is not None:
         if order_override < 2:
             raise ParseError("order override must be at least 2 for a height jet")
-        h = h.truncate(order_override) if order_override <= order else h.with_order(order_override)
+        h = h.with_order(order_override)
     return h
 
 

@@ -1,9 +1,13 @@
 """Exact dense linear algebra over Fraction and Gaussian rationals.
 
-Everything here is fraction-free only in spirit: entries are exact field
-elements, pivots are chosen by position (lowest index), never by size,
-so results are deterministic across runs. Matrices are
-lists of row lists and are never mutated in place by public functions.
+One Gauss-Jordan routine serves solving, inversion and rank. One
+congruence routine, symmetric_diagonalize, serves both quadratic forms
+of the structure: the Hermitian Levi form, whose inertia
+hermitian_signature counts, and the real t-Hessian that Morse
+normalization diagonalizes. Entries are exact field elements, pivots
+are chosen by position (lowest index), never by size, so results are
+deterministic across runs. Matrices are lists of row lists and are
+never mutated in place by public functions.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
-from .errors import DegenerateFormError, PreconditionError, SingularJacobianError
-from .rationals import GaussianRational
+from .errors import PreconditionError, SingularJacobianError
+from .rationals import GaussianRational, I
 
 F = TypeVar("F", Fraction, GaussianRational)
 Matrix = list[list[F]]
@@ -47,11 +51,6 @@ def matmul(a: Sequence[Sequence[F]], b: Sequence[Sequence[F]]) -> list[list[F]]:
             row.append(s)
         out.append(row)
     return out
-
-
-def transpose(a: Sequence[Sequence[F]]) -> list[list[F]]:
-    rows, cols = _check_rect(a)
-    return [[a[i][j] for i in range(rows)] for j in range(cols)]
 
 
 def identity_matrix(n: int, one: F) -> list[list[F]]:
@@ -134,34 +133,43 @@ def rank(a: Sequence[Sequence[F]]) -> int:
     return len(_gauss_jordan(_copy(a), cols))
 
 
-def symmetric_diagonalize(h: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Congruence diagonalization of a symmetric rational matrix.
+def symmetric_diagonalize(h: Sequence[Sequence[F]]) -> tuple[list[list[F]], list[F]]:
+    """Congruence diagonalization of a conjugate-symmetric matrix.
 
-    Returns (p, d) with p invertible and p^T h p = diag(d). Pivots are
-    chosen at the lowest available index: take the current diagonal entry
-    if nonzero, else swap in the first later nonzero diagonal entry, else
-    shear (add the first column with a nonzero off-diagonal entry in the
-    pivot row, plus the matching row) which makes the diagonal entry
-    nonzero because the trailing diagonal is all zero at that point.
+    Serves real symmetric matrices over Fraction and Hermitian ones over
+    GaussianRational alike. Returns (p, d) with p invertible and
+    p^H h p = diag(d), where p^H is the conjugate transpose; d is real.
+    Pivots are chosen at the lowest available index: take the current
+    diagonal entry if nonzero, else swap in the first later nonzero
+    diagonal entry, else shear (add c times the first column l with a
+    nonzero entry in the pivot row, plus conj(c) times the matching row).
+    The trailing diagonal is all zero at that point, so the new pivot is
+    2 Re(c h_kl): c is 1, or i when h_kl is purely imaginary. Column
+    operations skip zero source entries, so sparse matrices stay cheap.
     """
     n, cols = _check_rect(h)
     if n != cols:
-        raise PreconditionError("symmetric_diagonalize needs a square matrix")
+        raise PreconditionError("congruence needs a square matrix")
     for i in range(n):
-        for j in range(i + 1, n):
-            if h[i][j] != h[j][i]:
-                raise PreconditionError(f"matrix is not symmetric at ({i},{j})")
+        for j in range(i, n):
+            if h[i][j] != h[j][i].conjugate():
+                raise PreconditionError(f"matrix is not Hermitian at ({i},{j})")
     m = _copy(h)
-    p = identity_matrix(n, Fraction(1))
+    one = _field_one(h)
+    p = identity_matrix(n, one)
 
-    def col_op(dst: int, src: int, factor: Fraction) -> None:
-        # column dst += factor * column src, matching row op, and p update
-        for i in range(n):
-            m[i][dst] += factor * m[i][src]
+    def col_op(dst: int, src: int, factor: F) -> None:
+        # column dst += factor * column src on m and p, then
+        # row dst += conj(factor) * row src on m
+        for rows in (m, p):
+            for row in rows:
+                if row[src]:
+                    row[dst] += factor * row[src]
+        conj = factor.conjugate()
+        m_dst, m_src = m[dst], m[src]
         for j in range(n):
-            m[dst][j] += factor * m[src][j]
-        for i in range(n):
-            p[i][dst] += factor * p[i][src]
+            if m_src[j]:
+                m_dst[j] += conj * m_src[j]
 
     def col_swap(i: int, j: int) -> None:
         for r in range(n):
@@ -179,7 +187,7 @@ def symmetric_diagonalize(h: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fr
                 shear = next((l for l in range(k + 1, n) if m[k][l]), None)
                 if shear is None:
                     continue  # row and column k are zero on the trailing block
-                col_op(k, shear, Fraction(1))
+                col_op(k, shear, one if m[k][shear].real else I)
         d = m[k][k]
         for j in range(k + 1, n):
             if m[k][j]:
@@ -187,30 +195,10 @@ def symmetric_diagonalize(h: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fr
     return p, [m[i][i] for i in range(n)]
 
 
-def hermitian_signature(m: Sequence[Sequence[GaussianRational]]) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) of a Hermitian matrix.
-
-    Works through the real symmetric doubling [[re, -im], [im, re]],
-    whose inertia is exactly twice that of the Hermitian form.
-    """
-    n, cols = _check_rect(m)
-    if n != cols:
-        raise PreconditionError("signature needs a square matrix")
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != m[j][i].conjugate():
-                raise PreconditionError(f"matrix is not Hermitian at ({i},{j})")
-    re = [[m[i][j].real for j in range(n)] for i in range(n)]
-    im = [[m[i][j].imag for j in range(n)] for i in range(n)]
-    big: list[list[Fraction]] = []
-    for i in range(n):
-        big.append(re[i] + [-x for x in im[i]])
-    for i in range(n):
-        big.append(im[i] + re[i])
-    _, diag = symmetric_diagonalize(big)
-    pos = sum(1 for x in diag if x > 0)
-    neg = sum(1 for x in diag if x < 0)
-    zero = sum(1 for x in diag if x == 0)
-    if pos % 2 or neg % 2 or zero % 2:
-        raise DegenerateFormError("doubled inertia came out odd; matrix was not Hermitian")
-    return pos // 2, neg // 2, zero // 2
+def hermitian_signature(m: Sequence[Sequence[F]]) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero) of a Hermitian matrix: by
+    Sylvester's law, the signs of the congruence diagonal."""
+    _, diag = symmetric_diagonalize(m)
+    pos = sum(1 for x in diag if x.real > 0)
+    neg = sum(1 for x in diag if x.real < 0)
+    return pos, neg, len(diag) - pos - neg

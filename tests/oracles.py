@@ -4,13 +4,14 @@ A deliberately naive polynomial engine: exponent tuples mapped to
 (re, im) pairs of Fractions, truncation by total degree, composition by
 repeated multiplication. It shares no code with the package kernel
 (no packed monomial codes, no shared coefficient class), so agreement
-between the two is evidence, not tautology.
+between the two is evidence, not tautology. Matrix inertia likewise
+comes from the characteristic polynomial, not from a congruence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Coef = tuple[Fraction, Fraction]
 Poly = dict[tuple[int, ...], Coef]
@@ -127,6 +128,57 @@ def cmatinv(m: list[list[Coef]]) -> list[list[Coef]]:
                 f = rows[r][col]
                 rows[r] = [cadd(v, cmul((-f[0], -f[1]), p)) for v, p in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
+
+
+def charpoly(m: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
+    """Coefficients c_0..c_n of det(x I - m) for a Gaussian-integer m,
+    by Faddeev-LeVerrier: M_k = m M_{k-1} + c_{n-k+1} I and
+    c_{n-k} = -tr(m M_k) / k, a division that is exact over the integers."""
+    n = len(m)
+    coeffs = [(0, 0)] * n + [(1, 0)]
+    mk = [[(0, 0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = [
+            [cadd(_cdot(m[i], mk, j), coeffs[n - k + 1] if i == j else (0, 0)) for j in range(n)]
+            for i in range(n)
+        ]
+        trace = (0, 0)
+        for i in range(n):
+            trace = cadd(trace, _cdot(m[i], mk, i))
+        assert trace[0] % k == 0 and trace[1] % k == 0, "Faddeev-LeVerrier division is not exact"
+        coeffs[n - k] = (-trace[0] // k, -trace[1] // k)
+    return coeffs
+
+
+def _cdot(row: list[tuple[int, int]], cols: list[list[tuple[int, int]]], j: int) -> tuple[int, int]:
+    out = (0, 0)
+    for a, col in zip(row, cols):
+        out = cadd(out, cmul(a, col[j]))
+    return out
+
+
+def _sign_changes(values: list[int]) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def hermitian_inertia(m: list[list[Coef]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a Hermitian matrix.
+
+    Scaling by the common denominator keeps the inertia and makes the
+    characteristic polynomial integral. It is real with only real
+    roots, so Descartes' rule of signs counts the positive roots exactly,
+    the negative ones from p(-x), and the zero ones from the lowest
+    nonzero coefficient.
+    """
+    scale = lcm(*(x.denominator for row in m for c in row for x in c))
+    coeffs = charpoly([[(int(re * scale), int(im * scale)) for re, im in row] for row in m])
+    assert all(im == 0 for _, im in coeffs), "characteristic polynomial is not real"
+    real = [re for re, _ in coeffs]
+    zero = next(k for k, c in enumerate(real) if c != 0)
+    pos = _sign_changes(real)
+    neg = _sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(real)])
+    return pos, neg, zero
 
 
 def reference_solve(eqs: list[Poly], unknowns: list[int], width: int, order: int) -> list[Poly]:

@@ -191,6 +191,17 @@ def test_levi_form_matches_per_entry_lookups():
     assert filled[-2] > 40 and filled[-1] > 40
 
 
+def test_wide_scattered_levi_form_inertia():
+    # 60 x 60, sparse, and mostly zero on the diagonal, so the congruence
+    # shears often; the inertia is the one the doubled 120 x 120 real
+    # congruence gave, which took seconds here
+    germ = scattered_quadratic_germ(random.Random(150), 60, 0, 150)
+    levi = levi_form(germ)
+    assert (levi.positive, levi.negative, levi.null) == (25, 25, 10)
+    assert sum(c != 0 for row in levi.matrix for c in row) > 100
+    assert sum(levi.matrix[i][i] == 0 for i in range(60)) > 50
+
+
 def test_levi_form_needs_the_quadratic_part():
     a = standard_alphabet(1, 1)
     germ = make_germ(1, 1, Jet.zero(a, 1))

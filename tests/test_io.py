@@ -12,19 +12,29 @@ from crjets.io import (
     canonical_dumps,
     fraction_to_text,
     germ_from_json,
-    germ_to_json,
     height_from_json,
     jet_to_json,
     map_from_json,
     scalar_from_json,
     scalar_to_json,
     terms_from_json,
+    terms_to_json,
     text_to_fraction,
 )
 
 from germ_corpus import random_germ
 
 import random
+
+
+def germ_to_json(germ):
+    """The germ file object that germ_from_json reads."""
+    return {
+        "nu": germ.nu,
+        "nprime": germ.nprime,
+        "order": germ.order,
+        "phi": terms_to_json(germ.phi),
+    }
 
 
 def test_fraction_text_round_trip():
@@ -145,6 +155,31 @@ def test_height_from_json():
     assert h == x * x * Fraction(1, 2)
     with pytest.raises(ParseError):
         height_from_json({"order": 1, "h": []})
+
+
+def test_map_and_height_order_overrides():
+    from crjets.equivalence import equivalence_alphabet
+
+    ea = equivalence_alphabet(1)
+    obj = {
+        "order": 4,
+        "z": [[{"monomial": {"z1": 1}, "coefficient": "2"}, {"monomial": {"z1": 3}, "coefficient": "1"}]],
+        "w": [{"monomial": {"eta": 1}, "coefficient": "4"}, {"monomial": {"eta": 4}, "coefficient": "1"}],
+    }
+    z1, eta = Jet.variable(ea, 4, "z1"), Jet.variable(ea, 4, "eta")
+    z_maps, w_map = map_from_json(obj, ea, 1, 2)
+    assert (z_maps[0], w_map) == ((z1 * 2).truncate(2), (eta * 4).truncate(2))
+    z_maps, w_map = map_from_json(obj, ea, 1, 6)
+    assert (z_maps[0], w_map) == ((z1 * 2 + z1 ** 3).with_order(6), (eta * 4 + eta ** 4).with_order(6))
+    with pytest.raises(ParseError, match="^order override must be at least 1$"):
+        map_from_json(obj, ea, 1, 0)
+
+    obj = {"order": 6, "h": [{"monomial": {"x": 2}, "coefficient": "1/2"}, {"monomial": {"x": 5}, "coefficient": "3"}]}
+    x = Jet.variable(height_from_json(obj).alphabet, 6, "x")
+    assert height_from_json(obj, 4) == (x * x * Fraction(1, 2)).truncate(4)
+    assert height_from_json(obj, 8) == (x * x * Fraction(1, 2) + x ** 5 * 3).with_order(8)
+    with pytest.raises(ParseError, match="^order override must be at least 2 for a height jet$"):
+        height_from_json(obj, 1)
 
 
 def test_canonical_dumps_is_stable():

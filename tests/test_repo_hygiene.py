@@ -1,4 +1,5 @@
-"""Repository hygiene: no tracked ignored files, no unused imports."""
+"""Repository hygiene: no tracked ignored files, no unused imports, no
+unreachable package definitions."""
 
 import ast
 import subprocess
@@ -51,3 +52,40 @@ def test_package_modules_use_every_import():
     ]
     assert modules
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_package_definitions_are_reachable():
+    """Every module-level function and class in src/crjets is referenced
+    somewhere in src/crjets outside its own body, or listed in __all__.
+
+    A reference is a name or an attribute with that name, so a
+    definition reached only from tests (or only from itself) fails:
+    move it into the tests that use it, or delete it. Names are matched
+    without their module, which errs on the side of passing.
+    """
+    definitions: list[tuple[str, str]] = []
+    referrers: dict[str, set[tuple[str, str | None]]] = {}
+    exported: set[str] = set()
+    for path in sorted((ROOT / "src" / "crjets").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = node.name
+                definitions.append((path.name, node.name))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= {ast.literal_eval(e) for e in node.value.elts}
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    referrers.setdefault(sub.id, set()).add((path.name, owner))
+                elif isinstance(sub, ast.Attribute):
+                    referrers.setdefault(sub.attr, set()).add((path.name, owner))
+    assert definitions and exported
+    unreached = [
+        f"{module}: {name}"
+        for module, name in definitions
+        if name not in exported and not referrers.get(name, set()) - {(module, name)}
+    ]
+    assert not unreached, "definitions nothing in src/crjets uses:\n" + "\n".join(unreached)
