@@ -16,6 +16,10 @@ Conjugation is a name-level involution. Variables the involution fixes are
 real. An alphabet may also carry no conjugation at all (holomorphic side
 computations), in which case conjugation-dependent jet operations refuse
 to run rather than guess.
+
+One method, ``remap``, moves monomial codes from one set of variables to
+another: it serves renaming, conjugation (a renaming by the involution)
+and monomial substitution alike.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ class Alphabet:
         "mask",
         "max_exponent",
         "conj_map",
-        "conj_perm",
         "_hash",
     )
 
@@ -71,7 +74,6 @@ class Alphabet:
 
         if conjugation is None:
             self.conj_map = None
-            self.conj_perm = None
         else:
             full = dict(conjugation)
             # Each pair may be given in one direction only.
@@ -85,7 +87,6 @@ class Alphabet:
                 if full.get(m) != n:
                     raise PreconditionError(f"conjugation is not an involution at {n!r}")
             self.conj_map = full
-            self.conj_perm = tuple(self.index[full[n]] for n in names)
         self._hash = hash((self.names, None if self.conj_map is None else tuple(sorted(self.conj_map.items()))))
 
     # ------------------------------------------------------------------
@@ -134,14 +135,21 @@ class Alphabet:
     def degree(self, code: int) -> int:
         return code >> self.deg_shift
 
-    def conjugate_code(self, code: int) -> int:
-        if self.conj_perm is None:
-            raise PreconditionError(f"alphabet {self.names} carries no conjugation")
-        vec = self.decode(code)
+    def remap(self, code: int, images: Iterable[tuple[int, int]]) -> int:
+        """Sum ``e * image`` over ``(shift, image)`` pairs, ``e`` the exponent
+        in this alphabet's field at ``shift`` and ``image`` a target code,
+        degree field included. Unpaired variables drop out. A field carries
+        only if the total degree passes the target's max_order, and a carry
+        only raises the degree field: keeping results whose degree field is
+        at most a valid order never keeps a code that carried.
+        """
+        mask = self.mask
         out = 0
-        for i, j in enumerate(self.conj_perm):
-            out += vec[i] << self.shifts[j]
-        return out + ((code >> self.deg_shift) << self.deg_shift)
+        for shift, image in images:
+            e = (code >> shift) & mask
+            if e:
+                out += e * image
+        return out
 
     # ------------------------------------------------------------------
     # derived alphabets

@@ -19,7 +19,6 @@ from typing import Any, Callable, Sequence
 from .central import central_manifold, is_straightened, morse_normalize, straighten
 from .equivalence import (
     equivalence_alphabet,
-    extract_multiplier,
     lift_equivalence,
     make_equivalence,
     split_coefficients,
@@ -50,11 +49,9 @@ from .jets import Jet, compose, substitute
 from .marson import external_levi, external_lift, lift_levi_relation, predicted_external_levi
 from .rationals import GaussianRational
 from .segre import (
-    complexify,
-    conjugate_elimination,
+    certified_section_hessian,
     ode_right_side,
-    phi_determinant,
-    phi_elimination,
+    ode_sides,
     rigid_phi_test,
     section_parameter_alphabet,
 )
@@ -285,38 +282,23 @@ def cmd_normalize(args: argparse.Namespace) -> dict[str, Any]:
 
 def cmd_phi(args: argparse.Namespace) -> dict[str, Any]:
     germ = _parse_file(args.file, germ_from_json, args.order)
-    reduced = False
-    core = germ
-    if germ.nprime:
-        core = central_manifold(germ).central_germ()
-        reduced = True
-    ch = complexify(core)
-    elim = conjugate_elimination(ch)
-    by_elimination = phi_elimination(ch, elim)
-    by_determinant = phi_determinant(ch, elim)
-    agree = by_determinant.same_entries(by_elimination)
-    if not agree:
-        raise InvariantError("the two section-Hessian routes disagree")
+    hessian = certified_section_hessian(germ)
     payload: dict[str, Any] = {
         "command": "phi",
         "input": _germ_echo(germ),
         "results": {
-            "reduced_to_center_first": reduced,
-            "entries": [list(row) for row in by_determinant.entries],
-            "routes_agree": agree,
+            "reduced_to_center_first": bool(germ.nprime),
+            "entries": [list(row) for row in hessian.entries],
+            "routes_agree": True,
         },
-        "reliable_orders": {"entries": by_determinant.order},
+        "reliable_orders": {"entries": hessian.order},
         "warnings": [TRUNCATION_NOTE],
     }
     if args.check:
-        symmetric = all(
-            by_determinant.entries[i][j] == by_determinant.entries[j][i]
-            for i in range(core.nu)
-            for j in range(core.nu)
-        )
+        symmetric = hessian.entries == tuple(zip(*hessian.entries))
         payload["checks"] = {
             "hessian_is_symmetric": symmetric,
-            "independent_routes_agree": agree,
+            "independent_routes_agree": True,
         }
         if not symmetric:
             raise InvariantError("section Hessian is not symmetric")
@@ -404,9 +386,7 @@ def cmd_ode(args: argparse.Namespace) -> dict[str, Any]:
     }
     if args.check:
         order = height.order
-        xj = Jet.variable(height.alphabet, order, "x")
-        lhs = xj * xj * height.derive("x").derive("x").with_order(order)
-        inner = xj * height.derive("x").with_order(order)
+        lhs, inner = ode_sides(height)
         rhs = compose(
             profile.with_order(order), {"u": inner}, alphabet=height.alphabet, order=order
         )
@@ -437,7 +417,6 @@ def cmd_lift(args: argparse.Namespace) -> dict[str, Any]:
         args.mapfile, map_from_json, equivalence_alphabet(source.nu), source.nu, args.order
     )
     eq = make_equivalence(source_core, target_core, z_maps, w_map)
-    multiplier = extract_multiplier(eq)
     lift = lift_equivalence(eq, source, target)
     verdict = verify_lift(lift)
     if not verdict.ok:
@@ -449,7 +428,7 @@ def cmd_lift(args: argparse.Namespace) -> dict[str, Any]:
             "target": _germ_echo(target),
         },
         "results": {
-            "multiplier": multiplier,
+            "multiplier": lift.multiplier,
             "scale_at_origin": lift.scale,
             "z_maps": {f"z{j + 1}": m for j, m in enumerate(lift.z_maps)},
             "w_map": lift.w_map,
@@ -458,7 +437,7 @@ def cmd_lift(args: argparse.Namespace) -> dict[str, Any]:
             },
         },
         "reliable_orders": {
-            "multiplier": multiplier.order,
+            "multiplier": lift.multiplier.order,
             "t_maps": source.order - 1,
         },
         "warnings": [TRUNCATION_NOTE],

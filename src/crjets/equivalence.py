@@ -209,6 +209,7 @@ class LiftedEquivalence:
     w_map: Jet
     t_maps: tuple[Jet, ...]
     scale: Fraction
+    multiplier: Jet
 
 
 def lift_equivalence(
@@ -263,7 +264,7 @@ def lift_equivalence(
             raise InvariantError("lifted t component of real data must be real")
         t_maps.append(t_map)
     return LiftedEquivalence(
-        eq, source_model, target_model, tuple(z_maps), w_map, tuple(t_maps), scale
+        eq, source_model, target_model, tuple(z_maps), w_map, tuple(t_maps), scale, multiplier
     )
 
 

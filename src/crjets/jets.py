@@ -16,7 +16,10 @@ the order:
 Storage is a sparse dict from packed monomial code to coefficient; zero
 coefficients are never stored. Term order for iteration and serialization
 is the alphabet's graded order (ascending code), so equal jets print and
-serialize identically.
+serialize identically. Codes move between variables only through
+Alphabet.remap: rename maps each variable to one target variable,
+conjugate is a rename by the alphabet's involution followed by coefficient
+conjugation, and compose_many substitutes monomials the same way.
 """
 
 from __future__ import annotations
@@ -396,11 +399,12 @@ class Jet:
     def conjugate(self) -> Jet:
         """Coefficient conjugation combined with the alphabet involution."""
         alpha = self.alphabet
-        terms = {
-            alpha.conjugate_code(code): coeff.conjugate()
-            for code, coeff in self.terms.items()
-        }
-        return Jet._raw(alpha, self.order, terms)
+        if alpha.conj_map is None:
+            raise PreconditionError(f"alphabet {alpha.names} carries no conjugation")
+        renamed = self.rename(alpha.conj_map, alpha)
+        return Jet._raw(
+            alpha, self.order, {c: v.conjugate() for c, v in renamed.terms.items()}
+        )
 
     def is_real(self) -> bool:
         """True when conjugation reproduces the jet exactly."""
@@ -443,32 +447,26 @@ class Jet:
         variables map to one target name their exponents add.
         """
         alpha = self.alphabet
-        dest_index = []
-        for name in alpha.names:
-            new = mapping.get(name, name)
-            dest_index.append(target.index.get(new, -1))
-        terms = {}
+        support = self.support()
+        one = 1 << target.deg_shift
+        images = []
+        for name, shift in zip(alpha.names, alpha.shifts):
+            if name in support:
+                j = target.index.get(mapping.get(name, name))
+                if j is None:
+                    raise PreconditionError(
+                        f"support variable {name!r} has no image in the target alphabet"
+                    )
+                images.append((shift, (1 << target.shifts[j]) + one))
+        remap = alpha.remap
+        terms: dict[int, GaussianRational] = {}
         for code, coeff in self.terms.items():
-            vec = alpha.decode(code)
-            out = [0] * target.nvars
-            for k, e in enumerate(vec):
-                if e:
-                    j = dest_index[k]
-                    if j < 0:
-                        raise PreconditionError(
-                            f"support variable {alpha.names[k]!r} has no image in the target alphabet"
-                        )
-                    out[j] += e
-            new_code = target.encode(out)
-            if new_code in terms:
-                terms[new_code] = terms[new_code] + coeff
-            else:
-                terms[new_code] = coeff
+            new_code = remap(code, images)
+            prev = terms.get(new_code)
+            terms[new_code] = coeff if prev is None else prev + coeff
+        # The constructor refuses an order above target.max_order(), the
+        # bound under which no exponent overflows a narrower target field.
         return Jet(target, self.order, terms)
-
-    def embed(self, target: Alphabet) -> Jet:
-        """Identity renaming into a larger alphabet."""
-        return self.rename({}, target)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -521,9 +519,10 @@ def compose_many(
 
     A support variable whose substitute, truncated to the result order,
     is one non-constant monomial with coefficient exactly 1 (an identity,
-    a renaming, x -> y^2) is substituted by code arithmetic: its part of
-    a term becomes e times the monomial's code, and the part is dropped
-    when its degree passes the result order. The other variables U are
+    a renaming, x -> y^2) is substituted by Alphabet.remap, the loop that
+    also renames and conjugates: its part of a term becomes e times the
+    monomial's code, and the term is dropped when that part's degree
+    passes the result order. The other variables U are
     grouped: each outer's terms are collected by their exponents b in U
     into one polynomial P_b over the target, and the result is P_0 plus
     one truncated product P_b * U^b per group. The products U^b are
@@ -580,8 +579,8 @@ def compose_many(
 
     mask = src.mask
     deg_shift = target.deg_shift
-    # Source fields of monomial substitutes: (shift, target code, degree).
-    monomial: list[tuple[int, int, int]] = []
+    # Source fields of monomial substitutes and their target codes.
+    monomial: list[tuple[int, int]] = []
     # Source fields of the other variables U, and their substitutes' terms.
     grouped: list[tuple[int, dict[int, GaussianRational]]] = []
     group_mask = 0
@@ -596,7 +595,7 @@ def compose_many(
         if len(terms) == 1:
             ((code, c),) = terms.items()
             if code and c.a == 1 and c.b == 0 and c.d == 1:
-                monomial.append((shift, code, code >> deg_shift))
+                monomial.append((shift, code))
                 continue
         grouped.append((shift, terms))
         group_mask |= mask << shift
@@ -624,21 +623,17 @@ def compose_many(
     # used by every outer that has the group, and kept only if a longer
     # product is built from it. Each outer's accumulator maps a target
     # code to a raw [a, b, d] sum, seeded with P_0.
+    remap = src.remap
     accs: list[dict[int, list[int]]] = []
     users: dict[int, list[tuple[dict, dict]]] = {}
     for o in outers:
         groups: dict[int, dict[int, GaussianRational]] = {}
         for code, coeff in o.terms.items():
-            # Sum the degree first: past the result order the monomial
-            # part is dropped; within it, the code fields cannot carry.
-            deg = 0
-            mono = 0
-            for shift, mcode, mdeg in monomial:
-                e = (code >> shift) & mask
-                if e:
-                    deg += e * mdeg
-                    mono += e * mcode
-            if deg > result_order:
+            # Past the result order the monomial part is dropped. The check
+            # is exact: a field can carry only when the total degree passes
+            # the order, and a carry only raises the degree field.
+            mono = remap(code, monomial)
+            if mono >> deg_shift > result_order:
                 continue
             b = code & group_mask
             poly = groups.get(b)

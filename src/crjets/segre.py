@@ -19,8 +19,9 @@ every section at once. Two independent constructions are implemented:
     derivative of the graph.
 
 Besides the complexified defining function they start from, they share
-only the parameter elimination and must agree entrywise; the comparison
-is left to callers so neither route can quietly stand in for the other.
+only the parameter elimination and must agree entrywise;
+certified_section_hessian runs both and compares them, so neither route
+can quietly stand in for the other.
 
 The rigidity test checks whether any of that matrix depends on w. A
 monomial with positive w-exponent is a conclusive obstruction at the jet
@@ -341,39 +342,43 @@ class RigidityReport:
     note: str
 
 
-def rigid_phi_test(germ: StructureGerm) -> RigidityReport:
-    """Test a rigid germ for w-dependence of the section Hessian.
-
-    Requires phi independent of s. Both construction routes are computed
-    and compared entrywise; a mismatch is an arithmetic invariant
-    violation, not a property of the germ. Offending monomials (positive
-    w-exponent) disprove rigid-analytic consistency at the jet level;
-    their absence is evidence only up to the truncation order.
-    """
-    if not germ.phi.derive("s").is_zero():
-        raise PreconditionError("germ is not rigid: phi depends on s")
-    core = central_manifold(germ).central_germ()
+def certified_section_hessian(germ: StructureGerm) -> SectionHessian:
+    """Section Hessian of the germ's central germ, by both routes on one
+    elimination. A mismatch is an arithmetic invariant violation, not a
+    property of the germ, and raises."""
+    core = central_manifold(germ).central_germ() if germ.nprime else germ
     ch = complexify(core)
     elim = conjugate_elimination(ch)
-    first = phi_determinant(ch, elim)
-    second = phi_elimination(ch, elim)
-    agree = first.same_entries(second)
-    if not agree:
+    by_determinant = phi_determinant(ch, elim)
+    by_elimination = phi_elimination(ch, elim)
+    if not by_determinant.same_entries(by_elimination):
         raise InvariantError(
             "determinant and elimination routes disagree; coefficient "
             "arithmetic is corrupted"
         )
-    offenders = tuple(second.w_offenders())
+    return by_determinant
+
+
+def rigid_phi_test(germ: StructureGerm) -> RigidityReport:
+    """Test a rigid germ for w-dependence of the section Hessian.
+
+    Requires phi independent of s. Offending monomials (positive
+    w-exponent) of the certified section Hessian disprove rigid-analytic
+    consistency at the jet level; their absence is evidence only up to
+    the truncation order.
+    """
+    if not germ.phi.derive("s").is_zero():
+        raise PreconditionError("germ is not rigid: phi depends on s")
+    hessian = certified_section_hessian(germ)
+    offenders = tuple(hessian.w_offenders())
     if offenders:
-        note = (
-            "w-dependence found: conclusive obstruction at this jet order"
-        )
+        note = "w-dependence found: conclusive obstruction at this jet order"
     else:
         note = (
-            f"no w-dependence through order {second.order}: consistent "
+            f"no w-dependence through order {hessian.order}: consistent "
             "with a rigid-analytic model, not a proof beyond this order"
         )
-    return RigidityReport(not offenders, offenders, second.order, agree, note)
+    return RigidityReport(not offenders, offenders, hessian.order, True, note)
 
 
 class OdeUnsolvableError(PreconditionError):
@@ -383,6 +388,17 @@ class OdeUnsolvableError(PreconditionError):
     def __init__(self, message: str, degree: int):
         super().__init__(message)
         self.degree = degree
+
+
+def ode_sides(height: Jet) -> tuple[Jet, Jet]:
+    """x^2 h''(x) and x h'(x) for a one-variable height jet h, at its order."""
+    order = height.order
+    x = height.alphabet.names[0]
+    xj = Jet.variable(height.alphabet, order, x)
+    # Valuation-2 and valuation-1 factors make these promotions exact.
+    lhs = xj * xj * height.derive(x).derive(x).with_order(order)
+    inner = xj * height.derive(x).with_order(order)
+    return lhs, inner
 
 
 def ode_right_side(height: Jet) -> Jet:
@@ -405,10 +421,7 @@ def ode_right_side(height: Jet) -> Jet:
         raise PreconditionError("height must have a nonzero second derivative at 0")
 
     order = height.order
-    xj = Jet.variable(alpha, order, x)
-    # Valuation-2 and valuation-1 factors make these promotions exact.
-    lhs = xj * xj * height.derive(x).derive(x).with_order(order)
-    inner = xj * height.derive(x).with_order(order)
+    lhs, inner = ode_sides(height)
 
     half = order // 2
     u_alpha = Alphabet(("u",), None)

@@ -157,7 +157,7 @@ def revert_series(f: Jet, variable: str | None = None) -> Jet:
     out = "out_" + name
     pair = Alphabet((out, name))
     # F(out, name) = f(name) - out, unknown name, parameter out.
-    lifted = f.embed(pair)
+    lifted = f.rename({}, pair)
     equation = lifted - Jet.variable(pair, f.order, out)
     sol = implicit_solve([equation], [name])[0]
     return sol.rename({out: name}, alpha)

@@ -107,6 +107,18 @@ def pconj(p: Poly, swap: list[int]) -> Poly:
     return clean(out)
 
 
+def prename(p: Poly, dest: list[int], width_out: int) -> Poly:
+    """Move variable i to variable dest[i] of width_out; merged exponents add."""
+    out: Poly = {}
+    for m, c in p.items():
+        pm = [0] * width_out
+        for i, e in enumerate(m):
+            pm[dest[i]] += e
+        key = tuple(pm)
+        out[key] = cadd(out.get(key, ZERO), c)
+    return clean(out)
+
+
 def cinv(a: Coef) -> Coef:
     norm = a[0] * a[0] + a[1] * a[1]
     return (a[0] / norm, -a[1] / norm)

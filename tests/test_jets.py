@@ -28,13 +28,20 @@ from oracles import (
     pderive,
     pmul,
     poly_to_jet,
+    prename,
     ptruncate,
 )
 
 XY = Alphabet(("x", "y"), None)
+XYZ = Alphabet(("x", "y", "z"), None)
 ZZB = Alphabet(("z", "zb"), {"z": "zb"})
+# Conjugate pairs side by side with a real variable between them.
+INTERLEAVED = Alphabet(("p", "pb", "r", "q", "qb"), {"p": "pb", "q": "qb"})
 # More variables than the 6-bit packing holds: codes use 16-bit fields.
 WIDE = Alphabet(tuple(f"v{i}" for i in range(SMALL_LIMIT + 3)), None)
+WIDE_CONJ = Alphabet(
+    tuple(f"c{i}" for i in range(SMALL_LIMIT + 2)), {"c0": "c10", "c3": "c4", "c9": "c1"}
+)
 
 fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 coefs = st.tuples(fracs, fracs)
@@ -418,11 +425,13 @@ def test_power_products_are_shared_across_outers(monkeypatch):
     assert got == [arg * arg * tx, cube * ty, arg * arg * tx * tx + cube]
 
 
-@given(polys(width=2))
-def test_conjugation_matches_oracle(p):
-    jp = poly_to_jet(p, ZZB, 5)
-    assert jet_to_poly(jp.conjugate()) == pconj(p, [1, 0])
-    assert jp.conjugate().conjugate() == jp
+@given(polys(width=2), polys(width=5), polys(width=SMALL_LIMIT + 2))
+def test_conjugation_matches_oracle(p, q, r):
+    for poly, alpha in ((p, ZZB), (q, INTERLEAVED), (r, WIDE_CONJ)):
+        jp = poly_to_jet(poly, alpha, 5)
+        swap = [alpha.index[alpha.conj_map[n]] for n in alpha.names]
+        assert jet_to_poly(jp.conjugate()) == pconj(poly, swap)
+        assert jp.conjugate().conjugate() == jp
 
 
 @given(polys(width=2), polys(width=2))
@@ -474,16 +483,33 @@ def test_pow_matches_repeated_multiplication():
     assert f ** 0 == Jet.constant(XY, 6, 1)
 
 
-def test_rename_and_embed():
-    x = Jet.variable(XY, 4, "x")
+@given(polys(width=3))
+def test_rename_and_embed(p):
+    x, y = Jet.variable(XY, 4, "x"), Jet.variable(XY, 4, "y")
     target = Alphabet(("u", "y", "x"), None)
     g = (x * x + x).rename({"x": "u"}, target)
     u = Jet.variable(target, 4, "u")
     assert g == u * u + u
     back = g.rename({"u": "x"}, XY)
     assert back == x * x + x
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="'x' has no image"):
         (x * x).rename({}, Alphabet(("y",), None))
+    with pytest.raises(PreconditionError, match="carries no conjugation"):
+        x.conjugate()
+
+    # Two variables merged into one: every term cancels.
+    merged = (x * x - x * y + y - x).rename({"y": "x"}, Alphabet(("x",), None))
+    assert merged.is_zero() and merged.order == 4
+
+    # From 6-bit fields to 16-bit fields and back, against the oracle.
+    f = poly_to_jet(p, XYZ, 5)
+    dest = [7, 0, 11]
+    to_wide = {n: f"v{j}" for n, j in zip(XYZ.names, dest)}
+    wide = f.rename(to_wide, WIDE)
+    assert jet_to_poly(wide) == prename(jet_to_poly(f), dest, WIDE.nvars)
+    assert wide.rename({v: n for n, v in to_wide.items()}, XYZ) == f
+    merged = f.rename({"y": "x", "z": "y"}, XY)
+    assert jet_to_poly(merged) == prename(jet_to_poly(f), [0, 0, 1], 2)
 
 
 def test_evaluate_is_exact():
