@@ -40,10 +40,8 @@ from .io import (
     fraction_to_text,
     germ_from_json,
     height_from_json,
-    jet_to_json,
     load_json,
     map_from_json,
-    scalar_to_json,
 )
 from .jets import Jet, compose, substitute
 from .marson import external_levi, external_lift, lift_levi_relation, predicted_external_levi
@@ -92,22 +90,6 @@ class CliParser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, Jet):
-        return jet_to_json(value)
-    if isinstance(value, GaussianRational):
-        return scalar_to_json(value)
-    if isinstance(value, Fraction):
-        return fraction_to_text(value)
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _inline(value: Any) -> str | None:
     """Single-line rendering for leaves; None when nesting is needed."""
     if isinstance(value, Jet):
@@ -146,7 +128,7 @@ def _text_block(key: str, value: Any, depth: int, lines: list[str]) -> None:
 
 def render_report(payload: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        return canonical_dumps(_jsonable(payload))
+        return canonical_dumps(payload)
     lines: list[str] = []
     for key, value in payload.items():
         _text_block(key, value, 0, lines)

@@ -11,10 +11,12 @@ they occurred at.
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Any
 
 from .alphabet import Alphabet
@@ -25,9 +27,17 @@ from .rationals import GaussianRational
 
 
 def fraction_to_text(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_text(x.numerator, x.denominator)
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """The text of p/q, q > 0, in lowest terms: "p" when it is integral."""
+    if q == 1:
+        return str(p)
+    g = gcd(p, q)
+    if g == q:
+        return str(p // q)
+    return f"{p // g}/{q // g}"
 
 
 def text_to_fraction(value: Any) -> Fraction:
@@ -64,17 +74,12 @@ def _literal_digits(text: str, limit: int) -> int:
     mantissa, _, exponent = text.lower().partition("e")
     digits = max(sum(ch.isdigit() for ch in part) for part in mantissa.split("/"))
     magnitude = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if not magnitude.isdigit():
+    # isdecimal, not isdigit: int() refuses superscripts such as "²".
+    if not magnitude.isdecimal():
         return digits
     if len(magnitude) > len(str(limit)):
         return limit + 1
     return digits + int(magnitude)
-
-
-def scalar_to_json(value: GaussianRational) -> Any:
-    if value.is_real():
-        return fraction_to_text(value.real)
-    return {"re": fraction_to_text(value.real), "im": fraction_to_text(value.imag)}
 
 
 def scalar_from_json(value: Any) -> GaussianRational:
@@ -82,28 +87,31 @@ def scalar_from_json(value: Any) -> GaussianRational:
         extra = set(value) - {"re", "im"}
         if extra:
             raise ParseError(f"unexpected keys {sorted(extra)} in a complex rational")
-        re = text_to_fraction(value.get("re", 0))
-        im = text_to_fraction(value.get("im", 0))
-        return GaussianRational(re, im)
-    return GaussianRational(text_to_fraction(value))
+        a, d = _ratio_from_json(value.get("re", 0))
+        b, e = _ratio_from_json(value.get("im", 0))
+        return GaussianRational.normalize(a * e, b * d, d * e)
+    a, d = _ratio_from_json(value)
+    return GaussianRational.normalize(a, 0, d)
 
 
-def terms_to_json(jet: Jet) -> list[dict[str, Any]]:
-    """Term records in canonical graded order."""
-    names = jet.alphabet.names
-    out = []
-    for vec, coeff in jet.monomials():
-        mono = {name: e for name, e in zip(names, vec) if e}
-        out.append({"monomial": mono, "coefficient": scalar_to_json(coeff)})
-    return out
+# The literals canonical output writes: an optional "-", ASCII digits, and
+# an optional "/" with a nonzero ASCII denominator.
+_CANONICAL_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]*[1-9][0-9]*)?")
 
 
-def jet_to_json(jet: Jet) -> dict[str, Any]:
-    return {
-        "variables": list(jet.alphabet.names),
-        "order": jet.order,
-        "terms": terms_to_json(jet),
-    }
+def _ratio_from_json(value: Any) -> tuple[int, int]:
+    """(numerator, denominator) of a rational literal, not in lowest terms.
+
+    Canonical literals short enough for the digit limit are split and read
+    with int(); everything else, errors included, is text_to_fraction's.
+    """
+    if isinstance(value, str) and _CANONICAL_LITERAL.fullmatch(value):
+        limit = sys.get_int_max_str_digits()
+        if not limit or len(value) <= limit:
+            num, _, den = value.partition("/")
+            return int(num), int(den) if den else 1
+    f = text_to_fraction(value)
+    return f.numerator, f.denominator
 
 
 def terms_from_json(
@@ -238,7 +246,14 @@ def load_json(path: str) -> Any:
 
 
 def canonical_dumps(payload: Any) -> str:
-    """Canonical JSON text of a tree of dicts, lists, str, int, bool and None.
+    """Canonical JSON text of a report payload.
+
+    The payload is a tree of dicts with str keys, lists, tuples, str, int,
+    bool and None whose leaves may also be Jets, GaussianRationals and
+    Fractions. Tuples are written as lists and scalars as the module
+    docstring says. A jet becomes {"variables", "order", "terms"}, its
+    terms one {"monomial", "coefficient"} record each in graded order,
+    each monomial naming the variables of positive exponent.
 
     The bytes are fixed: object keys in sorted order, each item on its own
     line indented two spaces per level, "," between items and ": " after a
@@ -247,18 +262,20 @@ def canonical_dumps(payload: Any) -> str:
     decimal, true/false/null, and one trailing newline. Identical payloads
     give identical bytes. A float, a non-str key or any other type raises
     TypeError. The standard library's encoder with sort_keys=True,
-    indent=2 and ensure_ascii=True writes the same text and serves as the
-    test oracle; it is not called here because with an indent it runs in
-    pure Python.
+    indent=2 and ensure_ascii=True, run on the same tree with its jets and
+    scalars spelled out as dicts and strings, writes the same text and
+    serves as the test oracle. It is not called here: with an indent it
+    runs in pure Python, and building that tree costs as much again.
     """
     out: list[str] = []
-    _emit(payload, "\n", out)
+    _emit(payload, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _emit(value: Any, newline: str, out: list[str]) -> None:
-    """Append the canonical text of value; newline carries the indent."""
+def _emit(value: Any, newline: str, out: list[str], layouts: dict) -> None:
+    """Append the canonical text of value; newline carries the indent and
+    layouts caches each alphabet's _jet_layout for this render."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -281,10 +298,10 @@ def _emit(value: Any, newline: str, out: list[str]) -> None:
             out.append(sep)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _emit(value[key], inner, out)
+            _emit(value[key], inner, out, layouts)
             sep = "," + inner
         out.append(newline + "}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
@@ -292,8 +309,70 @@ def _emit(value: Any, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _emit(item, inner, out)
+            _emit(item, inner, out, layouts)
             sep = "," + inner
         out.append(newline + "]")
+    elif isinstance(value, Jet):
+        layout = layouts.get(value.alphabet)
+        if layout is None:
+            layout = layouts[value.alphabet] = _jet_layout(value.alphabet)
+        _emit_jet(value, layout, newline, out)
+    elif isinstance(value, GaussianRational):
+        out.append(_scalar_text(value, newline))
+    elif isinstance(value, Fraction):
+        out.append(f'"{fraction_to_text(value)}"')
     else:
         raise TypeError(f"cannot encode {type(value).__name__} as canonical JSON")
+
+
+def _jet_layout(alphabet: Alphabet) -> tuple[list[tuple[int, str]], list[str]]:
+    """``(shift, '"name": ')`` pairs in sorted-name order, which is the key
+    order of a monomial object, and the encoded names in alphabet order."""
+    names = [encode_basestring_ascii(n) for n in alphabet.names]
+    fields = sorted(zip(alphabet.names, alphabet.shifts, names))
+    return [(shift, key + ": ") for _, shift, key in fields], names
+
+
+def _emit_jet(jet: Jet, layout: tuple, newline: str, out: list[str]) -> None:
+    fields, names = layout
+    mask = jet.alphabet.mask
+    n1 = newline + "  "
+    n2 = n1 + "  "
+    n3 = n2 + "  "
+    n4 = n3 + "  "
+    out.append("{" + n1 + '"order": ' + str(jet.order) + "," + n1 + '"terms": ')
+    terms = jet.terms
+    if terms:
+        opening = "[" + n2 + "{" + n3 + '"coefficient": '
+        mono = "," + n3 + '"monomial": {' + n4
+        between = "," + n4
+        closing = n3 + "}" + n2 + "}"
+        for code in sorted(terms):
+            out.append(opening)
+            out.append(_scalar_text(terms[code], n3))
+            if code:
+                out.append(mono)
+                out.append(
+                    between.join(
+                        [key + str(e) for shift, key in fields if (e := (code >> shift) & mask)]
+                    )
+                )
+                out.append(closing)
+            else:
+                out.append("," + n3 + '"monomial": {}' + n2 + "}")
+            opening = "," + n2 + "{" + n3 + '"coefficient": '
+        out.append(n1 + "]")
+    else:
+        out.append("[]")
+    out.append("," + n1 + '"variables": [' + n2 + ("," + n2).join(names) + n1 + "]" + newline + "}")
+
+
+def _scalar_text(value: GaussianRational, newline: str) -> str:
+    """Canonical text of a scalar; a complex one is an object whose lines
+    are indented from newline."""
+    if not value.b:
+        return f'"{_ratio_text(value.a, value.d)}"'
+    inner = newline + "  "
+    real = _ratio_text(value.a, value.d)
+    imag = _ratio_text(value.b, value.d)
+    return f'{{{inner}"im": "{imag}",{inner}"re": "{real}"{newline}}}'

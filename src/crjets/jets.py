@@ -19,7 +19,8 @@ is the alphabet's graded order (ascending code), so equal jets print and
 serialize identically. Codes move between variables only through
 Alphabet.remap: rename maps each variable to one target variable,
 conjugate is a rename by the alphabet's involution followed by coefficient
-conjugation, and compose_many substitutes monomials the same way.
+conjugation, is_real compares each term with its partner under the
+involution, and compose_many substitutes monomials the same way.
 """
 
 from __future__ import annotations
@@ -407,8 +408,23 @@ class Jet:
         )
 
     def is_real(self) -> bool:
-        """True when conjugation reproduces the jet exactly."""
-        return self.terms == self.conjugate().terms
+        """True when conjugation reproduces the jet exactly.
+
+        The involution is a bijection on codes, so it suffices that every
+        term's partner under it carries the conjugate coefficient; no
+        conjugated jet is built.
+        """
+        alpha = self.alphabet
+        if alpha.conj_map is None:
+            raise PreconditionError(f"alphabet {alpha.names} carries no conjugation")
+        images = self._images(alpha.conj_map, alpha)
+        remap = alpha.remap
+        terms = self.terms
+        for code, v in terms.items():
+            w = terms.get(remap(code, images))
+            if w is None or w.a != v.a or w.b != -v.b or w.d != v.d:
+                return False
+        return True
 
     def real_part(self) -> Jet:
         return (self + self.conjugate()) * Fraction(1, 2)
@@ -446,6 +462,20 @@ class Jet:
         Variables outside the jet's support may be omitted. If two source
         variables map to one target name their exponents add.
         """
+        images = self._images(mapping, target)
+        remap = self.alphabet.remap
+        terms: dict[int, GaussianRational] = {}
+        for code, coeff in self.terms.items():
+            new_code = remap(code, images)
+            prev = terms.get(new_code)
+            terms[new_code] = coeff if prev is None else prev + coeff
+        # The constructor refuses an order above target.max_order(), the
+        # bound under which no exponent overflows a narrower target field.
+        return Jet(target, self.order, terms)
+
+    def _images(self, mapping: Mapping[str, str], target: Alphabet) -> list[tuple[int, int]]:
+        """Alphabet.remap images sending each support variable to its
+        ``mapping`` image (itself when unmapped) in ``target``."""
         alpha = self.alphabet
         support = self.support()
         one = 1 << target.deg_shift
@@ -458,15 +488,7 @@ class Jet:
                         f"support variable {name!r} has no image in the target alphabet"
                     )
                 images.append((shift, (1 << target.shifts[j]) + one))
-        remap = alpha.remap
-        terms: dict[int, GaussianRational] = {}
-        for code, coeff in self.terms.items():
-            new_code = remap(code, images)
-            prev = terms.get(new_code)
-            terms[new_code] = coeff if prev is None else prev + coeff
-        # The constructor refuses an order above target.max_order(), the
-        # bound under which no exponent overflows a narrower target field.
-        return Jet(target, self.order, terms)
+        return images
 
     # ------------------------------------------------------------------
     # evaluation

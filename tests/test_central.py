@@ -12,7 +12,6 @@ from crjets import (
     compose,
     generators,
     is_straightened,
-    levi_form,
     make_germ,
     morse_normalize,
     standard_alphabet,

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 
 import pytest
@@ -12,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 from crjets import cli
 from crjets.errors import InvariantError
 from crjets.io import canonical_dumps
+
+from germ_corpus import random_definite_germ, random_germ, random_height
+from json_oracle import oracle_dumps, terms_to_json
 
 
 QUADRIC = {
@@ -184,6 +188,48 @@ def test_order_override(tmp_path, capsys):
     assert report["input"]["order"] == 3
 
 
+def corpus_invocations(tmp_path):
+    """Every subcommand on the fixed germs above and a few seeded random
+    germs, each with and without --check."""
+    rng = random.Random(909)
+    germs = {"quadric": QUADRIC, "split": SPLIT_MODEL, "tilted": TILTED, "mizohata": MIZOHATA}
+    for k, germ in enumerate(
+        [random_germ(rng, 1, 1, 5), random_germ(rng, 2, 0, 4), random_definite_germ(rng, 1, 2, 5)]
+    ):
+        germs[f"random{k}"] = {
+            "nu": germ.nu, "nprime": germ.nprime, "order": germ.order, "phi": terms_to_json(germ.phi)
+        }
+    paths = {name: drop(tmp_path, f"{name}.json", obj) for name, obj in germs.items()}
+    height = drop(tmp_path, "h.json", {"order": 8, "h": terms_to_json(random_height(rng))})
+    scaling = drop(tmp_path, "map.json", SCALING_MAP)
+    calls = [
+        [command, path]
+        for command in ("levi", "central", "normalize", "phi", "external", "rigid-check")
+        for path in paths.values()
+    ]
+    calls += [["ode", height], ["lift", paths["split"], paths["split"], scaling]]
+    for argv in calls:
+        yield argv
+        yield argv + ["--check"]
+
+
+def test_json_reports_match_the_payload_oracle(tmp_path, capsys):
+    """--format json stdout is the standard library's text of the payload
+    spelled out as plain dicts and strings, for every subcommand."""
+    ran = set()
+    for argv in corpus_invocations(tmp_path):
+        argv = argv + ["--format", "json"]
+        code = cli.run(argv)
+        out = capsys.readouterr().out
+        if code:
+            assert code == 2 and out == "", argv
+            continue
+        payload = cli._COMMANDS[argv[0]][0](cli.build_parser().parse_args(argv))
+        assert out == oracle_dumps(payload), argv
+        ran.add(argv[0])
+    assert ran == set(cli._COMMANDS)
+
+
 def test_exit_one_on_bad_input(tmp_path, capsys):
     assert cli.run(["levi", str(tmp_path / "missing.json")]) == 1
     assert "parse error" in capsys.readouterr().err
@@ -228,6 +274,14 @@ def test_exit_one_on_coefficient_past_the_digit_limit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("parse error") and path in err
     assert "phi term 0" in err and "1e999999" in err
+    # a superscript exponent is not a decimal one
+    path = drop(
+        tmp_path,
+        "sup.json",
+        dict(QUADRIC, phi=[{"monomial": {"z1": 1, "zb1": 1}, "coefficient": "1e\u00b2"}]),
+    )
+    assert cli.run(["levi", path]) == 1
+    assert capsys.readouterr().err.startswith("parse error")
 
 
 def test_exit_one_on_usage_errors(capsys):

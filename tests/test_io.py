@@ -1,28 +1,26 @@
 """JSON serialization: round trips, located diagnostics, order overrides."""
 
-import json
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from crjets import GaussianRational, Jet, make_germ, generators, standard_alphabet
+from crjets import Alphabet, GaussianRational, Jet, make_germ, generators, standard_alphabet
 from crjets.errors import ParseError
 from crjets.io import (
     canonical_dumps,
     fraction_to_text,
     germ_from_json,
     height_from_json,
-    jet_to_json,
     map_from_json,
     scalar_from_json,
-    scalar_to_json,
     terms_from_json,
-    terms_to_json,
     text_to_fraction,
 )
 
 from germ_corpus import random_germ
+from json_oracle import jet_to_json, oracle_dumps, scalar_to_json, stdlib_canonical, terms_to_json
 
 import random
 
@@ -214,10 +212,6 @@ json_trees = st.recursive(
 )
 
 
-def stdlib_canonical(payload):
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
-
-
 @given(json_trees)
 def test_canonical_dumps_matches_the_stdlib_encoder(payload):
     assert canonical_dumps(payload) == stdlib_canonical(payload)
@@ -250,7 +244,7 @@ def test_canonical_dumps_exact_bytes():
 
 @pytest.mark.parametrize(
     "payload",
-    [0.5, {"a": [1.0]}, {1: "a"}, {"a": {None: 1}}, {"a": 1, 2: "b"}, ("a", 1), {1, 2}, b"x", Fraction(1, 2)],
+    [0.5, {"a": [1.0]}, {1: "a"}, {"a": {None: 1}}, {"a": 1, 2: "b"}, ("a", 1.0), {1, 2}, b"x"],
 )
 def test_canonical_dumps_rejects_non_json_values(payload):
     with pytest.raises(TypeError):
@@ -267,3 +261,136 @@ def test_jet_json_terms_are_graded():
     # and the parse inverts exactly
     back = terms_from_json(records, a, 4, "phi")
     assert back == jet
+
+
+# ---------------------------------------------------------------------------
+# canonical_dumps on report payloads: jets and scalars written from codes
+# ---------------------------------------------------------------------------
+
+RENDER_ALPHABETS = [
+    # sorted names (w, z1, zb1) differ from the alphabet order
+    Alphabet(("zb1", "w", "z1"), {"z1": "zb1"}),
+    # 16-bit fields; sorted names x0, x1, x10, x11, x2, ... differ too
+    Alphabet(tuple(f"x{i}" for i in range(12)), None),
+    standard_alphabet(2, 1),
+]
+
+render_fractions = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**70)),
+)
+render_scalars = st.one_of(
+    st.builds(GaussianRational, render_fractions),
+    st.builds(GaussianRational, render_fractions, render_fractions),
+)
+
+
+@st.composite
+def render_jets(draw):
+    alpha = draw(st.sampled_from(RENDER_ALPHABETS))
+    order = draw(st.integers(0, 6))
+    last = alpha.nvars - 1
+    data = {}
+    for _ in range(draw(st.integers(0, 6))):
+        vec = [0] * alpha.nvars
+        room = order
+        # Half the exponents land in the last three fields, the low bits of a code.
+        for i in draw(st.lists(st.one_of(st.integers(max(0, last - 2), last), st.integers(0, last)), max_size=4)):
+            e = draw(st.integers(0, room))
+            vec[i] += e
+            room -= e
+        data[tuple(vec)] = draw(render_scalars)
+    return Jet.from_terms(alpha, order, data)
+
+
+payload_leaves = st.one_of(json_leaves, render_jets(), render_scalars, render_fractions)
+payload_trees = st.recursive(
+    payload_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@given(payload_trees)
+@settings(max_examples=150)
+def test_canonical_dumps_matches_the_payload_oracle(payload):
+    assert canonical_dumps(payload) == oracle_dumps(payload)
+
+
+def test_canonical_dumps_renders_pipeline_leaves():
+    alpha = RENDER_ALPHABETS[0]
+    z1, zb1 = Jet.variable(alpha, 3, "z1"), Jet.variable(alpha, 3, "zb1")
+    jet = z1 * zb1 * GaussianRational(Fraction(-3, 2), 1) + 7
+    payload = {
+        "jets": (jet, Jet.zero(alpha, 2)),
+        "scalars": [GaussianRational(0, Fraction(-1, 3)), GaussianRational(Fraction(6, 4))],
+        "fraction": Fraction(-4, 6),
+    }
+    assert canonical_dumps(payload) == oracle_dumps(payload)
+    assert canonical_dumps((Fraction(1, 2), GaussianRational(5))) == '[\n  "1/2",\n  "5"\n]\n'
+    assert canonical_dumps(Jet.zero(alpha, 1)) == (
+        '{\n  "order": 1,\n  "terms": [],\n  "variables": [\n'
+        '    "zb1",\n    "w",\n    "z1"\n  ]\n}\n'
+    )
+    for bad in ({"a": (1, 0.5)}, [jet, {2: jet}], (object(),)):
+        with pytest.raises(TypeError):
+            canonical_dumps(bad)
+
+
+# ---------------------------------------------------------------------------
+# scalar_from_json: canonical literals read with int(), the rest via Fraction
+# ---------------------------------------------------------------------------
+
+
+def fraction_route(value):
+    """The reading of a scalar literal through text_to_fraction alone."""
+    if isinstance(value, dict):
+        return GaussianRational(text_to_fraction(value.get("re", 0)), text_to_fraction(value.get("im", 0)))
+    return GaussianRational(text_to_fraction(value))
+
+
+def parse_outcome(parse, value):
+    try:
+        v = parse(value)
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("value", v, (v.a, v.b, v.d))
+
+
+def assert_literal_agrees(literal):
+    for value in (literal, {"re": literal, "im": "-5/6"}, {"re": "2/3", "im": literal}):
+        got = parse_outcome(scalar_from_json, value)
+        assert got == parse_outcome(fraction_route, value), (value, got)
+
+
+EXPLICIT_LITERALS = [
+    "+3", "-0", "0/7", "6/4", "3/-4", "3/0", "1_000", " 3", "3 ", "٣", "²",
+    "0.25", "1e3", "1e999999", "1e²", "1e٣", "", "-", "/4", "3/", "007/010", "-12/0008", "3\n",
+    # the default digit limit is 4300
+    "7" * 4300, "7" * 4301, "-" + "7" * 4300, "1/" + "3" * 4300, "1/" + "3" * 4301,
+    0, -4, 2**70, True, 0.5, None, [1],
+]
+
+
+def test_literal_fast_path_matches_the_fraction_route():
+    for literal in EXPLICIT_LITERALS:
+        assert_literal_agrees(literal)
+    if sys.get_int_max_str_digits() == 4300:
+        assert scalar_from_json("7" * 4300) == GaussianRational(int("7" * 4300))
+        with pytest.raises(ParseError, match="more than 4300 decimal digits"):
+            scalar_from_json("7" * 4301)
+
+
+@given(
+    st.one_of(
+        st.from_regex(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", fullmatch=True),
+        st.text(alphabet="0123456789-+/ ._e٣²", max_size=10),
+        st.integers(),
+    )
+)
+def test_literal_fast_path_matches_the_fraction_route_on_drawn_literals(literal):
+    assert_literal_agrees(literal)

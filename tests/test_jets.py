@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import crjets._kernels
-from crjets import Alphabet, GaussianRational, I, Jet, compose, compose_many, generators, jet_sqrt
+from crjets import Alphabet, GaussianRational, I, Jet, compose, compose_many, jet_sqrt
 from crjets.alphabet import SMALL_LIMIT
 from crjets.errors import (
     AlphabetMismatchError,
@@ -432,6 +432,38 @@ def test_conjugation_matches_oracle(p, q, r):
         swap = [alpha.index[alpha.conj_map[n]] for n in alpha.names]
         assert jet_to_poly(jp.conjugate()) == pconj(poly, swap)
         assert jp.conjugate().conjugate() == jp
+
+
+@given(polys(width=2), polys(width=5), polys(width=SMALL_LIMIT + 2), st.integers(0, 10))
+def test_is_real_matches_the_conjugate(p, q, r, k):
+    for poly, alpha in ((p, ZZB), (q, INTERLEAVED), (r, WIDE_CONJ)):
+        jp = poly_to_jet(poly, alpha, 5)
+        real = jp + jp.conjugate()
+        codes = sorted(real.terms)
+        cases = [jp, real, real * I, real + jp * I, jp - jp.conjugate()]
+        if codes:
+            # one term dropped, or its coefficient conjugated or negated
+            c = codes[k % len(codes)]
+            v = real.terms[c]
+            for change in (None, v.conjugate() + I, -v):
+                terms = dict(real.terms)
+                if change is None:
+                    del terms[c]
+                else:
+                    terms[c] = change
+                cases.append(Jet(alpha, 5, terms))
+        for jet in cases:
+            assert jet.is_real() == (jet.terms == jet.conjugate().terms)
+        assert real.is_real()
+
+
+def test_is_real_needs_a_conjugation():
+    x = Jet.variable(XY, 3, "x")
+    with pytest.raises(PreconditionError) as conj:
+        x.conjugate()
+    with pytest.raises(PreconditionError) as real:
+        x.is_real()
+    assert str(real.value) == str(conj.value) == "alphabet ('x', 'y') carries no conjugation"
 
 
 @given(polys(width=2), polys(width=2))

@@ -54,6 +54,13 @@ def test_package_modules_use_every_import():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
+def test_tests_and_tools_use_every_import():
+    scripts = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    unused = [entry for path in scripts for entry in _unused_imports(path)]
+    assert scripts
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
 def test_package_definitions_are_reachable():
     """Every module-level function and class in src/crjets is referenced
     somewhere in src/crjets outside its own body, or listed in __all__.
