@@ -5,16 +5,21 @@ library, and prints a deterministic report (text by default, JSON with
 --format json). Identical inputs produce byte-identical reports.
 
 Exit codes: 0 success, 1 malformed input, 2 precondition violation,
-3 internal invariant violation.
+3 internal invariant violation. Each cmd_* function returns its input
+echo, results, reliable orders and, under --check, its checks; payload()
+frames them into the report. A check that is False fails the run with
+exit 3, empty stdout and "invariant violated: <command> --check failed:
+<keys>" on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .central import central_manifold, is_straightened, morse_normalize, straighten
 from .equivalence import (
@@ -26,6 +31,7 @@ from .equivalence import (
 )
 from .errors import InvariantError, ParseError, PreconditionError
 from .germs import (
+    LeviForm,
     StructureGerm,
     characteristic_covector,
     first_integrals,
@@ -153,233 +159,155 @@ def _germ_echo(germ: StructureGerm) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_levi(args: argparse.Namespace) -> dict[str, Any]:
+# input echo, results, reliable orders, and the checks (None without --check)
+Sections = tuple[dict[str, Any], dict[str, Any], dict[str, Any], dict[str, Any] | None]
+
+
+def _signature(form: LeviForm) -> dict[str, int]:
+    return {"positive": form.positive, "negative": form.negative, "null": form.null}
+
+
+def cmd_levi(args: argparse.Namespace) -> Sections:
     germ = _parse_file(args.file, germ_from_json, args.order)
     form = levi_form(germ)
     cov = characteristic_covector(germ)
-    payload: dict[str, Any] = {
-        "command": "levi",
-        "input": _germ_echo(germ),
-        "results": {
-            "levi_matrix": [list(row) for row in form.matrix],
-            "signature": {
-                "positive": form.positive,
-                "negative": form.negative,
-                "null": form.null,
-            },
-            "nondegenerate": form.nondegenerate,
-            "t_hessian": [list(row) for row in t_hessian(germ)],
-            "covector_holomorphic": dict(cov.holomorphic),
-            "covector_imaginary_part": dict(cov.imaginary_real_basis),
-        },
-        "reliable_orders": {"levi_matrix": "exact", "covector": germ.order - 1},
-        "warnings": [TRUNCATION_NOTE],
+    results = {
+        "levi_matrix": form.matrix,
+        "signature": _signature(form),
+        "nondegenerate": form.nondegenerate,
+        "t_hessian": t_hessian(germ),
+        "covector_holomorphic": cov.holomorphic,
+        "covector_imaginary_part": cov.imaginary_real_basis,
     }
+    checks = None
     if args.check:
         fields = frame(germ)
         integrals = first_integrals(germ)
-        annihilated = all(
-            field.apply(h).is_zero() for field in fields for h in integrals.values()
-        )
-        payload["checks"] = {
-            "frame_annihilates_first_integrals": annihilated,
+        checks = {
+            "frame_annihilates_first_integrals": all(
+                field.apply(h).is_zero() for field in fields for h in integrals.values()
+            ),
             "first_integral_count": len(integrals),
             "frame_field_count": len(fields),
         }
-        if not annihilated:
-            raise InvariantError("frame fields fail to annihilate the first integrals")
-    return payload
+    reliable = {"levi_matrix": "exact", "covector": germ.order - 1}
+    return _germ_echo(germ), results, reliable, checks
 
 
-def cmd_central(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_central(args: argparse.Namespace) -> Sections:
     germ = _parse_file(args.file, germ_from_json, args.order)
     manifold = central_manifold(germ)
     flat = straighten(germ, manifold)
-    payload: dict[str, Any] = {
-        "command": "central",
-        "input": _germ_echo(germ),
-        "results": {
-            "graph": {
-                name: g for name, g in zip(germ.t_names(), manifold.graph)
-            },
-            "restricted_phi": manifold.sigma,
-            "straightened_phi": flat.phi,
-            "straightened": is_straightened(flat),
-        },
-        "reliable_orders": {
-            "graph": germ.order - 1,
-            "restricted_phi": germ.order,
-            "straightened_phi": germ.order,
-        },
-        "warnings": [TRUNCATION_NOTE],
+    results = {
+        "graph": dict(zip(germ.t_names(), manifold.graph)),
+        "restricted_phi": manifold.sigma,
+        "straightened_phi": flat.phi,
+        "straightened": is_straightened(flat),
     }
+    checks = None
     if args.check:
-        residuals = []
         full = germ.alphabet
         on_graph = {
             name: g.rename({}, full) for name, g in zip(germ.t_names(), manifold.graph)
         }
-        for name in germ.t_names():
-            res = substitute(germ.phi.derive(name), on_graph, full, germ.order - 1)
-            residuals.append(res.is_zero())
-        payload["checks"] = {
-            "gradient_vanishes_on_graph": all(residuals),
+        checks = {
+            "gradient_vanishes_on_graph": all(
+                substitute(germ.phi.derive(name), on_graph, full, germ.order - 1).is_zero()
+                for name in germ.t_names()
+            ),
             "restriction_is_real": manifold.sigma.is_real(),
         }
-        if not all(residuals):
-            raise InvariantError("t-gradient does not vanish on the computed graph")
-    return payload
+    reliable = {"graph": germ.order - 1, "restricted_phi": germ.order, "straightened_phi": germ.order}
+    return _germ_echo(germ), results, reliable, checks
 
 
-def cmd_normalize(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_normalize(args: argparse.Namespace) -> Sections:
     germ = _parse_file(args.file, germ_from_json, args.order)
-    manifold = central_manifold(germ)
-    flat = straighten(germ, manifold)
+    flat = straighten(germ, central_manifold(germ))
     form = morse_normalize(flat)
-    payload: dict[str, Any] = {
-        "command": "normalize",
-        "input": _germ_echo(germ),
-        "results": {
-            "base": form.base,
-            "quadratic_coefficients": list(form.quad_coeffs),
-            "signature": form.signature,
-            "square_maps": {
-                name: m for name, m in zip(flat.t_names(), form.maps)
-            },
-            "congruence": [list(row) for row in form.congruence],
-        },
-        "reliable_orders": {
-            "base": germ.order,
-            "square_maps": germ.order - 1,
-        },
-        "warnings": [TRUNCATION_NOTE],
+    results = {
+        "base": form.base,
+        "quadratic_coefficients": form.quad_coeffs,
+        "signature": form.signature,
+        "square_maps": dict(zip(flat.t_names(), form.maps)),
+        "congruence": form.congruence,
     }
-    if args.check:
-        exact = form.reconstruct() == flat.phi
-        payload["checks"] = {"reconstruction_is_exact": exact}
-        if not exact:
-            raise InvariantError("normal form does not reconstruct the straightened jet")
-    return payload
+    checks = {"reconstruction_is_exact": form.reconstruct() == flat.phi} if args.check else None
+    reliable = {"base": germ.order, "square_maps": germ.order - 1}
+    return _germ_echo(germ), results, reliable, checks
 
 
-def cmd_phi(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_phi(args: argparse.Namespace) -> Sections:
     germ = _parse_file(args.file, germ_from_json, args.order)
     hessian = certified_section_hessian(germ)
-    payload: dict[str, Any] = {
-        "command": "phi",
-        "input": _germ_echo(germ),
-        "results": {
-            "reduced_to_center_first": bool(germ.nprime),
-            "entries": [list(row) for row in hessian.entries],
-            "routes_agree": True,
-        },
-        "reliable_orders": {"entries": hessian.order},
-        "warnings": [TRUNCATION_NOTE],
+    results = {
+        "reduced_to_center_first": bool(germ.nprime),
+        "entries": hessian.entries,
+        "routes_agree": True,
     }
+    checks = None
     if args.check:
-        symmetric = hessian.entries == tuple(zip(*hessian.entries))
-        payload["checks"] = {
-            "hessian_is_symmetric": symmetric,
+        checks = {
+            "hessian_is_symmetric": hessian.entries == tuple(zip(*hessian.entries)),
             "independent_routes_agree": True,
         }
-        if not symmetric:
-            raise InvariantError("section Hessian is not symmetric")
-    return payload
+    return _germ_echo(germ), results, {"entries": hessian.order}, checks
 
 
-def cmd_external(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_external(args: argparse.Namespace) -> Sections:
     germ = _parse_file(args.file, germ_from_json, args.order)
     ext = external_lift(germ)
     form = external_levi(ext)
-    payload: dict[str, Any] = {
-        "command": "external",
-        "input": _germ_echo(germ),
-        "results": {
-            "lift": {
-                "nu": ext.lift.nu,
-                "nprime": ext.lift.nprime,
-                "order": ext.lift.order,
-                "phi": ext.lift.phi,
-            },
-            "chart": [
-                {"complex_variable": new, "absorbs": old} for new, old in ext.chart
-            ],
-            "lift_levi_matrix": [list(row) for row in form.matrix],
-            "lift_signature": {
-                "positive": form.positive,
-                "negative": form.negative,
-                "null": form.null,
-            },
-        },
-        "reliable_orders": {"lift": germ.order},
-        "warnings": [CHART_NOTE, TRUNCATION_NOTE],
+    results = {
+        "lift": {**_germ_echo(ext.lift), "phi": ext.lift.phi},
+        "chart": [{"complex_variable": new, "absorbs": old} for new, old in ext.chart],
+        "lift_levi_matrix": form.matrix,
+        "lift_signature": _signature(form),
     }
+    checks = None
     if args.check:
-        relation = lift_levi_relation(ext)
-        payload["checks"] = {
-            "levi_blocks_match_prediction": relation,
-            "predicted_levi_matrix": [
-                list(row) for row in predicted_external_levi(germ)
-            ],
+        checks = {
+            "levi_blocks_match_prediction": lift_levi_relation(ext),
+            "predicted_levi_matrix": predicted_external_levi(germ),
         }
-        if not relation:
-            raise InvariantError("lift Levi form does not match the block prediction")
-    return payload
+    return _germ_echo(germ), results, {"lift": germ.order}, checks
 
 
-def cmd_rigid_check(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_rigid_check(args: argparse.Namespace) -> Sections:
     germ = _parse_file(args.file, germ_from_json, args.order)
     report = rigid_phi_test(germ)
-    names = list(section_parameter_alphabet(germ.nu).names)
-    offenders = [
-        {
-            "row": i + 1,
-            "column": j + 1,
-            "monomial": {n: e for n, e in zip(names, vec) if e},
-            "coefficient": coeff,
-        }
-        for i, j, vec, coeff in report.offenders
-    ]
-    payload: dict[str, Any] = {
-        "command": "rigid-check",
-        "input": _germ_echo(germ),
-        "results": {
-            "consistent_with_rigid_analyticity": report.consistent,
-            "offending_terms": offenders,
-            "note": report.note,
-        },
-        "reliable_orders": {"test": report.order},
-        "warnings": [TRUNCATION_NOTE],
+    names = section_parameter_alphabet(germ.nu).names
+    results = {
+        "consistent_with_rigid_analyticity": report.consistent,
+        "offending_terms": [
+            {
+                "row": i + 1,
+                "column": j + 1,
+                "monomial": {n: e for n, e in zip(names, vec) if e},
+                "coefficient": coeff,
+            }
+            for i, j, vec, coeff in report.offenders
+        ],
+        "note": report.note,
     }
-    if args.check:
-        payload["checks"] = {"independent_routes_agree": report.routes_agree}
-    return payload
+    checks = {"independent_routes_agree": report.routes_agree} if args.check else None
+    return _germ_echo(germ), results, {"test": report.order}, checks
 
 
-def cmd_ode(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_ode(args: argparse.Namespace) -> Sections:
     height = _parse_file(args.file, height_from_json, args.order)
     profile = ode_right_side(height)
-    payload: dict[str, Any] = {
-        "command": "ode",
-        "input": {"height_order": height.order},
-        "results": {"right_side": profile},
-        "reliable_orders": {"right_side": profile.order},
-        "warnings": [TRUNCATION_NOTE],
-    }
+    checks = None
     if args.check:
         order = height.order
         lhs, inner = ode_sides(height)
-        rhs = compose(
-            profile.with_order(order), {"u": inner}, alphabet=height.alphabet, order=order
-        )
-        exact = lhs == rhs
-        payload["checks"] = {"profile_equation_residual_is_zero": exact}
-        if not exact:
-            raise InvariantError("recomputed profile equation residual is nonzero")
-    return payload
+        rhs = compose(profile.with_order(order), {"u": inner}, alphabet=height.alphabet, order=order)
+        checks = {"profile_equation_residual_is_zero": lhs == rhs}
+    echo = {"height_order": height.order}
+    return echo, {"right_side": profile}, {"right_side": profile.order}, checks
 
 
-def cmd_lift(args: argparse.Namespace) -> dict[str, Any]:
+def cmd_lift(args: argparse.Namespace) -> Sections:
     source = _parse_file(args.file, germ_from_json, args.order)
     target = _parse_file(args.file2, germ_from_json, args.order)
     source_core, target_core = (
@@ -401,53 +329,75 @@ def cmd_lift(args: argparse.Namespace) -> dict[str, Any]:
     eq = make_equivalence(source_core, target_core, z_maps, w_map)
     lift = lift_equivalence(eq, source, target)
     verdict = verify_lift(lift)
+    # the lift is certified whether or not --check asks for the report
     if not verdict.ok:
         raise InvariantError("lift verification failed after construction")
-    payload: dict[str, Any] = {
-        "command": "lift",
-        "input": {
-            "source": _germ_echo(source),
-            "target": _germ_echo(target),
-        },
-        "results": {
-            "multiplier": lift.multiplier,
-            "scale_at_origin": lift.scale,
-            "z_maps": {f"z{j + 1}": m for j, m in enumerate(lift.z_maps)},
-            "w_map": lift.w_map,
-            "t_maps": {
-                name: m for name, m in zip(source.t_names(), lift.t_maps)
-            },
-        },
-        "reliable_orders": {
-            "multiplier": lift.multiplier.order,
-            "t_maps": source.order - 1,
-        },
-        "warnings": [TRUNCATION_NOTE],
+    results = {
+        "multiplier": lift.multiplier,
+        "scale_at_origin": lift.scale,
+        "z_maps": {f"z{j + 1}": m for j, m in enumerate(lift.z_maps)},
+        "w_map": lift.w_map,
+        "t_maps": dict(zip(source.t_names(), lift.t_maps)),
     }
-    if args.check:
-        payload["checks"] = {
-            "defining_identity": verdict.defining_identity,
-            "components_are_solutions": verdict.components_are_solutions,
-            "restricts_to_core_map": verdict.restricts_to_core_map,
-            "t_maps_vanish_on_center": verdict.t_maps_vanish_on_center,
-        }
-    return payload
+    echo = {"source": _germ_echo(source), "target": _germ_echo(target)}
+    reliable = {"multiplier": lift.multiplier.order, "t_maps": source.order - 1}
+    return echo, results, reliable, dataclasses.asdict(verdict) if args.check else None
 
 
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
 
+
+class Command(NamedTuple):
+    """A subcommand: what it computes, the positional files it reads after
+    the first, and the warnings its report carries before TRUNCATION_NOTE."""
+
+    run: Callable[[argparse.Namespace], Sections]
+    help: str
+    files: tuple[tuple[str, str], ...] = ()
+    warnings: tuple[str, ...] = ()
+
+
 _COMMANDS = {
-    "levi": (cmd_levi, "Levi form, signature and characteristic covector"),
-    "central": (cmd_central, "critical manifold, restriction and straightening"),
-    "normalize": (cmd_normalize, "Morse splitting over the central manifold"),
-    "phi": (cmd_phi, "section Hessian by two independent routes"),
-    "external": (cmd_external, "external lift absorbing the real parameters"),
-    "rigid-check": (cmd_rigid_check, "parameter-independence test for rigid germs"),
-    "ode": (cmd_ode, "right side of the profile equation of a height jet"),
-    "lift": (cmd_lift, "lift a central equivalence to split normal forms"),
+    "levi": Command(cmd_levi, "Levi form, signature and characteristic covector"),
+    "central": Command(cmd_central, "critical manifold, restriction and straightening"),
+    "normalize": Command(cmd_normalize, "Morse splitting over the central manifold"),
+    "phi": Command(cmd_phi, "section Hessian by two independent routes"),
+    "external": Command(
+        cmd_external, "external lift absorbing the real parameters", warnings=(CHART_NOTE,)
+    ),
+    "rigid-check": Command(cmd_rigid_check, "parameter-independence test for rigid germs"),
+    "ode": Command(cmd_ode, "right side of the profile equation of a height jet"),
+    "lift": Command(
+        cmd_lift,
+        "lift a central equivalence to split normal forms",
+        files=(("file2", "target germ file (JSON)"), ("mapfile", "central map file (JSON)")),
+    ),
 }
+
+
+def payload(args: argparse.Namespace) -> dict[str, Any]:
+    """The report of one parsed invocation, in the order text output
+    follows: command, input, results, reliable_orders, warnings, and under
+    --check the checks. Counts and matrices among the checks are reported
+    as they are; a check whose value is False raises InvariantError
+    naming the command and the failed keys."""
+    command = _COMMANDS[args.command]
+    echo, results, reliable, checks = command.run(args)
+    report = {
+        "command": args.command,
+        "input": echo,
+        "results": results,
+        "reliable_orders": reliable,
+        "warnings": [*command.warnings, TRUNCATION_NOTE],
+    }
+    if checks is not None:
+        failed = [key for key, value in checks.items() if value is False]
+        if failed:
+            raise InvariantError(f"{args.command} --check failed: {', '.join(failed)}")
+        report["checks"] = checks
+    return report
 
 
 @functools.cache
@@ -459,12 +409,11 @@ def build_parser() -> CliParser:
         description="exact jet computations for locally integrable structures",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
         p.add_argument("file", help="input file (JSON)")
-        if name == "lift":
-            p.add_argument("file2", help="target germ file (JSON)")
-            p.add_argument("mapfile", help="central map file (JSON)")
+        for dest, help_text in command.files:
+            p.add_argument(dest, help=help_text)
         p.add_argument(
             "--order", type=int, default=None, help="override the file's jet order"
         )
@@ -482,7 +431,7 @@ def build_parser() -> CliParser:
 def run(argv: Sequence[str]) -> int:
     try:
         args = build_parser().parse_args(list(argv))
-        payload = _COMMANDS[args.command][0](args)
+        report = payload(args)
     except ParserExit as exc:
         return exc.status
     except ParseError as exc:
@@ -494,7 +443,7 @@ def run(argv: Sequence[str]) -> int:
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(render_report(payload, args.format))
+    sys.stdout.write(render_report(report, args.format))
     return 0
 
 

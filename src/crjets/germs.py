@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .alphabet import Alphabet
 from .errors import InvariantError, PreconditionError
@@ -213,23 +213,50 @@ class LeviForm:
 
 
 def levi_form(germ: StructureGerm) -> LeviForm:
-    """Levi matrix of the quadratic part of phi at the origin.
+    """Levi matrix of the quadratic part of phi at the origin, with its
+    exact inertia; the matrix is _levi_matrix's."""
+    m = _levi_matrix(germ)
+    pos, neg, null = hermitian_signature(m)
+    return LeviForm(tuple(tuple(row) for row in m), pos, neg, null)
+
+
+def t_hessian(germ: StructureGerm) -> list[list[Fraction]]:
+    """Constant Hessian of phi in the t variables alone, as rational numbers:
+    the t-block of the Levi matrix, which the Hermitian check keeps real
+    since its entries (l, r) and (r, l) are one coefficient."""
+    if not germ.nprime:
+        return []  # no t-block, and no reason to read the z-block of a wide germ
+    nu = germ.nu
+    return [[x.real for x in row[nu:]] for row in _levi_matrix(germ)[nu:]]
+
+
+def _levi_matrix(germ: StructureGerm) -> list[list[GaussianRational]]:
+    """The Levi matrix read from the degree-2 terms of phi, each code
+    decoded once.
 
     Block layout, indices j,k over z variables and l,r over t variables:
     entry (j,k) is the z_j zb_k coefficient, entry (j, nu+r) the z_j t_r
     coefficient, entry (nu+l, k) the t_l zb_k coefficient, and the t-block
     is the t-Hessian: twice the t_l^2 coefficient on the diagonal, the
-    t_l t_r coefficient off it. Reality of phi makes this Hermitian.
+    t_l t_r coefficient off it. Reality of phi makes this Hermitian, and
+    a matrix that is not raises InvariantError.
     """
     nu, npr = germ.nu, germ.nprime
     size = nu + npr
     m = [[ZERO] * size for _ in range(size)]
     if size:
+        phi = germ.phi
+        if phi.order < 2:
+            raise PreconditionError(f"coefficient of degree 2 is beyond order {phi.order}")
+        alpha = phi.alphabet
         # alphabet index -> Levi row (z_j, t_l) and Levi column (zb_k, t_r)
         t0 = 2 * nu + 1
         row_of = {j: j for j in range(nu)} | {t0 + l: nu + l for l in range(npr)}
         col_of = {nu + k: k for k in range(nu)} | {t0 + r: nu + r for r in range(npr)}
-        for a, b, coeff in _quadratic_terms(germ.phi):
+        for code, coeff in phi.terms.items():
+            if alpha.degree(code) != 2:
+                continue
+            a, b = (i for i, e in enumerate(alpha.decode(code)) for _ in range(e))
             value = coeff * 2 if a == b else coeff
             for p, q in {(a, b), (b, a)}:
                 if p in row_of and q in col_of:
@@ -241,36 +268,7 @@ def levi_form(germ: StructureGerm) -> LeviForm:
                     "Levi matrix of a real jet failed to be Hermitian; "
                     "coefficient extraction is corrupted"
                 )
-    pos, neg, null = hermitian_signature(m)
-    return LeviForm(tuple(tuple(row) for row in m), pos, neg, null)
-
-
-def t_hessian(germ: StructureGerm) -> list[list[Fraction]]:
-    """Constant Hessian of phi in the t variables alone, as rational numbers."""
-    npr = germ.nprime
-    h: list[list[Fraction]] = [[Fraction(0)] * npr for _ in range(npr)]
-    if npr:
-        t0 = 2 * germ.nu + 1
-        for a, b, coeff in _quadratic_terms(germ.phi):
-            if a < t0:
-                continue
-            c = coeff * 2 if a == b else coeff
-            if not c.is_real():
-                raise InvariantError("t-Hessian of a real jet must be real")
-            h[a - t0][b - t0] = h[b - t0][a - t0] = c.real
-    return h
-
-
-def _quadratic_terms(phi: Jet) -> Iterator[tuple[int, int, GaussianRational]]:
-    """The degree-2 terms of phi as (a, b, coefficient), a <= b the
-    alphabet indices of the two factors; each code is decoded once."""
-    if phi.order < 2:
-        raise PreconditionError(f"coefficient of degree 2 is beyond order {phi.order}")
-    alpha = phi.alphabet
-    for code, coeff in phi.terms.items():
-        if alpha.degree(code) == 2:
-            a, b = (i for i, e in enumerate(alpha.decode(code)) for _ in range(e))
-            yield a, b, coeff
+    return m
 
 
 @dataclass(frozen=True)

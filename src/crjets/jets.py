@@ -20,7 +20,8 @@ serialize identically. Codes move between variables only through
 Alphabet.remap: rename maps each variable to one target variable,
 conjugate is a rename by the alphabet's involution followed by coefficient
 conjugation, is_real compares each term with its partner under the
-involution, and compose_many substitutes monomials the same way.
+involution, real_part and imag_part combine the two in one pass, and
+compose_many substitutes monomials the same way.
 """
 
 from __future__ import annotations
@@ -414,11 +415,8 @@ class Jet:
         term's partner under it carries the conjugate coefficient; no
         conjugated jet is built.
         """
-        alpha = self.alphabet
-        if alpha.conj_map is None:
-            raise PreconditionError(f"alphabet {alpha.names} carries no conjugation")
-        images = self._images(alpha.conj_map, alpha)
-        remap = alpha.remap
+        images = self._involution_images()
+        remap = self.alphabet.remap
         terms = self.terms
         for code, v in terms.items():
             w = terms.get(remap(code, images))
@@ -427,10 +425,50 @@ class Jet:
         return True
 
     def real_part(self) -> Jet:
-        return (self + self.conjugate()) * Fraction(1, 2)
+        """(self + conj(self)) / 2."""
+        return self._with_conjugate(1)
 
     def imag_part(self) -> Jet:
-        return (self - self.conjugate()) * GaussianRational(0, Fraction(-1, 2))
+        """(self - conj(self)) / 2i."""
+        return self._with_conjugate(-1)
+
+    def _with_conjugate(self, sign: int) -> Jet:
+        """(self + sign * conj(self)) / 2, turned by -i when sign is -1.
+
+        One pass over partner terms under the involution, as in is_real:
+        the coefficient at a code is v + sign * conj(w), w the partner's,
+        and a term without a partner also writes the conjugate's lone
+        term at the partner code. Each coefficient is normalized once,
+        with the factor 1/2 (or -i/2, a swap of the fields) folded in.
+        """
+        images = self._involution_images()
+        remap = self.alphabet.remap
+        normalize = GaussianRational.normalize
+        terms = self.terms
+        out: dict[int, GaussianRational] = {}
+
+        def put(code: int, a: int, b: int, d: int) -> None:
+            if a or b:
+                out[code] = normalize(a, b, 2 * d) if sign > 0 else normalize(b, -a, 2 * d)
+
+        for code, v in terms.items():
+            partner = remap(code, images)
+            w = terms.get(partner)
+            if w is None:
+                put(code, v.a, v.b, v.d)
+                put(partner, sign * v.a, -sign * v.b, v.d)
+            elif v.d == w.d:
+                put(code, v.a + sign * w.a, v.b - sign * w.b, v.d)
+            else:
+                put(code, v.a * w.d + sign * w.a * v.d, v.b * w.d - sign * w.b * v.d, v.d * w.d)
+        return Jet._raw(self.alphabet, self.order, out)
+
+    def _involution_images(self) -> list[tuple[int, int]]:
+        """Alphabet.remap images of the involution on the support variables."""
+        alpha = self.alphabet
+        if alpha.conj_map is None:
+            raise PreconditionError(f"alphabet {alpha.names} carries no conjugation")
+        return self._images(alpha.conj_map, alpha)
 
     # ------------------------------------------------------------------
     # units

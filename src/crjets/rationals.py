@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .errors import ParseError
-
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
 
@@ -25,7 +23,7 @@ class GaussianRational:
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, re: int | Fraction | str = 0, im: int | Fraction | str = 0):
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         re = _as_fraction(re)
         im = _as_fraction(im)
         d = re.denominator * im.denominator
@@ -192,16 +190,11 @@ class GaussianRational:
         return f"GaussianRational({self.real!r}, {self.imag!r})"
 
 
-def _as_fraction(x: int | Fraction | str) -> Fraction:
+def _as_fraction(x: int | Fraction) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {x!r}: {exc}") from exc
     raise TypeError(f"cannot build a rational from {type(x).__name__}")
 
 

@@ -251,12 +251,13 @@ class SectionHessian:
 
 
 def _substitute_elimination(
-    jet4_or_5: Jet, elim: ConjugateElimination, nu: int, order: int
+    jet: Jet, elim: ConjugateElimination, nu: int, order: int
 ) -> Jet:
-    """Replace the frozen-parameter stand-ins by their eliminated values."""
-    eliminated = {f"ab{j}": zb.truncate(order) for j, zb in enumerate(elim.zb, start=1)}
-    eliminated["bb"] = elim.wb.truncate(order)
-    return substitute(jet4_or_5, eliminated, section_parameter_alphabet(nu), order)
+    """Replace the frozen parameters (zb, wb) of a jet over
+    segre_alphabet(nu) by their eliminated values; z and w stay."""
+    eliminated = {f"zb{j}": zb.truncate(order) for j, zb in enumerate(elim.zb, start=1)}
+    eliminated["wb"] = elim.wb.truncate(order)
+    return substitute(jet, eliminated, section_parameter_alphabet(nu), order)
 
 
 def phi_elimination(
@@ -268,12 +269,10 @@ def phi_elimination(
     order = ch.order - 2
     if elim is None:
         elim = conjugate_elimination(ch)
-    big5 = elimination_alphabet(nu)
-    renaming = _stand_ins(nu)
     rows: list[list[Jet | None]] = [[None] * nu for _ in range(nu)]
     for i in range(1, nu + 1):
         for j in range(i, nu + 1):
-            second = ch.rho.derive(f"z{i}").derive(f"z{j}").rename(renaming, big5)
+            second = ch.rho.derive(f"z{i}").derive(f"z{j}")
             value = _substitute_elimination(second, elim, nu, order)
             rows[i - 1][j - 1] = value
             rows[j - 1][i - 1] = value
@@ -306,9 +305,6 @@ def phi_determinant(
     d_z = {j: defining.derive(f"z{j}") for j in range(1, nu + 1)}
     base = defining.truncate(out_order)
 
-    big5 = elimination_alphabet(nu)
-    renaming = _stand_ins(nu)
-
     rows: list[list[Jet | None]] = [[None] * nu for _ in range(nu)]
     for i in range(1, nu + 1):
         d_zi = d_z[i].truncate(out_order)
@@ -322,10 +318,7 @@ def phi_determinant(
                 - d_zj * (d_zi * d_ww - d_zi_w * d_w)
                 + d_w * (d_zi * d_zj_w - d_zi_zj * d_w)
             )
-            hat = bordered * inv_w_cubed
-            value = _substitute_elimination(
-                hat.rename(renaming, big5), elim, nu, out_order
-            )
+            value = _substitute_elimination(bordered * inv_w_cubed, elim, nu, out_order)
             rows[i - 1][j - 1] = value
             rows[j - 1][i - 1] = value
     return SectionHessian(

@@ -28,7 +28,6 @@ def implicit_solve(
     unknowns: Sequence[str],
     *,
     target: Alphabet | None = None,
-    order: int | None = None,
 ) -> list[Jet]:
     """Solve F(x, u) = 0 for u(x) with u(0) = 0.
 
@@ -39,11 +38,11 @@ def implicit_solve(
     subalphabet, in source order) and have zero constant term. They
     satisfy the equations identically at the working order.
 
-    The working order N is the least equation order, or ``order`` if
-    given. Sweep k = 1 .. N composes the equations truncated to order k
-    at the guesses truncated to order k and raises InvariantError if a
-    residual has a term below degree k; the degree-k residual, mapped
-    through J0^{-1}, corrects the guesses, which stay at order N. One
+    The working order N is the least equation order. Sweep k = 1 .. N
+    composes the equations truncated to order k at the guesses truncated
+    to order k and raises InvariantError if a residual has a term below
+    degree k; the degree-k residual, mapped through J0^{-1}, corrects the
+    guesses, which stay at order N. One
     composition at order N then certifies the result: every residual
     must be exactly zero, or InvariantError is raised. That is N + 1
     compositions, N of them below full order.
@@ -67,12 +66,6 @@ def implicit_solve(
         seen.add(u)
 
     work_order = min(eq.order for eq in equations)
-    if order is not None:
-        if order > work_order:
-            raise PreconditionError(
-                f"requested order {order} exceeds the least equation order {work_order}"
-            )
-        work_order = order
     eqs = [eq.truncate(work_order) for eq in equations]
 
     for i, eq in enumerate(eqs):
@@ -137,7 +130,7 @@ def implicit_solve(
     return guesses
 
 
-def revert_series(f: Jet, variable: str | None = None) -> Jet:
+def revert_series(f: Jet) -> Jet:
     """Compositional inverse of a one-variable jet with f(0)=0, f'(0) != 0.
 
     The result g lives over the same alphabet and letter and satisfies
@@ -147,8 +140,6 @@ def revert_series(f: Jet, variable: str | None = None) -> Jet:
     if alpha.nvars != 1:
         raise PreconditionError("revert_series expects a one-variable jet")
     name = alpha.names[0]
-    if variable is not None and variable != name:
-        raise PreconditionError(f"jet variable is {name!r}, not {variable!r}")
     if not f.constant_term().is_zero():
         raise PreconditionError("series to revert must vanish at 0")
     if f.coefficient({name: 1}).is_zero():

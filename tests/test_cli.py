@@ -1,6 +1,7 @@
 """Command line driver: outputs, exit codes, order overrides."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -224,10 +225,21 @@ def test_json_reports_match_the_payload_oracle(tmp_path, capsys):
         if code:
             assert code == 2 and out == "", argv
             continue
-        payload = cli._COMMANDS[argv[0]][0](cli.build_parser().parse_args(argv))
-        assert out == oracle_dumps(payload), argv
+        assert out == oracle_dumps(cli.payload(cli.build_parser().parse_args(argv))), argv
         ran.add(argv[0])
     assert ran == set(cli._COMMANDS)
+
+
+# sha256 over the exit code and --format text stdout of every corpus run
+CORPUS_TEXT_SHA256 = "f6a4b66021e7cb0094bf6b40f541ec91471eb6a6f539e69b26eda431111b348d"
+
+
+def test_text_reports_match_the_pinned_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for argv in corpus_invocations(tmp_path):
+        code = cli.run(argv + ["--format", "text"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == CORPUS_TEXT_SHA256
 
 
 def test_exit_one_on_bad_input(tmp_path, capsys):
@@ -343,10 +355,22 @@ def test_exit_three_on_invariant(tmp_path, capsys, monkeypatch):
     def explode(args):
         raise InvariantError("synthetic failure")
 
-    monkeypatch.setitem(cli._COMMANDS, "levi", (explode, "boom"))
+    monkeypatch.setitem(cli._COMMANDS, "levi", cli._COMMANDS["levi"]._replace(run=explode))
     path = drop(tmp_path, "g.json", QUADRIC)
     assert cli.run(["levi", path]) == 3
-    assert "invariant violated" in capsys.readouterr().err
+    assert capsys.readouterr().err == "invariant violated: synthetic failure\n"
+
+
+def test_a_false_check_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lift_levi_relation", lambda ext: False)
+    path = drop(tmp_path, "g.json", MIZOHATA)
+    assert cli.run(["external", path, "--check"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invariant violated: external --check failed: levi_blocks_match_prediction\n"
+    # without --check the relation is not consulted
+    assert cli.run(["external", path]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

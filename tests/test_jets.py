@@ -457,13 +457,32 @@ def test_is_real_matches_the_conjugate(p, q, r, k):
         assert real.is_real()
 
 
+@given(polys(width=2), polys(width=5), polys(width=SMALL_LIMIT + 2), st.integers(0, 10))
+def test_real_and_imag_parts_match_the_conjugate(p, q, r, k):
+    for poly, alpha in ((p, ZZB), (q, INTERLEAVED), (r, WIDE_CONJ)):
+        jp = poly_to_jet(poly, alpha, 5)
+        real = jp + jp.conjugate()
+        cases = [jp, real, real * I, jp * GaussianRational(Fraction(1, 3), 2), jp - jp.conjugate()]
+        if jp.terms:
+            # one term alone, so that its partner is missing unless self-conjugate
+            c = sorted(jp.terms)[k % len(jp.terms)]
+            cases.append(Jet(alpha, 5, {c: jp.terms[c]}))
+        for jet in cases:
+            conj = jet.conjugate()
+            assert jet.real_part() == (jet + conj) * Fraction(1, 2)
+            assert jet.imag_part() == (jet - conj) * GaussianRational(0, Fraction(-1, 2))
+
+
 def test_is_real_needs_a_conjugation():
     x = Jet.variable(XY, 3, "x")
     with pytest.raises(PreconditionError) as conj:
         x.conjugate()
-    with pytest.raises(PreconditionError) as real:
-        x.is_real()
-    assert str(real.value) == str(conj.value) == "alphabet ('x', 'y') carries no conjugation"
+    messages = {str(conj.value)}
+    for method in (x.is_real, x.real_part, x.imag_part):
+        with pytest.raises(PreconditionError) as exc:
+            method()
+        messages.add(str(exc.value))
+    assert messages == {"alphabet ('x', 'y') carries no conjugation"}
 
 
 @given(polys(width=2), polys(width=2))
