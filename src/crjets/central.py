@@ -38,7 +38,7 @@ from .errors import (
     PreconditionError,
     SingularJacobianError,
 )
-from .germs import StructureGerm, make_germ, standard_alphabet, t_hessian
+from .germs import StructureGerm, at_t_zero, make_germ, standard_alphabet, t_hessian
 from .jets import Jet, jet_sqrt, substitute
 from .linalg import invert_matrix, symmetric_diagonalize
 from .solve import implicit_solve
@@ -163,14 +163,13 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
     order = germ.order
     full = germ.alphabet
     npr = germ.nprime
-    central = standard_alphabet(germ.nu, 0)
 
     if not is_straightened(germ):
         raise PreconditionError(
             "germ is not straightened: phi has a monomial of t-degree one"
         )
 
-    base = substitute(germ.phi, dict.fromkeys(germ.t_names(), 0), central, order)
+    base = at_t_zero(germ.phi, germ.nu)
 
     if npr == 0:
         return MorseNormalForm(germ, base, (), (), ())

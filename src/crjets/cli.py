@@ -26,7 +26,7 @@ from .equivalence import (
     equivalence_alphabet,
     lift_equivalence,
     make_equivalence,
-    split_coefficients,
+    split_core,
     verify_lift,
 )
 from .errors import InvariantError, ParseError, PreconditionError
@@ -37,8 +37,6 @@ from .germs import (
     first_integrals,
     frame,
     levi_form,
-    make_germ,
-    standard_alphabet,
     t_hessian,
 )
 from .io import (
@@ -310,19 +308,8 @@ def cmd_ode(args: argparse.Namespace) -> Sections:
 def cmd_lift(args: argparse.Namespace) -> Sections:
     source = _parse_file(args.file, germ_from_json, args.order)
     target = _parse_file(args.file2, germ_from_json, args.order)
-    source_core, target_core = (
-        make_germ(
-            g.nu,
-            0,
-            substitute(
-                g.phi, dict.fromkeys(g.t_names(), 0), standard_alphabet(g.nu, 0), g.order
-            ),
-        )
-        for g in (source, target)
-    )
     # certify split shape before any heavier work
-    split_coefficients(source, source_core)
-    split_coefficients(target, target_core)
+    source_core, target_core = split_core(source), split_core(target)
     z_maps, w_map = _parse_file(
         args.mapfile, map_from_json, equivalence_alphabet(source.nu), source.nu, args.order
     )

@@ -29,6 +29,7 @@ from .alphabet import Alphabet
 from .errors import InvariantError, NotDivisibleError, PreconditionError
 from .germs import (
     StructureGerm,
+    at_t_zero,
     defining_pullback,
     is_solution,
     levi_form,
@@ -177,6 +178,14 @@ def model_germ(core: StructureGerm, coeffs: Sequence[Fraction]) -> StructureGerm
     return make_germ(core.nu, npr, phi)
 
 
+def split_core(model: StructureGerm) -> StructureGerm:
+    """The core phi(z, zb, s, 0) of a germ in split normal form over it,
+    after split_coefficients has certified that shape."""
+    core = make_germ(model.nu, 0, at_t_zero(model.phi, model.nu))
+    split_coefficients(model, core)
+    return core
+
+
 def split_coefficients(model: StructureGerm, core: StructureGerm) -> list[Fraction]:
     """Read the c_l off a split normal form and certify the decomposition."""
     if model.nu != core.nu or core.nprime != 0:
@@ -310,15 +319,12 @@ def verify_lift(lift: LiftedEquivalence) -> LiftVerification:
     )
 
     central = standard_alphabet(nu, 0)
-    at_center = dict.fromkeys(src.t_names(), 0)
-    z_restricted = [substitute(jet, at_center, central, order) for jet in lift.z_maps]
-    w_restricted = substitute(lift.w_map, at_center, central, order)
+    z_restricted = [at_t_zero(jet, nu) for jet in lift.z_maps]
+    w_restricted = at_t_zero(lift.w_map, nu)
     z_core, w_core = _pull_back_map(
         eq.z_maps, eq.w_map, Jet.variable(central, order, "s") + eq.source.phi * I, order
     )
     restricts = z_restricted == z_core and w_restricted == w_core
 
-    vanish = all(
-        substitute(jet, at_center, central, order - 1).is_zero() for jet in lift.t_maps
-    )
+    vanish = all(at_t_zero(jet, nu).is_zero() for jet in lift.t_maps)
     return LiftVerification(defining, solutions, restricts, vanish)

@@ -95,6 +95,30 @@ def make_germ(nu: int, nprime: int, phi: Jet) -> StructureGerm:
     return StructureGerm(nu, nprime, phi)
 
 
+def at_t_zero(jet: Jet, nu: int) -> Jet:
+    """A jet over standard_alphabet(nu, nprime) at t = 0, over
+    standard_alphabet(nu, 0): the terms whose codes have no t field, moved
+    by Alphabet.remap with no coefficient arithmetic. The order is kept."""
+    alpha = jet.alphabet
+    central = standard_alphabet(nu, 0)
+    one = 1 << central.deg_shift
+    images = [
+        (alpha.shifts[alpha.index[name]], (1 << shift) + one)
+        for name, shift in zip(central.names, central.shifts)
+    ]
+    t_fields = sum(
+        alpha.mask << shift
+        for name, shift in zip(alpha.names, alpha.shifts)
+        if name not in central.index
+    )
+    remap = alpha.remap
+    return Jet(
+        central,
+        jet.order,
+        {remap(code, images): c for code, c in jet.terms.items() if not code & t_fields},
+    )
+
+
 def first_integrals(germ: StructureGerm) -> dict[str, Jet]:
     """The functions z_1..z_nu and w = s + i*phi, keyed by z names and 'w'."""
     order = germ.order

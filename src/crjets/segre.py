@@ -1,21 +1,31 @@
 """Complexified defining graph and the second-order section functions.
 
 A core germ (no t variables) sigma(z, zb, s) defines the hypersurface
-Im w = sigma(z, zb, Re w). Solving
+Im w = sigma(z, zb, Re w). Solving the defining function
 
-    w - wb - 2i * sigma(z, zb, (w + wb)/2) = 0
+    F = w - wb - 2i * sigma(z, zb, (w + wb)/2) = 0
 
-for w gives the graph jet rho(z, zb, wb); the sections obtained by
-freezing (zb, wb) at exact points form a family of holomorphic graphs.
-Differentiating a section twice and eliminating the frozen parameters
-through the first-order data produces, for Levi-nondegenerate cores, a
-matrix of jets in (z, w, wp) that governs the second derivatives of
-every section at once. Two independent constructions are implemented:
+for w gives the graph jet rho(z, zb, wb); complexify keeps both and
+certifies the reality identity rho(z, zb, rhob(zb, z, w)) = w, where
+rhob is the conjugate jet. The sections obtained by freezing (zb, wb) at
+exact points form a family of holomorphic graphs. Differentiating a
+section twice and eliminating the frozen parameters through the
+first-order data produces, for Levi-nondegenerate cores, a matrix of
+jets in (z, w, wp) that governs the second derivatives of every section
+at once.
 
-  * the bordered-determinant route works directly on the defining
-    function and normalizes by a cube of its w-derivative;
-  * the elimination route solves the incidence system for (zb, wb) as
-    functions of (z, w, wp) and substitutes into the plain second
+The elimination solves the nu equations d rho/d z_j = wp_j for zb
+alone. By the reality identity, wb = rhob(zb, z, w) satisfies the other
+incidence equation rho(z, zb, wb) = w identically, so wb follows from
+the solved zb by one substitution. Two independent constructions of the
+matrix start from that elimination:
+
+  * the bordered-determinant route substitutes the elimination into the
+    defining function and its derivatives, then forms bordered
+    determinants normalized by a cube of F_w; the substituted F must
+    vanish exactly, which certifies that the elimination lies on the
+    incidence relation;
+  * the elimination route substitutes it into the plain second
     derivative of the graph.
 
 Besides the complexified defining function they start from, they share
@@ -32,7 +42,6 @@ order, and reports say so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .alphabet import Alphabet
 from .central import central_manifold
@@ -43,7 +52,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .germs import StructureGerm
-from .jets import Jet, substitute
+from .jets import Jet, compose_many, substitute
 from .rationals import HALF, GaussianRational, as_gaussian
 from .solve import implicit_solve
 
@@ -61,14 +70,13 @@ def segre_alphabet(nu: int) -> Alphabet:
 
 
 def elimination_alphabet(nu: int) -> Alphabet:
-    """(z, w, wp, ab, bb): holomorphic variables plus stand-ins for the
-    frozen conjugate parameters. Carries no conjugation on purpose."""
+    """(z, w, wp, ab): holomorphic variables plus stand-ins ab for the
+    frozen conjugate parameters zb. Carries no conjugation on purpose."""
     names = (
         [f"z{j}" for j in range(1, nu + 1)]
         + ["w"]
         + [f"wp{j}" for j in range(1, nu + 1)]
         + [f"ab{j}" for j in range(1, nu + 1)]
-        + ["bb"]
     )
     return Alphabet(names, None)
 
@@ -81,27 +89,14 @@ def section_parameter_alphabet(nu: int) -> Alphabet:
     return Alphabet(names, None)
 
 
-def _stand_ins(nu: int) -> dict[str, str]:
-    """Renaming of the frozen conjugate parameters (zb, wb) to their
-    stand-ins (ab, bb) in the elimination alphabet."""
-    renaming = {f"zb{j}": f"ab{j}" for j in range(1, nu + 1)}
-    renaming["wb"] = "bb"
-    return renaming
-
-
-def _defining_function(core: StructureGerm, order: int) -> Jet:
-    """w - wb - 2i * sigma(z, zb, (w + wb)/2) over segre_alphabet(nu)."""
-    big = segre_alphabet(core.nu)
-    w = Jet.variable(big, order, "w")
-    wb = Jet.variable(big, order, "wb")
-    sigma_big = substitute(core.phi, {"s": (w + wb) * HALF}, big, order)
-    return w - wb - sigma_big * GaussianRational(0, 2)
-
-
 @dataclass(frozen=True)
 class ComplexifiedHypersurface:
+    """The graph jet rho and the defining function it solves, both over
+    segre_alphabet(nu)."""
+
     core: StructureGerm
     rho: Jet
+    equation: Jet
 
     @property
     def nu(self) -> int:
@@ -113,7 +108,8 @@ class ComplexifiedHypersurface:
 
 
 def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
-    """Solve the incidence relation for w and certify the reality identity."""
+    """Solve the defining function w - wb - 2i sigma(z, zb, (w + wb)/2)
+    for w and certify the reality identity."""
     if core.nprime != 0:
         raise PreconditionError(
             "complexification expects a core germ without t variables; "
@@ -122,8 +118,11 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
     if core.nu < 1:
         raise PreconditionError("complexification needs at least one complex variable")
     order = core.order
-    equation = _defining_function(core, order)
-    big = equation.alphabet
+    big = segre_alphabet(core.nu)
+    w = Jet.variable(big, order, "w")
+    wb = Jet.variable(big, order, "wb")
+    sigma_big = substitute(core.phi, {"s": (w + wb) * HALF}, big, order)
+    equation = w - wb - sigma_big * GaussianRational(0, 2)
     graph = implicit_solve([equation], ["w"])[0]
     rho = graph.rename({}, big)
 
@@ -135,7 +134,7 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
             "reality identity failed: reflecting the graph through itself "
             "did not return w"
         )
-    return ComplexifiedHypersurface(core, rho)
+    return ComplexifiedHypersurface(core, rho, equation)
 
 
 def segre_section(
@@ -194,30 +193,41 @@ class ConjugateElimination:
 def conjugate_elimination(ch: ComplexifiedHypersurface) -> ConjugateElimination:
     """Invert the first-order section data for the frozen parameters.
 
-    Solvability at the origin is exactly nondegeneracy of the z-block of
-    the core's Levi form.
+    complexify certifies rho(z, zb, rhob(zb, z, w)) = w at the full order,
+    so bb = rhob(ab, z, w) solves rho(z, ab, bb) = w with no arithmetic
+    beyond a renaming. The nu equations d rho/d z_j (z, ab, bb) = wp_j are
+    composed at that bb and solved for ab alone, and wb is bb at the solved
+    ab. The solver certifies its equations, and everything is computed at
+    order - 1, below the order of the identity. Solvability at the origin
+    is exactly nondegeneracy of the z-block of the core's Levi form.
     """
     nu = ch.nu
-    order = ch.order
-    big5 = elimination_alphabet(nu)
-    renaming = _stand_ins(nu)
-
-    rho5 = ch.rho.rename(renaming, big5)
-    equations = [rho5 - Jet.variable(big5, order, "w")]
-    for j in range(1, nu + 1):
-        d = ch.rho.derive(f"z{j}").rename(renaming, big5)
-        equations.append(d - Jet.variable(big5, order - 1, f"wp{j}"))
-    unknowns = [f"ab{j}" for j in range(1, nu + 1)] + ["bb"]
+    order = ch.order - 1
+    big4 = elimination_alphabet(nu)
+    unknowns = [f"ab{j}" for j in range(1, nu + 1)]
+    bb = ch.rho.conjugate().rename(
+        {f"zb{j}": ab for j, ab in enumerate(unknowns, start=1)}, big4
+    )
+    at_bb: dict[str, Jet] = {"wb": bb}
+    for j, ab in enumerate(unknowns, start=1):
+        at_bb[f"z{j}"] = Jet.variable(big4, order, f"z{j}")
+        at_bb[f"zb{j}"] = Jet.variable(big4, order, ab)
+    slopes = compose_many(
+        [ch.rho.derive(f"z{j}") for j in range(1, nu + 1)], at_bb, alphabet=big4, order=order
+    )
+    equations = [
+        d - Jet.variable(big4, order, f"wp{j}") for j, d in enumerate(slopes, start=1)
+    ]
+    section = section_parameter_alphabet(nu)
     try:
-        solved = implicit_solve(
-            equations, unknowns, target=section_parameter_alphabet(nu)
-        )
+        solved = implicit_solve(equations, unknowns, target=section)
     except SingularJacobianError:
         raise DegenerateFormError(
             "z-block of the Levi form is degenerate; the frozen parameters "
             "cannot be eliminated"
         ) from None
-    return ConjugateElimination(tuple(solved[:nu]), solved[nu])
+    wb = substitute(bb, dict(zip(unknowns, solved)), section, order)
+    return ConjugateElimination(tuple(solved), wb)
 
 
 @dataclass(frozen=True)
@@ -251,13 +261,17 @@ class SectionHessian:
 
 
 def _substitute_elimination(
-    jet: Jet, elim: ConjugateElimination, nu: int, order: int
-) -> Jet:
-    """Replace the frozen parameters (zb, wb) of a jet over
-    segre_alphabet(nu) by their eliminated values; z and w stay."""
-    eliminated = {f"zb{j}": zb.truncate(order) for j, zb in enumerate(elim.zb, start=1)}
-    eliminated["wb"] = elim.wb.truncate(order)
-    return substitute(jet, eliminated, section_parameter_alphabet(nu), order)
+    jets: list[Jet], elim: ConjugateElimination, nu: int, order: int
+) -> list[Jet]:
+    """Replace the frozen parameters (zb, wb) of jets over
+    segre_alphabet(nu) by their eliminated values, in one composition;
+    z and w stay."""
+    section = section_parameter_alphabet(nu)
+    eliminated = {f"zb{j}": zb for j, zb in enumerate(elim.zb, start=1)}
+    eliminated["wb"] = elim.wb
+    for name in section.names[: nu + 1]:
+        eliminated[name] = Jet.variable(section, order, name)
+    return compose_many(jets, eliminated, alphabet=section, order=order)
 
 
 def phi_elimination(
@@ -269,15 +283,9 @@ def phi_elimination(
     order = ch.order - 2
     if elim is None:
         elim = conjugate_elimination(ch)
-    rows: list[list[Jet | None]] = [[None] * nu for _ in range(nu)]
-    for i in range(1, nu + 1):
-        for j in range(i, nu + 1):
-            second = ch.rho.derive(f"z{i}").derive(f"z{j}")
-            value = _substitute_elimination(second, elim, nu, order)
-            rows[i - 1][j - 1] = value
-            rows[j - 1][i - 1] = value
-    return SectionHessian(
-        tuple(tuple(row) for row in rows), "elimination", order  # type: ignore[arg-type]
+    seconds = [ch.rho.derive(f"z{i + 1}").derive(f"z{j + 1}") for i, j in _upper_pairs(nu)]
+    return _section_hessian(
+        nu, _substitute_elimination(seconds, elim, nu, order), "elimination", order
     )
 
 
@@ -286,44 +294,65 @@ def phi_determinant(
 ) -> SectionHessian:
     """Section Hessian by bordered determinants of a defining function.
 
-    Uses the unsolved defining function (w - wb - 2i sigma_c) * (-i/2),
-    never the graph jet, so past that defining function the only shared
-    ingredient with the elimination route is the frozen-parameter
-    elimination itself.
+    F = w - wb - 2i sigma_c and its derivatives F_w, F_ww, F_zi, F_ziw and
+    F_zizj (i <= j) are substituted at the elimination in one composition;
+    the bordered determinants and F_w^-3 are then formed over the section
+    alphabet, which equals forming them first because composition is a
+    ring homomorphism. Each entry is homogeneous of degree zero in F, so F
+    needs no normalizing factor. The elimination lies on the incidence
+    relation, so the substituted F must be exactly zero: InvariantError is
+    raised if it is not, and the F term of each determinant drops. The
+    route reads the defining function kept by complexify, never the graph
+    jet, so past that function the only ingredient it shares with the
+    elimination route is the frozen-parameter elimination itself.
     """
     nu = ch.nu
-    order = ch.order
-    out_order = order - 2
+    order = ch.order - 2
     if elim is None:
         elim = conjugate_elimination(ch)
 
-    defining = _defining_function(ch.core, order) * GaussianRational(0, Fraction(-1, 2))
-
-    d_w = defining.derive("w").truncate(out_order)
-    d_ww = defining.derive("w").derive("w")
-    inv_w_cubed = d_w.unit_inverse() ** 3
-    d_z = {j: defining.derive(f"z{j}") for j in range(1, nu + 1)}
-    base = defining.truncate(out_order)
-
-    rows: list[list[Jet | None]] = [[None] * nu for _ in range(nu)]
-    for i in range(1, nu + 1):
-        d_zi = d_z[i].truncate(out_order)
-        d_zi_w = d_z[i].derive("w")
-        for j in range(i, nu + 1):
-            d_zj = d_z[j].truncate(out_order)
-            d_zj_w = d_z[j].derive("w")
-            d_zi_zj = d_z[i].derive(f"z{j}")
-            bordered = (
-                base * (d_zi_zj * d_ww - d_zi_w * d_zj_w)
-                - d_zj * (d_zi * d_ww - d_zi_w * d_w)
-                + d_w * (d_zi * d_zj_w - d_zi_zj * d_w)
-            )
-            value = _substitute_elimination(bordered * inv_w_cubed, elim, nu, out_order)
-            rows[i - 1][j - 1] = value
-            rows[j - 1][i - 1] = value
-    return SectionHessian(
-        tuple(tuple(row) for row in rows), "determinant", out_order  # type: ignore[arg-type]
+    d_w = ch.equation.derive("w")
+    d_z = [ch.equation.derive(f"z{j}") for j in range(1, nu + 1)]
+    pairs = _upper_pairs(nu)
+    f, f_w, f_ww, *rest = _substitute_elimination(
+        [ch.equation, d_w, d_w.derive("w")]
+        + d_z
+        + [d.derive("w") for d in d_z]
+        + [d_z[i].derive(f"z{j + 1}") for i, j in pairs],
+        elim,
+        nu,
+        order,
     )
+    if not f.is_zero():
+        raise InvariantError(
+            "defining-function identity failed: F does not vanish at the "
+            "eliminated frozen parameters"
+        )
+    f_z, f_zw, f_zz = rest[:nu], rest[nu : 2 * nu], rest[2 * nu :]
+    inv_w_cubed = f_w.unit_inverse() ** 3
+    values = [
+        (
+            f_w * (f_z[i] * f_zw[j] - f_zij * f_w)
+            - f_z[j] * (f_z[i] * f_ww - f_zw[i] * f_w)
+        )
+        * inv_w_cubed
+        for (i, j), f_zij in zip(pairs, f_zz)
+    ]
+    return _section_hessian(nu, values, "determinant", order)
+
+
+def _upper_pairs(nu: int) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i <= j, of the upper triangle, row by row."""
+    return [(i, j) for i in range(nu) for j in range(i, nu)]
+
+
+def _section_hessian(nu: int, values: list[Jet], route: str, order: int) -> SectionHessian:
+    """The symmetric matrix whose entries (i, j) and (j, i) are the value
+    of the pair (i, j) of _upper_pairs(nu)."""
+    rows: list[list[Jet | None]] = [[None] * nu for _ in range(nu)]
+    for (i, j), value in zip(_upper_pairs(nu), values):
+        rows[i][j] = rows[j][i] = value
+    return SectionHessian(tuple(tuple(row) for row in rows), route, order)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

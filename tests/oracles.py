@@ -5,7 +5,9 @@ A deliberately naive polynomial engine: exponent tuples mapped to
 repeated multiplication. It shares no code with the package kernel
 (no packed monomial codes, no shared coefficient class), so agreement
 between the two is evidence, not tautology. Matrix inertia likewise
-comes from the characteristic polynomial, not from a congruence.
+comes from the characteristic polynomial, not from a congruence. The
+previous section-Hessian routes at the end are the exception: they run
+on the package's jets and are the reference for the rewritten routes.
 """
 
 from __future__ import annotations
@@ -252,3 +254,71 @@ def poly_to_jet(p: Poly, alphabet, order: int):
         if sum(m) <= order and (re, im) != (Fraction(0), Fraction(0)):
             terms[alphabet.encode(m)] = GaussianRational(re, im)
     return Jet(alphabet, order, terms)
+
+
+# The section-Hessian routes as they were before the elimination solved nu
+# equations: (zb, wb) from all nu + 1 incidence equations, and bordered
+# determinants multiplied over the Segre alphabet before substituting. The
+# rewritten routes rest on the reality and homomorphism identities instead,
+# so equal results are evidence that those identities are applied right.
+
+
+def previous_conjugate_elimination(ch):
+    """(zb, wb) solving rho(z, ab, bb) = w and d rho/d z_j = wp_j together."""
+    from crjets import Alphabet, Jet, implicit_solve
+    from crjets.segre import section_parameter_alphabet
+
+    nu, order = ch.nu, ch.order
+    zs = [f"z{j}" for j in range(1, nu + 1)]
+    wps = [f"wp{j}" for j in range(1, nu + 1)]
+    abs_ = [f"ab{j}" for j in range(1, nu + 1)]
+    big5 = Alphabet(zs + ["w"] + wps + abs_ + ["bb"], None)
+    renaming = {f"zb{j}": f"ab{j}" for j in range(1, nu + 1)}
+    renaming["wb"] = "bb"
+    equations = [ch.rho.rename(renaming, big5) - Jet.variable(big5, order, "w")]
+    for j in range(1, nu + 1):
+        d = ch.rho.derive(f"z{j}").rename(renaming, big5)
+        equations.append(d - Jet.variable(big5, order - 1, f"wp{j}"))
+    solved = implicit_solve(equations, abs_ + ["bb"], target=section_parameter_alphabet(nu))
+    return tuple(solved[:nu]), solved[nu]
+
+
+def previous_phi_determinant(ch, zb, wb):
+    """Entries of the bordered-determinant route, multiplied over the Segre
+    alphabet and then substituted at the eliminated (zb, wb)."""
+    from crjets import GaussianRational, Jet
+    from crjets.jets import substitute
+    from crjets.rationals import HALF
+    from crjets.segre import section_parameter_alphabet
+
+    nu, order = ch.nu, ch.order
+    out = order - 2
+    big = ch.rho.alphabet
+    w, wbv = Jet.variable(big, order, "w"), Jet.variable(big, order, "wb")
+    sigma = substitute(ch.core.phi, {"s": (w + wbv) * HALF}, big, order)
+    f = (w - wbv - sigma * GaussianRational(0, 2)) * GaussianRational(0, Fraction(-1, 2))
+    d_w = f.derive("w").truncate(out)
+    d_ww = f.derive("w").derive("w")
+    inv_w_cubed = d_w.unit_inverse() ** 3
+    d_z = {j: f.derive(f"z{j}") for j in range(1, nu + 1)}
+    base = f.truncate(out)
+    eliminated = {f"zb{j}": v.truncate(out) for j, v in enumerate(zb, start=1)}
+    eliminated["wb"] = wb.truncate(out)
+    rows = [[None] * nu for _ in range(nu)]
+    for i in range(1, nu + 1):
+        d_zi = d_z[i].truncate(out)
+        d_zi_w = d_z[i].derive("w")
+        for j in range(i, nu + 1):
+            d_zj = d_z[j].truncate(out)
+            d_zj_w = d_z[j].derive("w")
+            d_zi_zj = d_z[i].derive(f"z{j}")
+            bordered = (
+                base * (d_zi_zj * d_ww - d_zi_w * d_zj_w)
+                - d_zj * (d_zi * d_ww - d_zi_w * d_w)
+                + d_w * (d_zi * d_zj_w - d_zi_zj * d_w)
+            )
+            value = substitute(
+                bordered * inv_w_cubed, eliminated, section_parameter_alphabet(nu), out
+            )
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
+    return tuple(tuple(row) for row in rows)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crjets import (
     GaussianRational,
@@ -19,6 +20,8 @@ from crjets import (
     t_hessian,
 )
 from crjets.errors import PreconditionError
+from crjets.germs import at_t_zero
+from crjets.jets import substitute
 
 from germ_corpus import (
     rand_fraction,
@@ -211,3 +214,40 @@ def test_levi_form_needs_the_quadratic_part():
         t_hessian(germ)
     empty = make_germ(0, 0, Jet.zero(standard_alphabet(0, 0), 1))
     assert levi_form(empty).matrix == ()
+
+
+# ---------------------------------------------------------------------------
+# restriction to t = 0
+# ---------------------------------------------------------------------------
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def jets_with_t(draw):
+    """(nu, jet) with jet a complex jet over standard_alphabet(nu, nprime);
+    nu = 4 with nprime >= 1 has 16-bit fields over a 6-bit central alphabet."""
+    nu = draw(st.integers(0, 4))
+    alpha = standard_alphabet(nu, draw(st.integers(0, 3)))
+    order = draw(st.integers(1, 6))
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        exps = [0] * alpha.nvars
+        for _ in range(draw(st.integers(0, order))):
+            exps[draw(st.integers(0, alpha.nvars - 1))] += 1
+        terms[alpha.encode(exps)] = GaussianRational(draw(small), draw(small))
+    return nu, Jet(alpha, order, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(jets_with_t())
+@example((0, Jet.variable(standard_alphabet(0, 0), 3, "s")))
+@example((4, Jet.variable(standard_alphabet(4, 3), 5, "t3") * Jet.variable(standard_alphabet(4, 3), 5, "z4")))
+def test_t_zero_restriction_matches_substitution(case):
+    nu, jet = case
+    t_names = [n for n in jet.alphabet.names if n.startswith("t")]
+    central = standard_alphabet(nu, 0)
+    expected = substitute(jet, dict.fromkeys(t_names, 0), central, jet.order)
+    got = at_t_zero(jet, nu)
+    assert got == expected
+    assert got.alphabet == central

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crjets import (
     Alphabet,
+    ConjugateElimination,
     GaussianRational,
     I,
     Jet,
@@ -25,9 +27,10 @@ from crjets import (
     segre_section,
     standard_alphabet,
 )
-from crjets.errors import DegenerateFormError, PreconditionError
+from crjets.errors import DegenerateFormError, InvariantError, PreconditionError
 
 from germ_corpus import random_central, random_height, random_rigid_central
+from oracles import previous_conjugate_elimination, previous_phi_determinant
 
 
 def central(phi_builder, nu=1, order=6):
@@ -96,6 +99,71 @@ def test_phi_routes_agree_on_random_central_germs():
         second = phi_determinant(ch, elim)
         assert first.same_entries(second)
         assert first.route != second.route
+
+
+def assert_same_jet(got, expected):
+    """Equal alphabet and order, then equal homogeneous parts degree by degree."""
+    assert (got.alphabet, got.order) == (expected.alphabet, expected.order)
+    for k in range(expected.order + 1):
+        assert got.homogeneous_part(k) == expected.homogeneous_part(k), k
+
+
+@st.composite
+def section_germs(draw):
+    """random_central with nu in 1..3 and order 4..7 (nu + order <= 8 keeps
+    an example well under a second), or a random_rigid_central."""
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return random_rigid_central(random.Random(seed), order=draw(st.integers(4, 7)))
+    nu = draw(st.integers(1, 3))
+    order = draw(st.integers(4, 8 - nu))
+    return random_central(random.Random(seed), nu=nu, order=order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(section_germs())
+@example(random_central(random.Random(41), nu=3, order=5))
+@example(random_central(random.Random(42), nu=2, order=6))
+@example(random_central(random.Random(43), nu=1, order=7))
+@example(random_rigid_central(random.Random(44), order=7))
+def test_routes_match_the_previous_elimination_and_determinant(germ):
+    """The nu-equation elimination and the substitute-first determinant
+    equal the nu + 1 equation elimination and the multiply-first
+    determinant of tests/oracles.py exactly."""
+    ch = complexify(germ)
+    elim = conjugate_elimination(ch)
+    zb, wb = previous_conjugate_elimination(ch)
+    assert len(elim.zb) == len(zb) == germ.nu
+    for got, expected in zip(elim.zb + (elim.wb,), zb + (wb,)):
+        assert_same_jet(got, expected)
+    expected = previous_phi_determinant(ch, zb, wb)
+    for hessian in (phi_determinant(ch, elim), phi_elimination(ch, elim)):
+        assert hessian.order == germ.order - 2
+        for row, expected_row in zip(hessian.entries, expected):
+            for entry, expected_entry in zip(row, expected_row):
+                assert_same_jet(entry, expected_entry)
+
+
+def cubed_z1(jet):
+    z1 = Jet.variable(jet.alphabet, jet.order, "z1")
+    return jet + z1 * z1 * z1
+
+
+@pytest.mark.parametrize("corrupted", ["wb", "zb1", "zb2"])
+def test_corrupted_elimination_fails_the_defining_function_identity(corrupted):
+    """The substituted defining function must vanish; a z1^3 term added to
+    wb or to one zb breaks it, and the determinant route says so."""
+    ch = complexify(random_central(random.Random(5), nu=2, order=6))
+    elim = conjugate_elimination(ch)
+    if corrupted == "wb":
+        bad = ConjugateElimination(elim.zb, cubed_z1(elim.wb))
+    else:
+        k = int(corrupted[2:]) - 1
+        zb = tuple(cubed_z1(v) if j == k else v for j, v in enumerate(elim.zb))
+        bad = ConjugateElimination(zb, elim.wb)
+    phi_determinant(ch, elim)
+    with pytest.raises(InvariantError, match="defining-function identity"):
+        phi_determinant(ch, bad)
 
 
 def test_phi_entries_are_symmetric_for_two_variables():

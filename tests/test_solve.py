@@ -196,7 +196,8 @@ def test_graded_sweeps_match_full_precision_chord(system):
 
 
 def test_conjugate_elimination_system_matches_full_precision_chord(monkeypatch):
-    """The nu=2 incidence system that conjugate_elimination solves."""
+    """The nu=2 system that conjugate_elimination solves: the two slope
+    equations, for the two stand-ins ab of zb."""
     calls = []
 
     def recording_solve(equations, unknowns, **kwargs):
@@ -207,7 +208,7 @@ def test_conjugate_elimination_system_matches_full_precision_chord(monkeypatch):
     monkeypatch.setattr("crjets.segre.implicit_solve", recording_solve)
     conjugate_elimination(ch)
     [(equations, unknowns)] = calls
-    assert len(unknowns) == 3
+    assert len(unknowns) == 2
     assert_matches_reference(equations, unknowns)
 
 
