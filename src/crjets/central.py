@@ -33,10 +33,10 @@ from fractions import Fraction
 from .alphabet import Alphabet
 from .errors import (
     DegenerateFormError,
-    InvariantError,
     NotDivisibleError,
     PreconditionError,
     SingularJacobianError,
+    certify,
 )
 from .germs import StructureGerm, at_t_zero, make_germ, standard_alphabet, t_hessian
 from .jets import Jet, jet_sqrt, substitute
@@ -68,9 +68,8 @@ def central_manifold(germ: StructureGerm) -> CentralManifold:
         raise DegenerateFormError(
             "t-Hessian at the origin is singular; the critical graph is not isolated"
         ) from None
-    for g in graph:
-        if not g.is_real():
-            raise InvariantError("critical graph of a real jet came out non-real")
+    certify(all(g.is_real() for g in graph), "central_manifold", "critical graph is real",
+            "critical graph of a real jet came out non-real")
 
     # Promotion is exact here: phi has no t-linear terms with constant
     # coefficient, so top-order terms of F influence phi(., F) only
@@ -162,7 +161,6 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
     """
     order = germ.order
     full = germ.alphabet
-    npr = germ.nprime
 
     if not is_straightened(germ):
         raise PreconditionError(
@@ -170,12 +168,7 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
         )
 
     base = at_t_zero(germ.phi, germ.nu)
-
-    if npr == 0:
-        return MorseNormalForm(germ, base, (), (), ())
-
-    hess = t_hessian(germ)
-    congruence, diag = symmetric_diagonalize(hess)
+    congruence, diag = symmetric_diagonalize(t_hessian(germ))
     if any(d == 0 for d in diag):
         raise DegenerateFormError("constant t-Hessian is singular")
 
@@ -206,17 +199,17 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
         try:
             quotient = doubly.divide_by_coordinate(tname).divide_by_coordinate(tname)
         except NotDivisibleError:
-            raise InvariantError(
+            quotient = None
+        certify(quotient is not None, "morse_normalize", "completed square divides by t^2",
                 "square completion left terms below quadratic t-degree; "
-                "the critical point was not critical"
-            ) from None
+                "the critical point was not critical")
 
         unshift = Jet.variable(full, order - 2, tname) - critical_full.truncate(order - 2)
         factor = substitute(quotient, {tname: unshift}, full, order - 2)
 
         c0 = factor.constant_term()
-        if not c0.is_real() or c0.is_zero():
-            raise InvariantError(f"square coefficient {c0} is not a nonzero rational")
+        certify(c0.is_real() and not c0.is_zero(), "morse_normalize", "coefficient is rational",
+                f"square coefficient {c0} is not a nonzero rational")
         c = c0.real
         root = jet_sqrt(factor * (Fraction(1) / c))
         # root has constant term one; reliable at order - 2.
@@ -228,10 +221,8 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
         coeffs.append(c)
         remainder = rest
 
-    if not remainder.is_zero():
-        raise InvariantError(
-            "Morse remainder after eliminating every t variable is nonzero"
-        )
+    certify(remainder.is_zero(), "morse_normalize", "remainder vanishes",
+            "Morse remainder after eliminating every t variable is nonzero")
 
     back = _linear_t_change(invert_matrix(congruence), t_names, full, order - 1)
     maps = tuple(substitute(v, back, full, order - 1) for v in squares)
@@ -243,6 +234,6 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
         maps,
         tuple(tuple(row) for row in congruence),
     )
-    if form.reconstruct() != germ.phi:
-        raise InvariantError("Morse reconstruction failed to reproduce phi exactly")
+    certify(form.reconstruct() == germ.phi, "morse_normalize", "squares reconstruct phi",
+            "Morse reconstruction failed to reproduce phi exactly")
     return form

@@ -7,9 +7,16 @@ library, and prints a deterministic report (text by default, JSON with
 Exit codes: 0 success, 1 malformed input, 2 precondition violation,
 3 internal invariant violation. Each cmd_* function returns its input
 echo, results, reliable orders and, under --check, its checks; payload()
-frames them into the report. A check that is False fails the run with
-exit 3, empty stdout and "invariant violated: <command> --check failed:
-<keys>" on stderr.
+runs it inside one record of certificates (errors.recording) and frames
+them into the report. Five keys read that record and hold when every
+entry of their identity held: phi's routes_agree and
+independent_routes_agree and rigid-check's independent_routes_agree (the
+route comparison of certified_section_hessian), central's
+gradient_vanishes_on_graph (the solver's final composition, which in
+central solves the gradient for the critical graph) and normalize's
+reconstruction_is_exact. The other checks are computed under --check.
+A check that is False fails the run with exit 3, empty stdout and
+"invariant violated: <command> --check failed: <keys>" on stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .equivalence import (
     split_core,
     verify_lift,
 )
-from .errors import InvariantError, ParseError, PreconditionError
+from .errors import InvariantError, ParseError, PreconditionError, certify, held, recording
 from .germs import (
     LeviForm,
     StructureGerm,
@@ -47,7 +54,7 @@ from .io import (
     load_json,
     map_from_json,
 )
-from .jets import Jet, compose, substitute
+from .jets import Jet, compose
 from .marson import external_levi, external_lift, lift_levi_relation, predicted_external_levi
 from .rationals import GaussianRational
 from .segre import (
@@ -202,19 +209,10 @@ def cmd_central(args: argparse.Namespace) -> Sections:
         "straightened_phi": flat.phi,
         "straightened": is_straightened(flat),
     }
-    checks = None
-    if args.check:
-        full = germ.alphabet
-        on_graph = {
-            name: g.rename({}, full) for name, g in zip(germ.t_names(), manifold.graph)
-        }
-        checks = {
-            "gradient_vanishes_on_graph": all(
-                substitute(germ.phi.derive(name), on_graph, full, germ.order - 1).is_zero()
-                for name in germ.t_names()
-            ),
-            "restriction_is_real": manifold.sigma.is_real(),
-        }
+    checks = {
+        "gradient_vanishes_on_graph": held("residual is zero"),
+        "restriction_is_real": manifold.sigma.is_real(),
+    } if args.check else None
     reliable = {"graph": germ.order - 1, "restricted_phi": germ.order, "straightened_phi": germ.order}
     return _germ_echo(germ), results, reliable, checks
 
@@ -230,7 +228,7 @@ def cmd_normalize(args: argparse.Namespace) -> Sections:
         "square_maps": dict(zip(flat.t_names(), form.maps)),
         "congruence": form.congruence,
     }
-    checks = {"reconstruction_is_exact": form.reconstruct() == flat.phi} if args.check else None
+    checks = {"reconstruction_is_exact": held("squares reconstruct phi")} if args.check else None
     reliable = {"base": germ.order, "square_maps": germ.order - 1}
     return _germ_echo(germ), results, reliable, checks
 
@@ -241,14 +239,12 @@ def cmd_phi(args: argparse.Namespace) -> Sections:
     results = {
         "reduced_to_center_first": bool(germ.nprime),
         "entries": hessian.entries,
-        "routes_agree": True,
+        "routes_agree": held("routes agree"),
     }
-    checks = None
-    if args.check:
-        checks = {
-            "hessian_is_symmetric": hessian.entries == tuple(zip(*hessian.entries)),
-            "independent_routes_agree": True,
-        }
+    checks = {
+        "hessian_is_symmetric": hessian.entries == tuple(zip(*hessian.entries)),
+        "independent_routes_agree": results["routes_agree"],
+    } if args.check else None
     return _germ_echo(germ), results, {"entries": hessian.order}, checks
 
 
@@ -288,7 +284,7 @@ def cmd_rigid_check(args: argparse.Namespace) -> Sections:
         ],
         "note": report.note,
     }
-    checks = {"independent_routes_agree": report.routes_agree} if args.check else None
+    checks = {"independent_routes_agree": held("routes agree")} if args.check else None
     return _germ_echo(germ), results, {"test": report.order}, checks
 
 
@@ -317,8 +313,7 @@ def cmd_lift(args: argparse.Namespace) -> Sections:
     lift = lift_equivalence(eq, source, target)
     verdict = verify_lift(lift)
     # the lift is certified whether or not --check asks for the report
-    if not verdict.ok:
-        raise InvariantError("lift verification failed after construction")
+    certify(verdict.ok, "lift", "lift verifies", "lift verification failed after construction")
     results = {
         "multiplier": lift.multiplier,
         "scale_at_origin": lift.scale,
@@ -371,7 +366,8 @@ def payload(args: argparse.Namespace) -> dict[str, Any]:
     as they are; a check whose value is False raises InvariantError
     naming the command and the failed keys."""
     command = _COMMANDS[args.command]
-    echo, results, reliable, checks = command.run(args)
+    with recording():
+        echo, results, reliable, checks = command.run(args)
     report = {
         "command": args.command,
         "input": echo,

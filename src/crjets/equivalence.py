@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .errors import InvariantError, NotDivisibleError, PreconditionError
+from .errors import NotDivisibleError, PreconditionError, certify
 from .germs import (
     StructureGerm,
     at_t_zero,
@@ -154,14 +154,14 @@ def extract_multiplier(eq: CentralEquivalence) -> Jet:
     try:
         ratio = shifted.divide_by_coordinate("v")
     except NotDivisibleError:
-        raise InvariantError(
+        ratio = None
+    certify(ratio is not None, "extract_multiplier", "defect vanishes on the source",
             "defect failed to vanish on the source hypersurface after the "
-            "identity was already validated"
-        ) from None
+            "identity was already validated")
     unshift = Jet.variable(big, order - 1, "v") - sigma1.truncate(order - 1)
     multiplier = substitute(ratio, {"v": unshift}, big, order - 1)
-    if not multiplier.is_real():
-        raise InvariantError("multiplier of real defining data must be real")
+    certify(multiplier.is_real(), "extract_multiplier", "multiplier is real",
+            "multiplier of real defining data must be real")
     return multiplier
 
 
@@ -269,8 +269,8 @@ def lift_equivalence(
     t_maps = []
     for l in range(1, source_model.nprime + 1):
         t_map = Jet.variable(full, order - 1, f"t{l}") * root * scale
-        if not t_map.is_real():
-            raise InvariantError("lifted t component of real data must be real")
+        certify(t_map.is_real(), "lift_equivalence", "t components are real",
+                "lifted t component of real data must be real")
         t_maps.append(t_map)
     return LiftedEquivalence(
         eq, source_model, target_model, tuple(z_maps), w_map, tuple(t_maps), scale, multiplier
@@ -314,9 +314,7 @@ def verify_lift(lift: LiftedEquivalence) -> LiftVerification:
         total = total + tk * tk * c
     defining = lift.w_map.imag_part() == total
 
-    solutions = all(is_solution(src, jet) for jet in lift.z_maps) and is_solution(
-        src, lift.w_map
-    )
+    solutions = is_solution(src, *lift.z_maps, lift.w_map)
 
     central = standard_alphabet(nu, 0)
     z_restricted = [at_t_zero(jet, nu) for jet in lift.z_maps]

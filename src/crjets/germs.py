@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .alphabet import Alphabet
-from .errors import InvariantError, PreconditionError
+from .errors import PreconditionError, certify
 from .jets import Jet, compose
 from .linalg import hermitian_signature
 from .rationals import ZERO, GaussianRational, I, MINUS_I
@@ -204,9 +204,11 @@ def frame(germ: StructureGerm) -> list[VectorField]:
     return fields
 
 
-def is_solution(germ: StructureGerm, jet: Jet) -> bool:
-    """True when every frame field annihilates the jet (at the shared order)."""
-    return all(field.apply(jet).is_zero() for field in frame(germ))
+def is_solution(germ: StructureGerm, *jets: Jet) -> bool:
+    """True when every frame field annihilates every jet (at the shared
+    order); the frame is built once for all of them."""
+    fields = frame(germ)
+    return all(field.apply(jet).is_zero() for jet in jets for field in fields)
 
 
 @dataclass(frozen=True)
@@ -285,13 +287,9 @@ def _levi_matrix(germ: StructureGerm) -> list[list[GaussianRational]]:
             for p, q in {(a, b), (b, a)}:
                 if p in row_of and q in col_of:
                     m[row_of[p]][col_of[q]] = value
-    for i in range(size):
-        for j in range(size):
-            if m[i][j] != m[j][i].conjugate():
-                raise InvariantError(
-                    "Levi matrix of a real jet failed to be Hermitian; "
-                    "coefficient extraction is corrupted"
-                )
+    certify(all(m[i][j] == m[j][i].conjugate() for i in range(size) for j in range(size)),
+            "levi_matrix", "Levi matrix is Hermitian",
+            "Levi matrix of a real jet failed to be Hermitian; coefficient extraction is corrupted")
     return m
 
 

@@ -33,11 +33,11 @@ from . import _kernels
 from .alphabet import Alphabet
 from .errors import (
     AlphabetMismatchError,
-    InvariantError,
     NonUnitConstantError,
     NotDivisibleError,
     OrderMismatchError,
     PreconditionError,
+    certify,
 )
 from .rationals import ZERO, GaussianRational, as_gaussian
 
@@ -247,11 +247,9 @@ class Jet:
                 f"cannot promote order {self.order} jet down to {order}; use truncate"
             )
         low = self.valuation()
-        if low is not None and low < min_valuation:
-            raise InvariantError(
+        certify(low is None or low >= min_valuation, "promote", "valuation bound of a promotion",
                 f"promotion to order {order} assumes valuation >= {min_valuation}, "
-                f"but the jet has a term of degree {low}"
-            )
+                f"but the jet has a term of degree {low}")
         return self.with_order(order)
 
     def _check_compatible(self, other: Jet) -> None:

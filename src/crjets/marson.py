@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .errors import InvariantError, PreconditionError
+from .errors import PreconditionError, certify
 from .germs import (
     LeviForm,
     StructureGerm,
@@ -71,8 +71,9 @@ def external_lift(germ: StructureGerm) -> ExternalLift:
         tvar = Jet.variable(full, order, f"t{l}")
         back[f"z{nu + l}"] = tvar * I
         back[f"zb{nu + l}"] = tvar * MINUS_I
-    if substitute(phi_lift, back, full, order) != germ.phi:
-        raise InvariantError("re-substituting the slice did not recover phi")
+    on_slice = substitute(phi_lift, back, full, order)
+    certify(on_slice == germ.phi, "external_lift", "slice recovers phi",
+            "re-substituting the slice did not recover phi")
 
     integrals = first_integrals(lifted)
     pulled = [
@@ -84,10 +85,8 @@ def external_lift(germ: StructureGerm) -> ExternalLift:
     ]
     expected = nu + npr + 1
     got = rank(linear_rows)
-    if got != expected:
-        raise InvariantError(
-            f"pulled-back first integrals span rank {got}, expected {expected}"
-        )
+    certify(got == expected, "external_lift", "first integrals have full rank",
+            f"pulled-back first integrals span rank {got}, expected {expected}")
     return ExternalLift(germ, lifted, tuple(chart))
 
 
@@ -189,12 +188,8 @@ def descend_map(
     along = {"w": Jet.variable(full, order, "s") + germ.phi * I}
     pulled_core = [substitute(jet, along, full, order) for jet in core_map]
     pulled_shear = [substitute(jet, along, full, order) for jet in shear]
-    for jet in pulled_core + pulled_shear:
-        if not is_solution(germ, jet):
-            raise InvariantError(
-                "pullback of a holomorphic map component is not annihilated "
-                "by the frame"
-            )
+    certify(is_solution(germ, *pulled_core, *pulled_shear), "descend_map", "frame kills pullbacks",
+            "pullback of a holomorphic map component is not annihilated by the frame")
 
     new_z = tuple(pulled_core[:nu])
     new_w = pulled_core[nu]

@@ -47,9 +47,9 @@ from .alphabet import Alphabet
 from .central import central_manifold
 from .errors import (
     DegenerateFormError,
-    InvariantError,
     PreconditionError,
     SingularJacobianError,
+    certify,
 )
 from .germs import StructureGerm
 from .jets import Jet, compose_many, substitute
@@ -126,14 +126,11 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
     graph = implicit_solve([equation], ["w"])[0]
     rho = graph.rename({}, big)
 
-    if rho.coefficient({"wb": 1}) != as_gaussian(1):
-        raise InvariantError("graph jet must start as wb plus higher terms")
+    certify(rho.coefficient({"wb": 1}) == as_gaussian(1), "complexify", "graph starts as wb",
+            "graph jet must start as wb plus higher terms")
     round_trip = substitute(rho, {"wb": rho.conjugate()}, big, order)
-    if round_trip != Jet.variable(big, order, "w"):
-        raise InvariantError(
-            "reality identity failed: reflecting the graph through itself "
-            "did not return w"
-        )
+    certify(round_trip == Jet.variable(big, order, "w"), "complexify", "reality identity",
+            "reality identity failed: reflecting the graph through itself did not return w")
     return ComplexifiedHypersurface(core, rho, equation)
 
 
@@ -243,9 +240,6 @@ class SectionHessian:
     def nu(self) -> int:
         return len(self.entries)
 
-    def same_entries(self, other: SectionHessian) -> bool:
-        return self.entries == other.entries
-
     def w_offenders(self) -> list[tuple[int, int, tuple[int, ...], GaussianRational]]:
         """Monomials with positive w-exponent, as (row, col, exponents, coeff)."""
         out = []
@@ -323,11 +317,9 @@ def phi_determinant(
         nu,
         order,
     )
-    if not f.is_zero():
-        raise InvariantError(
+    certify(f.is_zero(), "phi_determinant", "F vanishes at the elimination",
             "defining-function identity failed: F does not vanish at the "
-            "eliminated frozen parameters"
-        )
+            "eliminated frozen parameters")
     f_z, f_zw, f_zz = rest[:nu], rest[nu : 2 * nu], rest[2 * nu :]
     inv_w_cubed = f_w.unit_inverse() ** 3
     values = [
@@ -360,7 +352,6 @@ class RigidityReport:
     consistent: bool
     offenders: tuple[tuple[int, int, tuple[int, ...], GaussianRational], ...]
     order: int
-    routes_agree: bool
     note: str
 
 
@@ -373,11 +364,9 @@ def certified_section_hessian(germ: StructureGerm) -> SectionHessian:
     elim = conjugate_elimination(ch)
     by_determinant = phi_determinant(ch, elim)
     by_elimination = phi_elimination(ch, elim)
-    if not by_determinant.same_entries(by_elimination):
-        raise InvariantError(
-            "determinant and elimination routes disagree; coefficient "
-            "arithmetic is corrupted"
-        )
+    agree = by_determinant.entries == by_elimination.entries
+    certify(agree, "certified_section_hessian", "routes agree",
+            "determinant and elimination routes disagree; coefficient arithmetic is corrupted")
     return by_determinant
 
 
@@ -400,7 +389,7 @@ def rigid_phi_test(germ: StructureGerm) -> RigidityReport:
             f"no w-dependence through order {hessian.order}: consistent "
             "with a rigid-analytic model, not a proof beyond this order"
         )
-    return RigidityReport(not offenders, offenders, hessian.order, True, note)
+    return RigidityReport(not offenders, offenders, hessian.order, note)
 
 
 class OdeUnsolvableError(PreconditionError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .errors import InvariantError, PreconditionError, SingularJacobianError
+from .errors import PreconditionError, SingularJacobianError, certify
 from .jets import Jet, compose_many
 from .linalg import invert_matrix
 
@@ -104,11 +104,9 @@ def implicit_solve(
         )
         for i, r in enumerate(residuals):
             low = r.valuation()
-            if low is not None and low < k:
-                raise InvariantError(
+            certify(low is None or low >= k, "implicit_solve", "sweep residual valuation",
                     f"chord sweep {k}: residual of equation {i} has a term of "
-                    f"degree {low}, below the swept degree {k}"
-                )
+                    f"degree {low}, below the swept degree {k}")
         for j in range(len(unknowns)):
             delta = Jet.zero(target, k)
             for i, r in enumerate(residuals):
@@ -122,11 +120,9 @@ def implicit_solve(
     assignment = {n: Jet.variable(target, work_order, n) for n in params}
     assignment.update(zip(unknowns, guesses))
     residuals = compose_many(eqs, assignment, alphabet=target, order=work_order)
-    if not all(r.is_zero() for r in residuals):
-        raise InvariantError(
+    certify(all(r.is_zero() for r in residuals), "implicit_solve", "residual is zero",
             "chord iteration failed to reach an exactly zero residual; "
-            "this indicates corrupted coefficient arithmetic"
-        )
+            "this indicates corrupted coefficient arithmetic")
     return guesses
 
 

@@ -47,6 +47,7 @@ from crjets import (
     verify_lift,
 )
 from crjets.alphabet import Alphabet
+from crjets.errors import recording
 
 from germ_corpus import (
     random_central,
@@ -186,10 +187,11 @@ def test_criterion_6_rigid():
     rng = random.Random(41006)
     for _ in range(20):
         germ = random_rigid_central(rng, nu=1, order=6, degmax=3)
-        report = rigid_phi_test(germ)
+        with recording() as record:
+            report = rigid_phi_test(germ)
         assert report.offenders == ()
         assert report.consistent
-        assert report.routes_agree
+        assert ("certified_section_hessian", "routes agree", True) in record
     quadric = rigid_phi_test(quadric_germ((1,), order=8))
     assert quadric.consistent and quadric.offenders == ()
 

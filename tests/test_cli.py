@@ -11,8 +11,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crjets import cli
-from crjets.errors import InvariantError
+from crjets import central, cli, segre, solve
+from crjets.errors import InvariantError, recording
 from crjets.io import canonical_dumps
 
 from germ_corpus import random_definite_germ, random_germ, random_height
@@ -371,6 +371,56 @@ def test_a_false_check_exits_three(tmp_path, capsys, monkeypatch):
     # without --check the relation is not consulted
     assert cli.run(["external", path]) == 0
     assert capsys.readouterr().err == ""
+
+
+def certify_falsely(monkeypatch, module, identity):
+    """Make the module's certificate of one identity record holds=False
+    without raising; every other certificate runs as before."""
+    real = module.certify
+
+    def certify(holds, stage, name, message):
+        if name != identity:
+            return real(holds, stage, name, message)
+        with pytest.raises(InvariantError):
+            real(False, stage, name, message)
+
+    monkeypatch.setattr(module, "certify", certify)
+
+
+RECORD_BACKED = [
+    ("phi", QUADRIC, segre, "routes agree", "independent_routes_agree"),
+    ("rigid-check", QUADRIC, segre, "routes agree", "independent_routes_agree"),
+    ("central", TILTED, solve, "residual is zero", "gradient_vanishes_on_graph"),
+    ("normalize", SPLIT_MODEL, central, "squares reconstruct phi", "reconstruction_is_exact"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, germ, module, identity, key", RECORD_BACKED, ids=[c[0] for c in RECORD_BACKED]
+)
+def test_record_backed_checks_read_the_record(
+    tmp_path, capsys, monkeypatch, command, germ, module, identity, key
+):
+    path = drop(tmp_path, "g.json", germ)
+    certify_falsely(monkeypatch, module, identity)
+    assert cli.run([command, path, "--check"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"invariant violated: {command} --check failed: {key}\n"
+
+
+def test_phi_routes_agree_result_reads_the_record(tmp_path, capsys, monkeypatch):
+    path = drop(tmp_path, "g.json", QUADRIC)
+    certify_falsely(monkeypatch, segre, "routes agree")
+    assert cli.run(["phi", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["routes_agree"] is False
+
+
+def test_each_call_records_into_its_own_record(tmp_path):
+    path = drop(tmp_path, "g.json", SPLIT_MODEL)
+    with recording() as outer:
+        assert cli.run(["normalize", path, "--check"]) == 0
+    assert outer == []
 
 
 # ---------------------------------------------------------------------------

@@ -96,3 +96,31 @@ def test_package_definitions_are_reachable():
         if name not in exported and not referrers.get(name, set()) - {(module, name)}
     ]
     assert not unreached, "definitions nothing in src/crjets uses:\n" + "\n".join(unreached)
+
+
+def _raise_sites(node: ast.AST, name: str, owner: str | None = None):
+    """(innermost enclosing function, line) of each ``raise name(...)``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raise_sites(child, name, child.name)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if getattr(exc, "id", None) == name or getattr(exc, "attr", None) == name:
+                yield owner, child.lineno
+        yield from _raise_sites(child, name, owner)
+
+
+def test_invariant_errors_are_raised_through_certify():
+    """Every InvariantError of the package comes from errors.certify, so a
+    check that ran is in the open record; cli.payload's --check policy,
+    which reads that record, is the one other raise."""
+    sites = {
+        (path.name, owner, line)
+        for path in sorted((ROOT / "src" / "crjets").glob("*.py"))
+        for owner, line in _raise_sites(ast.parse(path.read_text()), "InvariantError")
+    }
+    assert {(name, owner) for name, owner, _ in sites} == {
+        ("errors.py", "certify"),
+        ("cli.py", "payload"),
+    }, sorted(sites, key=str)

@@ -27,7 +27,7 @@ from crjets import (
     segre_section,
     standard_alphabet,
 )
-from crjets.errors import DegenerateFormError, InvariantError, PreconditionError
+from crjets.errors import DegenerateFormError, InvariantError, PreconditionError, recording
 
 from germ_corpus import random_central, random_height, random_rigid_central
 from oracles import previous_conjugate_elimination, previous_phi_determinant
@@ -97,7 +97,7 @@ def test_phi_routes_agree_on_random_central_germs():
         elim = conjugate_elimination(ch)
         first = phi_elimination(ch, elim)
         second = phi_determinant(ch, elim)
-        assert first.same_entries(second)
+        assert first.entries == second.entries
         assert first.route != second.route
 
 
@@ -195,9 +195,10 @@ def test_rigid_test_on_rigid_germ_with_parameters():
     a = standard_alphabet(1, 1)
     g = generators(a, 6)
     phi = g["z1"] * g["zb1"] + g["t1"] ** 2 + g["z1"] * g["zb1"] * g["t1"]
-    report = rigid_phi_test(make_germ(1, 1, phi))
+    with recording() as record:
+        report = rigid_phi_test(make_germ(1, 1, phi))
     assert report.consistent and not report.offenders
-    assert report.routes_agree
+    assert ("certified_section_hessian", "routes agree", True) in record
     assert "not a proof" in report.note
 
 
@@ -211,8 +212,9 @@ def test_rigid_test_requires_rigidity():
 def test_rigid_family_is_always_w_free():
     rng = random.Random(63)
     for _ in range(5):
-        report = rigid_phi_test(random_rigid_central(rng, order=6))
-        assert report.consistent and report.routes_agree
+        with recording() as record:
+            report = rigid_phi_test(random_rigid_central(rng, order=6))
+        assert report.consistent and ("certified_section_hessian", "routes agree", True) in record
 
 
 # ---------------------------------------------------------------------------
