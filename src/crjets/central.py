@@ -6,6 +6,14 @@ d phi / d t = 0 and is the unique such graph through 0. Restricting phi
 to the graph gives the core jet sigma(z, zb, s); moving the graph to
 {t = 0} is the straightening substitution t -> t + F.
 
+The graph is solved once per call. central_manifold composes sigma
+directly: the section Hessian (the phi and rigid-check commands) needs
+only sigma, and this is about half the work of a straightening.
+straighten composes phi(., t + F) and, given no manifold, builds no
+sigma (the normalize command). central_and_straightened, which serves
+the central command, straightens and reads sigma off the straightened
+phi as its slice at t = 0, since phi(., t + F) at t = 0 is phi(., F).
+
 For a straightened germ the difference R = phi - phi(.,0) has only
 monomials of t-degree at least two, and a parameter Morse lemma splits
 it as an exact finite sum of rational multiples of squares,
@@ -20,9 +28,12 @@ inertia is a genuine cross-check.
 Order bookkeeping: the graph F is reliable one order below the germ.
 Promoting it back when substituting into phi is exact because every
 t-linear coefficient of phi vanishes at 0, so unknown top-order terms
-of F only touch degrees beyond the germ order. The same valuation
-argument covers each promotion inside the Morse loop; comments mark
-where it is used.
+of F only touch degrees beyond the germ order. Both compositions and
+so the slice carry the germ order: setting t = 0 drops terms and keeps
+the order. The same valuation argument covers each promotion inside
+the Morse loop; comments mark where it is used. There the rest
+remainder(t_l = c) is the slice at t_l = 0 of the shifted
+remainder(t_l + c), read off with its order rather than composed.
 """
 
 from __future__ import annotations
@@ -55,44 +66,76 @@ class CentralManifold:
         return make_germ(self.germ.nu, 0, self.sigma)
 
 
-def central_manifold(germ: StructureGerm) -> CentralManifold:
-    """Critical graph t = F(z, zb, s) and the restriction sigma = phi(., F)."""
-    order = germ.order
-    if germ.nprime == 0:
-        return CentralManifold(germ, (), germ.phi)
-    central = standard_alphabet(germ.nu, 0)
+def _critical_graph(germ: StructureGerm) -> tuple[Jet, ...]:
+    """The critical graph t = F(z, zb, s), solved from d phi / d t = 0 over
+    the central alphabet and certified real; F is reliable one order
+    below the germ. A germ without t variables has the empty graph."""
+    if not germ.nprime:
+        return ()
     equations = [germ.phi.derive(name) for name in germ.t_names()]
     try:
-        graph = implicit_solve(equations, germ.t_names(), target=central)
+        graph = implicit_solve(equations, germ.t_names(), target=standard_alphabet(germ.nu, 0))
     except SingularJacobianError:
         raise DegenerateFormError(
             "t-Hessian at the origin is singular; the critical graph is not isolated"
         ) from None
-    certify(all(g.is_real() for g in graph), "central_manifold", "critical graph is real",
+    certify(all(g.is_real() for g in graph), "critical_graph", "critical graph is real",
             "critical graph of a real jet came out non-real")
+    return tuple(graph)
 
+
+def central_manifold(germ: StructureGerm) -> CentralManifold:
+    """Critical graph t = F(z, zb, s) and the restriction sigma = phi(., F),
+    composed directly: about half the work of a straightening."""
+    if germ.nprime == 0:
+        return CentralManifold(germ, (), germ.phi)
+    order = germ.order
+    graph = _critical_graph(germ)
     # Promotion is exact here: phi has no t-linear terms with constant
     # coefficient, so top-order terms of F influence phi(., F) only
     # beyond the working order.
     on_graph = {name: g.with_order(order) for name, g in zip(germ.t_names(), graph)}
-    sigma = substitute(germ.phi, on_graph, central, order)
+    sigma = substitute(germ.phi, on_graph, standard_alphabet(germ.nu, 0), order)
     make_germ(germ.nu, 0, sigma)  # eager validation: real, flat at 0
-    return CentralManifold(germ, tuple(graph), sigma)
+    return CentralManifold(germ, graph, sigma)
 
 
 def straighten(germ: StructureGerm, manifold: CentralManifold | None = None) -> StructureGerm:
-    """Move the critical graph to {t = 0} by the substitution t -> t + F."""
+    """Move the critical graph to {t = 0} by the substitution t -> t + F.
+
+    The graph is the manifold's; without one it is solved here, and no
+    sigma is built.
+    """
     if manifold is None:
-        manifold = central_manifold(germ)
+        return _shifted(germ, _critical_graph(germ))
     if manifold.germ is not germ and manifold.germ != germ:
         raise PreconditionError("manifold was computed for a different germ")
-    if germ.nprime == 0:
+    return _shifted(germ, manifold.graph)
+
+
+def central_and_straightened(germ: StructureGerm) -> tuple[CentralManifold, StructureGerm]:
+    """central_manifold(germ) and straighten(germ) from one solve.
+
+    The straightened phi is phi(., t + F), so its slice at t = 0 is
+    phi(., F) = sigma: read off by at_t_zero, not composed again. The
+    slice of a validated germ is real and flat at 0, and its order is
+    the germ order, as for the direct composition.
+    """
+    graph = _critical_graph(germ)
+    flat = _shifted(germ, graph)
+    return CentralManifold(germ, graph, at_t_zero(flat.phi, germ.nu)), flat
+
+
+def _shifted(germ: StructureGerm, graph: tuple[Jet, ...]) -> StructureGerm:
+    """phi(., t + F) over the germ alphabet at the germ order."""
+    if not graph:
         return germ
     order = germ.order
     full = germ.alphabet
+    # The promotion of F is exact for the reason given in central_manifold.
     shift = {
         name: Jet.variable(full, order, name) + g.rename({}, full).with_order(order)
-        for name, g in zip(germ.t_names(), manifold.graph)
+        for name, g in zip(germ.t_names(), graph)
     }
     phi_new = substitute(germ.phi, shift, full, order)
     return make_germ(germ.nu, germ.nprime, phi_new)
@@ -193,7 +236,8 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
         # only past the working order.
 
         shifted = substitute(remainder, {tname: tvar + critical_full}, full, order)
-        rest = substitute(remainder, {tname: critical_full}, full, order)
+        # remainder(t_l = c) is the t_l-free part of remainder(t_l + c).
+        rest = shifted.at_zero((tname,), full)
 
         doubly = shifted - rest
         try:

@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .central import central_manifold, is_straightened, morse_normalize, straighten
+from .central import central_and_straightened, is_straightened, morse_normalize, straighten
 from .equivalence import (
     equivalence_alphabet,
     lift_equivalence,
@@ -201,8 +201,7 @@ def cmd_levi(args: argparse.Namespace) -> Sections:
 
 def cmd_central(args: argparse.Namespace) -> Sections:
     germ = _parse_file(args.file, germ_from_json, args.order)
-    manifold = central_manifold(germ)
-    flat = straighten(germ, manifold)
+    manifold, flat = central_and_straightened(germ)
     results = {
         "graph": dict(zip(germ.t_names(), manifold.graph)),
         "restricted_phi": manifold.sigma,
@@ -219,7 +218,7 @@ def cmd_central(args: argparse.Namespace) -> Sections:
 
 def cmd_normalize(args: argparse.Namespace) -> Sections:
     germ = _parse_file(args.file, germ_from_json, args.order)
-    flat = straighten(germ, central_manifold(germ))
+    flat = straighten(germ)
     form = morse_normalize(flat)
     results = {
         "base": form.base,

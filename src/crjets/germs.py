@@ -97,26 +97,9 @@ def make_germ(nu: int, nprime: int, phi: Jet) -> StructureGerm:
 
 def at_t_zero(jet: Jet, nu: int) -> Jet:
     """A jet over standard_alphabet(nu, nprime) at t = 0, over
-    standard_alphabet(nu, 0): the terms whose codes have no t field, moved
-    by Alphabet.remap with no coefficient arithmetic. The order is kept."""
-    alpha = jet.alphabet
+    standard_alphabet(nu, 0), by Jet.at_zero. The order is kept."""
     central = standard_alphabet(nu, 0)
-    one = 1 << central.deg_shift
-    images = [
-        (alpha.shifts[alpha.index[name]], (1 << shift) + one)
-        for name, shift in zip(central.names, central.shifts)
-    ]
-    t_fields = sum(
-        alpha.mask << shift
-        for name, shift in zip(alpha.names, alpha.shifts)
-        if name not in central.index
-    )
-    remap = alpha.remap
-    return Jet(
-        central,
-        jet.order,
-        {remap(code, images): c for code, c in jet.terms.items() if not code & t_fields},
-    )
+    return jet.at_zero([n for n in jet.alphabet.names if n not in central.index], central)
 
 
 def first_integrals(germ: StructureGerm) -> dict[str, Jet]:
@@ -307,33 +290,30 @@ class CharacteristicCovector:
 
 
 def characteristic_covector(germ: StructureGerm) -> CharacteristicCovector:
-    """-2i * sum phi_z_j dz_j + (1 - i*phi_s) dw, with dw = ds + i*dphi."""
+    """-2i * sum phi_z_j dz_j + (1 - i*phi_s) dw, with dw = ds + i*dphi.
+
+    The imaginary part in the real basis is stated in closed form, every
+    entry at order N - 1: the zero jet on dx_j, dy_j and ds, and phi_t_l
+    on dt_l. Write a = -2i phi_z_j, c = 1 - i phi_s, P = phi_z_j +
+    phi_zb_j and Q = phi_z_j - phi_zb_j. As phi is real, phi_zb_j is the
+    conjugate of phi_z_j, so P is real, Q imaginary and a = -i(P + Q).
+    Expanding dz_j = dx_j + i dy_j and dw = ds + i dphi gives
+      dx_j: Im(a + icP) = -P + P = 0, since -iQ is real;
+      dy_j: Im(ia - cQ) = Im(P + i phi_s Q) = 0;
+      ds:   c(1 + i phi_s) = 1 + phi_s^2, which is real;
+      dt_l: Im(ic phi_t_l) = Im(i phi_t_l + phi_s phi_t_l) = phi_t_l.
+    """
     order = germ.order - 1
     alpha = germ.alphabet
     phi = germ.phi
-    phi_s = phi.derive("s")
-    c = Jet.constant(alpha, order, 1) + phi_s * MINUS_I
-
     holo: dict[str, Jet] = {}
     for j, zname in enumerate(germ.z_names(), start=1):
         holo[f"dz{j}"] = phi.derive(zname) * GaussianRational(0, -2)
-    holo["dw"] = c
+    holo["dw"] = Jet.constant(alpha, order, 1) + phi.derive("s") * MINUS_I
 
-    # Real-basis coefficients of the full covector; the imaginary parts
-    # are what characterizes it as i times a real covector plus the
-    # t-differential contribution.
-    imag: dict[str, Jet] = {}
-    for j in range(1, germ.nu + 1):
-        a = holo[f"dz{j}"]
-        phi_z = phi.derive(f"z{j}")
-        phi_zb = phi.derive(f"zb{j}")
-        dx_coeff = a + c * (phi_z + phi_zb) * I
-        dy_coeff = a * I - c * (phi_z - phi_zb)
-        imag[f"dx{j}"] = dx_coeff.imag_part()
-        imag[f"dy{j}"] = dy_coeff.imag_part()
-    ds_coeff = c * (Jet.constant(alpha, order, 1) + phi_s * I)
-    imag["ds"] = ds_coeff.imag_part()
-    for l in range(1, germ.nprime + 1):
-        dt_coeff = c * phi.derive(f"t{l}") * I
-        imag[f"dt{l}"] = dt_coeff.imag_part()
+    zero = Jet.zero(alpha, order)
+    imag = {f"d{x}{j}": zero for j in range(1, germ.nu + 1) for x in "xy"}
+    imag["ds"] = zero
+    for name in germ.t_names():
+        imag[f"d{name}"] = phi.derive(name)
     return CharacteristicCovector(holo, imag)

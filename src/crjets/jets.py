@@ -509,6 +509,22 @@ class Jet:
         # bound under which no exponent overflows a narrower target field.
         return Jet(target, self.order, terms)
 
+    def at_zero(self, names: Iterable[str], target: Alphabet) -> Jet:
+        """The jet with the variables ``names`` set to zero, over ``target``:
+        the terms whose codes have no field of those variables, with no
+        coefficient arithmetic. Over this jet's own alphabet the codes are
+        kept; otherwise they are moved by rename. The order is kept."""
+        alpha = self.alphabet
+        fields = 0
+        for name in names:
+            if name not in alpha.index:
+                raise PreconditionError(f"unknown variable {name!r}")
+            fields |= alpha.mask << alpha.shifts[alpha.index[name]]
+        kept = Jet._raw(
+            alpha, self.order, {c: v for c, v in self.terms.items() if not c & fields}
+        )
+        return kept if target == alpha else kept.rename({}, target)
+
     def _images(self, mapping: Mapping[str, str], target: Alphabet) -> list[tuple[int, int]]:
         """Alphabet.remap images sending each support variable to its
         ``mapping`` image (itself when unmapped) in ``target``."""

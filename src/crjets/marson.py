@@ -36,7 +36,7 @@ from .germs import (
     make_germ,
     standard_alphabet,
 )
-from .jets import Jet, substitute
+from .jets import Jet, compose_many, substitute
 from .linalg import rank
 from .rationals import HALF_I, I, MINUS_HALF_I, MINUS_I, GaussianRational
 
@@ -66,20 +66,21 @@ def external_lift(germ: StructureGerm) -> ExternalLift:
     phi_lift = substitute(germ.phi, absorb, big, order)
     lifted = make_germ(nu + npr, 0, phi_lift)
 
-    back: dict[str, Jet] = {}
+    # One composition over the slice for phi and the pulled first integrals;
+    # every lift variable that the slice leaves alone maps to itself.
+    back: dict[str, Jet] = {
+        name: Jet.variable(full, order, name) for name in big.names if name in full.index
+    }
     for l in range(1, npr + 1):
         tvar = Jet.variable(full, order, f"t{l}")
         back[f"z{nu + l}"] = tvar * I
         back[f"zb{nu + l}"] = tvar * MINUS_I
-    on_slice = substitute(phi_lift, back, full, order)
+    on_slice, *pulled = compose_many(
+        [phi_lift, *first_integrals(lifted).values()], back, alphabet=full, order=order
+    )
     certify(on_slice == germ.phi, "external_lift", "slice recovers phi",
             "re-substituting the slice did not recover phi")
 
-    integrals = first_integrals(lifted)
-    pulled = [
-        substitute(integrals[name], back, full, order)
-        for name in [f"z{j}" for j in range(1, nu + npr + 1)] + ["w"]
-    ]
     linear_rows = [
         [jet.coefficient({var: 1}) for var in full.names] for jet in pulled
     ]

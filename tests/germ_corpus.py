@@ -113,6 +113,31 @@ def random_germ(
             return germ
 
 
+def sparse_real_germ(
+    rng: random.Random, nu: int, nprime: int, order: int, count: int = 6
+) -> StructureGerm:
+    """Real germ of order ``order`` with an invertible t-Hessian: the real
+    part of ``count`` random terms of degrees 2..order with complex
+    coefficients, plus a nonzero t_l^2 term for each l. Sparse, so wide
+    alphabets stay cheap; a singular t-Hessian is drawn again."""
+    alphabet = standard_alphabet(nu, nprime)
+    while True:
+        terms: dict[int, GaussianRational] = {}
+        for _ in range(count):
+            exps = [0] * alphabet.nvars
+            for _ in range(rng.randint(2, order)):
+                exps[rng.randrange(alphabet.nvars)] += 1
+            code = alphabet.encode(exps)
+            terms[code] = terms.get(code, GaussianRational(0)) + rand_scalar(rng)
+        for l in range(1, nprime + 1):
+            code = alphabet.encode_dict({f"t{l}": 2})
+            terms[code] = terms.get(code, GaussianRational(0)) + rand_fraction(rng, nonzero=True)
+        germ = make_germ(nu, nprime, Jet(alphabet, order, terms).real_part())
+        h = t_hessian(germ)
+        if rank([[GaussianRational(x) for x in row] for row in h]) == nprime:
+            return germ
+
+
 def random_definite_germ(
     rng: random.Random, nu: int = 1, nprime: int = 1, order: int = 6, degmax: int = 4
 ) -> StructureGerm:

@@ -6,8 +6,9 @@ repeated multiplication. It shares no code with the package kernel
 (no packed monomial codes, no shared coefficient class), so agreement
 between the two is evidence, not tautology. Matrix inertia likewise
 comes from the characteristic polynomial, not from a congruence. The
-previous section-Hessian routes at the end are the exception: they run
-on the package's jets and are the reference for the rewritten routes.
+previous section-Hessian routes and characteristic covector at the end
+are the exception: they run on the package's jets and are the reference
+for the rewritten code.
 """
 
 from __future__ import annotations
@@ -322,3 +323,36 @@ def previous_phi_determinant(ch, zb, wb):
             )
             rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
     return tuple(tuple(row) for row in rows)
+
+
+# The characteristic covector as it was before its imaginary part was
+# stated in closed form: every real-basis coefficient is built from the
+# holomorphic one and its imaginary part taken.
+
+
+def previous_characteristic_covector(germ):
+    """CharacteristicCovector with the real-basis coefficients multiplied out."""
+    from crjets import GaussianRational, Jet
+    from crjets.germs import CharacteristicCovector
+    from crjets.rationals import I, MINUS_I
+
+    order = germ.order - 1
+    alpha = germ.alphabet
+    phi = germ.phi
+    phi_s = phi.derive("s")
+    c = Jet.constant(alpha, order, 1) + phi_s * MINUS_I
+    holo = {}
+    for j, zname in enumerate(germ.z_names(), start=1):
+        holo[f"dz{j}"] = phi.derive(zname) * GaussianRational(0, -2)
+    holo["dw"] = c
+    imag = {}
+    for j in range(1, germ.nu + 1):
+        a = holo[f"dz{j}"]
+        phi_z = phi.derive(f"z{j}")
+        phi_zb = phi.derive(f"zb{j}")
+        imag[f"dx{j}"] = (a + c * (phi_z + phi_zb) * I).imag_part()
+        imag[f"dy{j}"] = (a * I - c * (phi_z - phi_zb)).imag_part()
+    imag["ds"] = (c * (Jet.constant(alpha, order, 1) + phi_s * I)).imag_part()
+    for l in range(1, germ.nprime + 1):
+        imag[f"dt{l}"] = (c * phi.derive(f"t{l}") * I).imag_part()
+    return CharacteristicCovector(holo, imag)

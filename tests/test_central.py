@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crjets import (
     GaussianRational,
@@ -18,10 +19,11 @@ from crjets import (
     straighten,
     t_hessian,
 )
+from crjets.central import central_and_straightened
 from crjets.errors import DegenerateFormError, PreconditionError
 from crjets.linalg import hermitian_signature
 
-from germ_corpus import random_germ
+from germ_corpus import random_germ, sparse_real_germ
 
 
 def germ_zzb_t2_st(order=6):
@@ -140,3 +142,16 @@ def test_graph_gradient_residual_on_random_germs():
                     vec[flat.alphabet.index[t]] for t in flat.t_names()
                 )
                 assert tdeg >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 3), st.integers(2, 7), st.integers(0, 2**32))
+def test_sigma_read_off_the_straightened_germ_equals_the_composition(nu, nprime, order, seed):
+    germ = sparse_real_germ(random.Random(seed), nu, nprime, order)
+    manifold, flat = central_and_straightened(germ)
+    direct = central_manifold(germ)
+    assert manifold.sigma == direct.sigma
+    assert manifold.sigma.alphabet == standard_alphabet(nu, 0)
+    assert manifold.sigma.order == order
+    assert manifold.graph == direct.graph
+    assert flat == straighten(germ, direct) == straighten(germ)

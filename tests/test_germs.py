@@ -29,7 +29,9 @@ from germ_corpus import (
     random_central,
     random_definite_germ,
     random_germ,
+    sparse_real_germ,
 )
+from oracles import previous_characteristic_covector
 
 
 def quadric(order=6):
@@ -130,6 +132,17 @@ def test_covector_imaginary_part_is_the_t_gradient():
         for l in (1, 2):
             grad = germ.phi.derive(f"t{l}")
             assert cov.imaginary_real_basis[f"dt{l}"] == grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(2, 7), st.integers(0, 2**32))
+def test_covector_closed_form_matches_the_real_basis_computation(nu, nprime, order, seed):
+    germ = sparse_real_germ(random.Random(seed), nu, nprime, order)
+    got = characteristic_covector(germ)
+    expected = previous_characteristic_covector(germ)
+    assert got == expected  # jets compare alphabet and order too
+    assert list(got.imaginary_real_basis) == list(expected.imaginary_real_basis)
+    assert {jet.order for jet in got.imaginary_real_basis.values()} == {order - 1}
 
 
 def test_frame_annihilation_on_random_germs():
@@ -251,3 +264,14 @@ def test_t_zero_restriction_matches_substitution(case):
     got = at_t_zero(jet, nu)
     assert got == expected
     assert got.alphabet == central
+
+
+@settings(max_examples=80, deadline=None)
+@given(jets_with_t(), st.data())
+def test_restriction_keeping_the_alphabet_matches_substitution(case, data):
+    _, jet = case
+    alpha = jet.alphabet
+    names = data.draw(st.lists(st.sampled_from(alpha.names), unique=True))
+    got = jet.at_zero(names, alpha)
+    assert got == substitute(jet, dict.fromkeys(names, 0), alpha, jet.order)
+    assert got.alphabet is alpha
