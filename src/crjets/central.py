@@ -25,15 +25,11 @@ are produced by the square-completion pipeline itself, not copied from
 the diagonalized Hessian, so comparing their signs against the Hessian
 inertia is a genuine cross-check.
 
-Order bookkeeping: the graph F is reliable one order below the germ.
-Promoting it back when substituting into phi is exact because every
-t-linear coefficient of phi vanishes at 0, so unknown top-order terms
-of F only touch degrees beyond the germ order. Both compositions and
-so the slice carry the germ order: setting t = 0 drops terms and keeps
-the order. The same valuation argument covers each promotion inside
-the Morse loop; comments mark where it is used. There the rest
-remainder(t_l = c) is the slice at t_l = 0 of the shifted
-remainder(t_l + c), read off with its order rather than composed.
+Order bookkeeping: the graph F, the Morse critical points and the maps
+G_l are reliable one order below the germ. Substituting them at the
+germ order derives the germ order back (jets.compose_many), since phi
+and the remainders have no t-linear terms with constant coefficient;
+the slices keep the order, since setting t = 0 drops terms.
 """
 
 from __future__ import annotations
@@ -91,10 +87,7 @@ def central_manifold(germ: StructureGerm) -> CentralManifold:
         return CentralManifold(germ, (), germ.phi)
     order = germ.order
     graph = _critical_graph(germ)
-    # Promotion is exact here: phi has no t-linear terms with constant
-    # coefficient, so top-order terms of F influence phi(., F) only
-    # beyond the working order.
-    on_graph = {name: g.with_order(order) for name, g in zip(germ.t_names(), graph)}
+    on_graph = dict(zip(germ.t_names(), graph))
     sigma = substitute(germ.phi, on_graph, standard_alphabet(germ.nu, 0), order)
     make_germ(germ.nu, 0, sigma)  # eager validation: real, flat at 0
     return CentralManifold(germ, graph, sigma)
@@ -132,9 +125,8 @@ def _shifted(germ: StructureGerm, graph: tuple[Jet, ...]) -> StructureGerm:
         return germ
     order = germ.order
     full = germ.alphabet
-    # The promotion of F is exact for the reason given in central_manifold.
     shift = {
-        name: Jet.variable(full, order, name) + g.rename({}, full).with_order(order)
+        name: Jet.variable(full, order - 1, name) + g.rename({}, full)
         for name, g in zip(germ.t_names(), graph)
     }
     phi_new = substitute(germ.phi, shift, full, order)
@@ -184,14 +176,11 @@ class MorseNormalForm:
         """base + sum c_l * G_l^2 over the germ alphabet at full order."""
         order = self.germ.order
         full = self.germ.alphabet
-        total = self.base.rename({}, full) if self.base.alphabet != full else self.base
-        total = total.with_order(order)
-        for c, g in zip(self.quad_coeffs, self.maps):
-            # G is reliable one order down and has valuation >= 1, so the
-            # unknown part of G^2 lies past the working order.
-            gk = g.promote(order, min_valuation=1)
-            total = total + gk * gk * c
-        return total
+        t_names = self.germ.t_names()
+        t_vars = [Jet.variable(full, order, name) for name in t_names]
+        squares = sum((t * t * c for c, t in zip(self.quad_coeffs, t_vars)), Jet.zero(full, order))
+        pulled = substitute(squares, dict(zip(t_names, self.maps)), full, order)
+        return self.base.rename({}, full) + pulled
 
 
 def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
@@ -215,7 +204,7 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
     if any(d == 0 for d in diag):
         raise DegenerateFormError("constant t-Hessian is singular")
 
-    remainder = germ.phi - base.rename({}, full).with_order(order)
+    remainder = germ.phi - base.rename({}, full)
 
     # Diagonalize the quadratic t-part: substitute t_l -> sum_k P[l][k] t_k.
     t_names = germ.t_names()
@@ -226,14 +215,11 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
     squares: list[Jet] = []
     coeffs: list[Fraction] = []
     for tname in t_names:
-        tvar = Jet.variable(full, order, tname)
+        tvar = Jet.variable(full, order - 1, tname)
         slope = remainder.derive(tname)
         reduced = full.subalphabet([n for n in full.names if n != tname])
         critical = implicit_solve([slope], [tname], target=reduced)[0]
-        critical_full = critical.rename({}, full).with_order(order)
-        # Promotion justified: d remainder / d t_l has positive valuation,
-        # so top-order terms of the critical point shift the composition
-        # only past the working order.
+        critical_full = critical.rename({}, full)
 
         shifted = substitute(remainder, {tname: tvar + critical_full}, full, order)
         # remainder(t_l = c) is the t_l-free part of remainder(t_l + c).
@@ -248,20 +234,16 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
                 "square completion left terms below quadratic t-degree; "
                 "the critical point was not critical")
 
-        unshift = Jet.variable(full, order - 2, tname) - critical_full.truncate(order - 2)
-        factor = substitute(quotient, {tname: unshift}, full, order - 2)
+        linear = tvar - critical_full
+        factor = substitute(quotient, {tname: linear}, full, order - 2)
 
         c0 = factor.constant_term()
         certify(c0.is_real() and not c0.is_zero(), "morse_normalize", "coefficient is rational",
                 f"square coefficient {c0} is not a nonzero rational")
         c = c0.real
         root = jet_sqrt(factor * (Fraction(1) / c))
-        # root has constant term one; reliable at order - 2.
-        linear_factor = tvar.truncate(order - 1) - critical_full.truncate(order - 1)
-        square = linear_factor * root.with_order(order - 1)
-        # The promotion of the root is exact to this order because the
-        # linear factor has positive valuation.
-        squares.append(square)
+        # root, reliable at order - 2, times a factor of valuation 1.
+        squares.append(linear * root)
         coeffs.append(c)
         remainder = rest
 

@@ -292,9 +292,8 @@ def cmd_ode(args: argparse.Namespace) -> Sections:
     profile = ode_right_side(height)
     checks = None
     if args.check:
-        order = height.order
         lhs, inner = ode_sides(height)
-        rhs = compose(profile.with_order(order), {"u": inner}, alphabet=height.alphabet, order=order)
+        rhs = compose(profile, {"u": inner}, alphabet=height.alphabet, order=height.order)
         checks = {"profile_equation_residual_is_zero": lhs == rhs}
     echo = {"height_order": height.order}
     return echo, {"right_side": profile}, {"right_side": profile.order}, checks

@@ -158,8 +158,7 @@ def extract_multiplier(eq: CentralEquivalence) -> Jet:
     certify(ratio is not None, "extract_multiplier", "defect vanishes on the source",
             "defect failed to vanish on the source hypersurface after the "
             "identity was already validated")
-    unshift = Jet.variable(big, order - 1, "v") - sigma1.truncate(order - 1)
-    multiplier = substitute(ratio, {"v": unshift}, big, order - 1)
+    multiplier = substitute(ratio, {"v": v - sigma1}, big, order - 1)
     certify(multiplier.is_real(), "extract_multiplier", "multiplier is real",
             "multiplier of real defining data must be real")
     return multiplier
@@ -304,14 +303,9 @@ def verify_lift(lift: LiftedEquivalence) -> LiftVerification:
     order = src.order
     full = src.alphabet
     nu = src.nu
-    coeffs = split_coefficients(lift.target, eq.target)
+    split_coefficients(lift.target, eq.target)  # the target's split shape
 
-    total = defining_pullback(eq.target.phi, lift.z_maps, lift.w_map, full, order)
-    for c, t_map in zip(coeffs, lift.t_maps):
-        # Promotion exact: the unknown top-order part of the t component
-        # has valuation >= order, and the component itself valuation 1.
-        tk = t_map.promote(order, min_valuation=1)
-        total = total + tk * tk * c
+    total = defining_pullback(lift.target.phi, lift.z_maps, lift.w_map, full, order, lift.t_maps)
     defining = lift.w_map.imag_part() == total
 
     solutions = is_solution(src, *lift.z_maps, lift.w_map)

@@ -172,12 +172,23 @@ def _require_count(obj: Any, key: str, minimum: int = 0) -> int:
     return value
 
 
-def germ_from_json(obj: Any, order_override: int | None = None) -> StructureGerm:
-    """Parse a germ file object; precondition failures surface as such.
+def _override_order(jet: Jet, order: int | None, minimum: int = 1, what: str = "") -> Jet:
+    """Apply an --order override to a parsed jet. It re-declares the input:
+    lowering drops terms above it, raising treats the stored terms as the
+    whole polynomial."""
+    if order is None:
+        return jet
+    if order < minimum:
+        raise ParseError(f"order override must be at least {minimum}{what}")
+    if order <= jet.order:
+        return jet.truncate(order)
+    if order > jet.alphabet.max_order():
+        raise PreconditionError("requested order exceeds the packing limit")
+    return Jet(jet.alphabet, order, jet.terms)
 
-    An order override re-declares the truncation: lowering drops terms
-    above it, raising treats the stored terms as the whole polynomial.
-    """
+
+def germ_from_json(obj: Any, order_override: int | None = None) -> StructureGerm:
+    """Parse a germ file object; precondition failures surface as such."""
     if not isinstance(obj, dict):
         raise ParseError("germ file must be a JSON object")
     nu = _require_count(obj, "nu")
@@ -185,11 +196,7 @@ def germ_from_json(obj: Any, order_override: int | None = None) -> StructureGerm
     order = _require_count(obj, "order", minimum=1)
     alphabet = standard_alphabet(nu, nprime)
     phi = terms_from_json(obj.get("phi"), alphabet, order, "phi")
-    if order_override is not None:
-        if order_override < 1:
-            raise ParseError("order override must be at least 1")
-        phi = phi.with_order(order_override)
-    return make_germ(nu, nprime, phi)
+    return make_germ(nu, nprime, _override_order(phi, order_override))
 
 
 def map_from_json(
@@ -207,12 +214,8 @@ def map_from_json(
         for j, records in enumerate(z_records)
     ]
     w_jet = terms_from_json(obj.get("w"), alphabet, order, "w")
-    if order_override is not None:
-        if order_override < 1:
-            raise ParseError("order override must be at least 1")
-        jets = [j.with_order(order_override) for j in jets]
-        w_jet = w_jet.with_order(order_override)
-    return tuple(jets), w_jet
+    z_maps = tuple(_override_order(j, order_override) for j in jets)
+    return z_maps, _override_order(w_jet, order_override)
 
 
 def height_from_json(obj: Any, order_override: int | None = None) -> Jet:
@@ -222,11 +225,7 @@ def height_from_json(obj: Any, order_override: int | None = None) -> Jet:
     order = _require_count(obj, "order", minimum=2)
     alphabet = Alphabet(("x",), None)
     h = terms_from_json(obj.get("h"), alphabet, order, "h")
-    if order_override is not None:
-        if order_override < 2:
-            raise ParseError("order override must be at least 2 for a height jet")
-        h = h.with_order(order_override)
-    return h
+    return _override_order(h, order_override, 2, " for a height jet")
 
 
 def load_json(path: str) -> Any:

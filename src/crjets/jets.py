@@ -6,12 +6,20 @@ order is a reliability statement, not a degree bound: coefficients beyond
 it are unknown, never assumed zero. Every operation states what it does to
 the order:
 
-  * ring operations and powers keep the common order (strict: operands
-    must agree on alphabet and order, truncate explicitly first);
-  * derive loses one order;
-  * divide_by_coordinate loses one order;
-  * compose returns the minimum of the participating orders;
-  * unit_inverse and jet_sqrt keep the order.
+  * + and - are strict: operands must agree on alphabet and order;
+  * a product of orders a and b is reliable to
+    min(max(a, b), a + val b, b + val a), which is a when a = b;
+  * powers, unit_inverse and jet_sqrt keep the order;
+  * derive and divide_by_coordinate lose one order;
+  * compose_many keeps the least participating order unless asked for
+    more, and then derives min((N + 1) mu - 1, min_v (m_v + val d_v f),
+    2 min_v m_v + 1): N is the least outer order, m_v the order of the
+    substitute u_v and mu >= 1 the least valuation of the substitutes of
+    all outer variables.
+
+A zero jet of order m counts as valuation m + 1. These rules are the
+precision lemma of Caruso, Roe and Vaccon ("Tracking p-adic precision",
+2014): orders are derived, and only the constructor states one outright.
 
 Storage is a sparse dict from packed monomial code to coefficient; zero
 coefficients are never stored. Term order for iteration and serialization
@@ -37,7 +45,6 @@ from .errors import (
     NotDivisibleError,
     OrderMismatchError,
     PreconditionError,
-    certify,
 )
 from .rationals import ZERO, GaussianRational, as_gaussian
 
@@ -210,9 +217,7 @@ class Jet:
     def truncate(self, order: int) -> Jet:
         """Drop all terms of degree above ``order`` and lower the order."""
         if order > self.order:
-            raise OrderMismatchError(
-                f"cannot truncate order {self.order} jet up to {order}; use with_order"
-            )
+            raise OrderMismatchError(f"cannot truncate order {self.order} jet up to {order}")
         if order == self.order:
             return self
         deg = self.alphabet.degree
@@ -220,43 +225,18 @@ class Jet:
             self.alphabet, order, {c: v for c, v in self.terms.items() if deg(c) <= order}
         )
 
-    def with_order(self, order: int) -> Jet:
-        """Re-declare the reliable order.
+    def _known_valuation(self) -> int:
+        """Valuation, a zero jet counting as order + 1."""
+        return self.order + 1 if not self.terms else self.alphabet.degree(min(self.terms))
 
-        Lowering truncates. Raising is an assertion by the caller that the
-        missing coefficients cannot influence the use the result is put to
-        (a valuation argument at the call site); the data is not changed.
-        """
-        if order <= self.order:
-            return self.truncate(order)
-        if order > self.alphabet.max_order():
-            raise PreconditionError("requested order exceeds the packing limit")
-        return Jet._raw(self.alphabet, order, dict(self.terms))
-
-    def promote(self, order: int, *, min_valuation: int) -> Jet:
-        """Raise the reliable order on a checked valuation argument.
-
-        The caller argues that the missing coefficients cannot influence
-        the use the result is put to because no term of this jet has
-        degree below ``min_valuation``. That bound is checked: a term
-        below it raises InvariantError. Lowering the order is truncate's
-        job and is refused.
-        """
-        if order < self.order:
-            raise OrderMismatchError(
-                f"cannot promote order {self.order} jet down to {order}; use truncate"
-            )
-        low = self.valuation()
-        certify(low is None or low >= min_valuation, "promote", "valuation bound of a promotion",
-                f"promotion to order {order} assumes valuation >= {min_valuation}, "
-                f"but the jet has a term of degree {low}")
-        return self.with_order(order)
-
-    def _check_compatible(self, other: Jet) -> None:
+    def _check_alphabet(self, other: Jet) -> None:
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError(
                 f"operands over {self.alphabet.names} and {other.alphabet.names}"
             )
+
+    def _check_compatible(self, other: Jet) -> None:
+        self._check_alphabet(other)
         if self.order != other.order:
             raise OrderMismatchError(
                 f"operand orders {self.order} and {other.order} differ; truncate explicitly"
@@ -315,11 +295,17 @@ class Jet:
 
     def __mul__(self, other: object) -> Jet:
         if isinstance(other, Jet):
-            self._check_compatible(other)
-            terms = _kernels.mul_terms(
-                self.terms, other.terms, self.alphabet.deg_shift, self.order
-            )
-            return Jet._raw(self.alphabet, self.order, terms)
+            self._check_alphabet(other)
+            order = self.order
+            if other.order != order:
+                # The unknown part of each factor, times the other factor.
+                order = min(
+                    max(order, other.order),
+                    order + other._known_valuation(),
+                    other.order + self._known_valuation(),
+                )
+            terms = _kernels.mul_terms(self.terms, other.terms, self.alphabet.deg_shift, order)
+            return Jet._raw(self.alphabet, order, terms)
         if isinstance(other, (int, Fraction, GaussianRational)):
             v = as_gaussian(other)
             if v.is_zero():
@@ -588,8 +574,13 @@ def compose_many(
     (or exact scalar) over one common target alphabet. Substituted values
     must have zero constant term unless the variable is listed in
     ``allow_constant``; a constant shift is exact polynomial recentering
-    at the stored truncation. The result order is the minimum of the outer
-    orders, the substituted jet orders, and ``order`` if given.
+    at the stored truncation. The result order is the least participating
+    order, the minimum of the outer orders, the substituted jet orders and
+    ``order`` if given. An ``order`` above it gets the composition rule of
+    the module docstring, capped at ``order``: an unassigned outer variable
+    caps mu at 1, an exact scalar zero is left out, and a recentering keeps
+    the least participating order. A result order past the target's
+    packing limit raises.
 
     A support variable whose substitute, truncated to the result order,
     is one non-constant monomial with coefficient exactly 1 (an identity,
@@ -617,9 +608,7 @@ def compose_many(
             raise AlphabetMismatchError("outer jets must share one alphabet")
 
     allow = set(allow_constant)
-    result_order = min(o.order for o in outers)
-    if order is not None:
-        result_order = min(result_order, order)
+    least = min(o.order for o in outers)
 
     target = alphabet
     jets_assigned: dict[str, Jet | GaussianRational] = {}
@@ -631,7 +620,7 @@ def compose_many(
                 target = value.alphabet
             elif value.alphabet != target:
                 raise AlphabetMismatchError("substituted jets must share one alphabet")
-            result_order = min(result_order, value.order)
+            least = min(least, value.order)
             jets_assigned[name] = value
         else:
             jets_assigned[name] = as_gaussian(value)
@@ -650,6 +639,14 @@ def compose_many(
                 f"substitution for {name!r} has constant term {const}; "
                 "recentering must be requested via allow_constant"
             )
+    result_order = least
+    if order is not None:
+        result_order = order
+        if order > least:
+            result_order = _reliable_order(outers, jets_assigned, support, least, order)
+    if result_order > target.max_order():
+        raise PreconditionError(f"order {result_order} exceeds {target.max_order()}, "
+                                "the packing limit for this alphabet")
 
     mask = src.mask
     deg_shift = target.deg_shift
@@ -663,7 +660,7 @@ def compose_many(
             continue
         v = jets_assigned[name]
         if isinstance(v, Jet):
-            terms = v.truncate(result_order).terms
+            terms = v.truncate(min(v.order, result_order)).terms
         else:
             terms = {} if v.is_zero() else {0: v}
         if len(terms) == 1:
@@ -756,6 +753,32 @@ def compose_many(
             else:
                 _kernels.mul_into(acc, ub, pb, [t[0] for t in pb], deg_shift, result_order)
     return [Jet._raw(target, result_order, _kernels.finish(acc)) for acc in accs]
+
+
+def _reliable_order(outers: Sequence[Jet], assigned: Mapping[str, Jet | GaussianRational],
+                    support: set[str], least: int, cap: int) -> int:
+    """compose_many's derived result order, capped at ``cap``: the bounds
+    are read only where they could fall below it."""
+    values = assigned.values()
+    if any(not (v.constant_term() if isinstance(v, Jet) else v).is_zero() for v in values):
+        return least
+    src = outers[0].alphabet
+    bound = cap
+    n = min(o.order for o in outers)
+    if n < cap:
+        # An unknown outer term has degree >= N + 1, each of its variables
+        # a substitute of valuation >= mu (>= 1 if unassigned).
+        mu = min((v._known_valuation() for v in values if isinstance(v, Jet)), default=cap + 1)
+        bound = min(cap, (n + 1) * (mu if len(assigned) == src.nvars else 1) - 1)
+    # The unknown part of u_v, of valuation >= m_v + 1, moves f(u) by
+    # d_v f(u) times it; a product of two such parts lies past 2 m_v + 1.
+    mask, deg_shift = src.mask, src.deg_shift
+    for name, shift in zip(src.names, src.shifts):
+        v = assigned.get(name) if name in support else None
+        if isinstance(v, Jet) and v.order < bound:
+            low = min(c >> deg_shift for o in outers for c in o.terms if (c >> shift) & mask)
+            bound = min(bound, 2 * v.order + 1, v.order + low - 1)
+    return bound
 
 
 def compose(

@@ -406,9 +406,9 @@ def ode_sides(height: Jet) -> tuple[Jet, Jet]:
     order = height.order
     x = height.alphabet.names[0]
     xj = Jet.variable(height.alphabet, order, x)
-    # Valuation-2 and valuation-1 factors make these promotions exact.
-    lhs = xj * xj * height.derive(x).derive(x).with_order(order)
-    inner = xj * height.derive(x).with_order(order)
+    # The factors of valuation 2 and 1 keep both products at the order.
+    lhs = xj * xj * height.derive(x).derive(x)
+    inner = xj * height.derive(x)
     return lhs, inner
 
 

@@ -113,9 +113,9 @@ def implicit_solve(
                 c = j0_inv[j][i]
                 if not c.is_zero():
                     delta = delta + r * c
-            # Every term of delta has degree exactly k: it is exact data at
-            # any order, so raising it to the working order asserts nothing.
-            guesses[j] = guesses[j] - delta.promote(work_order, min_valuation=k)
+            # The sweep certificate shows delta homogeneous of degree k: a
+            # polynomial, exact at the working order.
+            guesses[j] = guesses[j] - Jet(target, work_order, delta.terms)
 
     assignment = {n: Jet.variable(target, work_order, n) for n in params}
     assignment.update(zip(unknowns, guesses))

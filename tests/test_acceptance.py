@@ -210,9 +210,10 @@ def test_criterion_7_profile_equation():
         profile = ode_right_side(h)
         order = h.order
         xj = Jet.variable(h.alphabet, order, "x")
-        lhs = xj * xj * h.derive("x").derive("x").with_order(order)
-        inner = xj * h.derive("x").with_order(order)
-        rhs = compose(profile.with_order(order), {"u": inner}, alphabet=h.alphabet, order=order)
+        lhs = xj * xj * h.derive("x").derive("x")
+        inner = xj * h.derive("x")
+        rhs = compose(profile, {"u": inner}, alphabet=h.alphabet, order=order)
+        assert lhs.order == inner.order == rhs.order == order
         assert lhs == rhs
 
 

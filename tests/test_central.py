@@ -82,7 +82,8 @@ def test_morse_with_cubic_correction():
     form = morse_normalize(germ)
     assert form.quad_coeffs == (Fraction(1),)
     v = form.maps[0]
-    assert v.with_order(6) ** 2 == (g["t1"] ** 2 + g["t1"] ** 3)
+    # V is reliable to order 5 with valuation 1: t1^2 at V derives order 6.
+    assert compose(g["t1"] ** 2, {"t1": v}, order=6) == (g["t1"] ** 2 + g["t1"] ** 3)
     assert form.base == compose(
         germ.phi,
         {

@@ -77,9 +77,14 @@ def test_multiplier_consistency_on_the_lift():
     full = model.alphabet
     sub = {name: Jet.variable(full, K, name) for name in mult.alphabet.names if name != "v"}
     sub["v"] = model.phi  # evaluate the multiplier on the surface
-    pulled = compose(mult.with_order(K), sub, alphabet=full, order=K)
+    # The multiplier is reliable to order K - 1 only, and so is its pull
+    # back; times t1^2, of valuation 2, the product derives order K.
+    pulled = compose(mult, sub, alphabet=full, order=K)
+    assert pulled.order == K - 1
     t1 = Jet.variable(full, K, "t1")
-    lhs = lift.t_maps[0].with_order(K) ** 2
+    # T = t_maps[0] is reliable to K - 1 with valuation 1: t1^2 at T derives K.
+    lhs = compose(t1 * t1, {"t1": lift.t_maps[0]}, order=K)
+    assert lhs.order == K
     assert lhs == t1 * t1 * pulled
 
 

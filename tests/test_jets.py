@@ -10,7 +10,6 @@ from crjets import Alphabet, GaussianRational, I, Jet, compose, compose_many, je
 from crjets.alphabet import SMALL_LIMIT
 from crjets.errors import (
     AlphabetMismatchError,
-    InvariantError,
     NonUnitConstantError,
     NotDivisibleError,
     OrderMismatchError,
@@ -95,7 +94,9 @@ def test_strict_alphabet_and_order():
     with pytest.raises(AlphabetMismatchError):
         x + z
     with pytest.raises(OrderMismatchError):
-        x * x.truncate(2)
+        x + x.truncate(2)
+    # a product derives its order from the factors' orders and valuations
+    assert (x * x.truncate(2)).order == 3
 
 
 def test_truncate_only_lowers():
@@ -103,8 +104,6 @@ def test_truncate_only_lowers():
     assert x.truncate(2).order == 2
     with pytest.raises(PreconditionError):
         x.truncate(5)
-    # with_order is the explicit, caller-asserted promotion
-    assert x.with_order(6).order == 6
 
 
 @given(polys(), polys())
@@ -585,13 +584,102 @@ def test_valuation_and_homogeneous_part():
     assert Jet.zero(XY, 5).valuation() is None
 
 
-def test_promote_checks_the_valuation():
-    x, y = Jet.variable(XY, 3, "x"), Jet.variable(XY, 3, "y")
-    f = x * y + x * x * y
-    assert f.promote(5, min_valuation=2) == f.with_order(5)
-    assert Jet.zero(XY, 3).promote(6, min_valuation=4).order == 6
-    with pytest.raises(InvariantError) as err:
-        (f + x).promote(5, min_valuation=2)
-    assert "degree 1" in str(err.value)
-    with pytest.raises(OrderMismatchError):
-        f.promote(2, min_valuation=0)
+
+# Derived orders. Each input is known to its order and its unknown terms
+# lie past it; appending any such terms must leave every coefficient of
+# the result through its derived order unchanged.
+
+
+@st.composite
+def monomial(draw, degree, width):
+    """An exponent vector of the given total degree."""
+    exps = []
+    for _ in range(width - 1):
+        e = draw(st.integers(0, degree))
+        exps.append(e)
+        degree -= e
+    return (*exps, degree)
+
+
+# Integer coefficients: the order rules do not look at their size.
+nonzero_coefs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(
+    lambda c: (Fraction(c[0]), Fraction(c[1]))
+)
+
+
+@st.composite
+def past(draw, order, width):
+    """One to three nonzero terms of degree order + 1 or order + 2: terms
+    that the jet of that order does not know."""
+    degrees = st.sampled_from((order + 1, order + 1, order + 1, order + 2))
+    return {
+        draw(monomial(draw(degrees), width)): draw(nonzero_coefs)
+        for _ in range(draw(st.integers(1, 3)))
+    }
+
+
+@st.composite
+def factors(draw, width, lowest=0):
+    """(order, known terms of a drawn valuation, terms past the order);
+    the known part is zero when the valuation passes the order."""
+    order = draw(st.integers(lowest, 5))
+    low = draw(st.one_of(st.just(lowest), st.integers(lowest, order + 1)))
+    known = draw(polys(order, width, min_degree=low + 1, coefficients=nonzero_coefs))
+    if low <= order:
+        known[draw(monomial(low, width))] = draw(nonzero_coefs)
+    return order, known, draw(past(order, width))
+
+
+@st.composite
+def reliable_compositions(draw):
+    """Outers over XYU, their substitutes over XY (a jet, a zero jet, an
+    exact scalar zero, or no assignment at all), and a requested order."""
+    outers = [draw(factors(3)) for _ in range(draw(st.integers(1, 2)))]
+    used = {i for _, known, _ in outers for m in known for i, e in enumerate(m) if e}
+    subs = []
+    for i in range(len(XYU.names)):
+        kind = draw(st.sampled_from(("jet", "jet", "jet", "scalar zero", "unassigned")))
+        if kind == "unassigned" and i in used:
+            kind = "jet"
+        subs.append((kind, *draw(factors(2, lowest=1))))
+    return outers, subs, draw(st.integers(1, 10))
+
+
+@given(reliable_compositions())
+@settings(max_examples=100, deadline=None)
+def test_composition_order_is_reliable(case):
+    outers, subs, cap = case
+    jets = [poly_to_jet(known, XYU, n) for n, known, _ in outers]
+    assignment = {}
+    for name, (kind, m, known, _) in zip(XYU.names, subs):
+        if kind == "jet":
+            assignment[name] = poly_to_jet(known, XY, m)
+        elif kind == "scalar zero":
+            assignment[name] = 0
+    got = compose_many(jets, assignment, alphabet=XY, order=cap)
+    least = min(j.order for j in jets + [v for v in assignment.values() if isinstance(v, Jet)])
+    order = got[0].order
+    assert min(least, cap) <= order <= cap
+    # An unassigned variable stands for an unknown substitute of valuation >= 1.
+    true_args = [{} if kind == "scalar zero" else padd(known, extra) for kind, _, known, extra in subs]
+    for (_, known, extra), g in zip(outers, got):
+        assert g.order == order
+        assert jet_to_poly(g) == pcompose(padd(known, extra), true_args, order, 2)
+
+
+@given(factors(2), factors(2))
+@settings(max_examples=100, deadline=None)
+def test_product_order_is_reliable(a, b):
+    (oa, ka, ea), (ob, kb, eb) = a, b
+    got = poly_to_jet(ka, XY, oa) * poly_to_jet(kb, XY, ob)
+    assert min(oa, ob) <= got.order <= max(oa, ob)
+    assert jet_to_poly(got) == pmul(padd(ka, ea), padd(kb, eb), got.order)
+
+
+def test_composition_refuses_an_order_past_the_target_packing_limit():
+    # A recentering keeps the outer's order 31, which a one-variable
+    # alphabet cannot pack.
+    wide = Alphabet(tuple(f"x{i}" for i in range(10)), None)
+    x0 = Jet.variable(wide, 31, "x0")
+    with pytest.raises(PreconditionError, match="^order 31 exceeds 30, the packing limit"):
+        compose_many([x0], {"x0": 2}, alphabet=Alphabet(("y",), None), allow_constant=["x0"])

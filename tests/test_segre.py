@@ -269,9 +269,10 @@ def test_profile_residual_on_random_even_heights():
         h = random_height(rng, order=8)
         psi = ode_right_side(h)
         x = Jet.variable(XA, 8, "x")
-        lhs = x * x * h.derive("x").derive("x").with_order(8)
-        inner = x * h.derive("x").with_order(8)
-        rhs = compose(psi.with_order(8), {"u": inner}, alphabet=XA, order=8)
+        lhs = x * x * h.derive("x").derive("x")
+        inner = x * h.derive("x")
+        rhs = compose(psi, {"u": inner}, alphabet=XA, order=8)
+        assert lhs.order == inner.order == rhs.order == h.order == 8
         assert lhs == rhs
 
 
