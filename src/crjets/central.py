@@ -46,7 +46,7 @@ from .errors import (
     certify,
 )
 from .germs import StructureGerm, at_t_zero, make_germ, standard_alphabet, t_hessian
-from .jets import Jet, jet_sqrt, substitute
+from .jets import Jet, compose_many, jet_sqrt
 from .linalg import invert_matrix, symmetric_diagonalize
 from .solve import implicit_solve
 
@@ -88,7 +88,8 @@ def central_manifold(germ: StructureGerm) -> CentralManifold:
     order = germ.order
     graph = _critical_graph(germ)
     on_graph = dict(zip(germ.t_names(), graph))
-    sigma = substitute(germ.phi, on_graph, standard_alphabet(germ.nu, 0), order)
+    central = standard_alphabet(germ.nu, 0)
+    (sigma,) = compose_many([germ.phi], on_graph, alphabet=central, order=order)
     make_germ(germ.nu, 0, sigma)  # eager validation: real, flat at 0
     return CentralManifold(germ, graph, sigma)
 
@@ -129,7 +130,7 @@ def _shifted(germ: StructureGerm, graph: tuple[Jet, ...]) -> StructureGerm:
         name: Jet.variable(full, order - 1, name) + g.rename({}, full)
         for name, g in zip(germ.t_names(), graph)
     }
-    phi_new = substitute(germ.phi, shift, full, order)
+    (phi_new,) = compose_many([germ.phi], shift, alphabet=full, order=order)
     return make_germ(germ.nu, germ.nprime, phi_new)
 
 
@@ -179,7 +180,8 @@ class MorseNormalForm:
         t_names = self.germ.t_names()
         t_vars = [Jet.variable(full, order, name) for name in t_names]
         squares = sum((t * t * c for c, t in zip(self.quad_coeffs, t_vars)), Jet.zero(full, order))
-        pulled = substitute(squares, dict(zip(t_names, self.maps)), full, order)
+        at_maps = dict(zip(t_names, self.maps))
+        (pulled,) = compose_many([squares], at_maps, alphabet=full, order=order)
         return self.base.rename({}, full) + pulled
 
 
@@ -208,8 +210,8 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
 
     # Diagonalize the quadratic t-part: substitute t_l -> sum_k P[l][k] t_k.
     t_names = germ.t_names()
-    remainder = substitute(
-        remainder, _linear_t_change(congruence, t_names, full, order), full, order
+    (remainder,) = compose_many(
+        [remainder], _linear_t_change(congruence, t_names, full, order), alphabet=full, order=order
     )
 
     squares: list[Jet] = []
@@ -221,7 +223,8 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
         critical = implicit_solve([slope], [tname], target=reduced)[0]
         critical_full = critical.rename({}, full)
 
-        shifted = substitute(remainder, {tname: tvar + critical_full}, full, order)
+        at_critical = {tname: tvar + critical_full}
+        (shifted,) = compose_many([remainder], at_critical, alphabet=full, order=order)
         # remainder(t_l = c) is the t_l-free part of remainder(t_l + c).
         rest = shifted.at_zero((tname,), full)
 
@@ -235,7 +238,7 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
                 "the critical point was not critical")
 
         linear = tvar - critical_full
-        factor = substitute(quotient, {tname: linear}, full, order - 2)
+        (factor,) = compose_many([quotient], {tname: linear}, alphabet=full, order=order - 2)
 
         c0 = factor.constant_term()
         certify(c0.is_real() and not c0.is_zero(), "morse_normalize", "coefficient is rational",
@@ -251,7 +254,7 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
             "Morse remainder after eliminating every t variable is nonzero")
 
     back = _linear_t_change(invert_matrix(congruence), t_names, full, order - 1)
-    maps = tuple(substitute(v, back, full, order - 1) for v in squares)
+    maps = tuple(compose_many(squares, back, alphabet=full, order=order - 1))
 
     form = MorseNormalForm(
         germ,

@@ -54,7 +54,7 @@ from .io import (
     load_json,
     map_from_json,
 )
-from .jets import Jet, compose
+from .jets import Jet, compose_many
 from .marson import external_levi, external_lift, lift_levi_relation, predicted_external_levi
 from .rationals import GaussianRational
 from .segre import (
@@ -293,7 +293,9 @@ def cmd_ode(args: argparse.Namespace) -> Sections:
     checks = None
     if args.check:
         lhs, inner = ode_sides(height)
-        rhs = compose(profile, {"u": inner}, alphabet=height.alphabet, order=height.order)
+        (rhs,) = compose_many(
+            [profile], {"u": inner}, alphabet=height.alphabet, order=height.order
+        )
         checks = {"profile_equation_residual_is_zero": lhs == rhs}
     echo = {"height_order": height.order}
     return echo, {"right_side": profile}, {"right_side": profile.order}, checks

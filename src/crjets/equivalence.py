@@ -36,7 +36,7 @@ from .germs import (
     make_germ,
     standard_alphabet,
 )
-from .jets import Jet, jet_sqrt, substitute
+from .jets import Jet, compose_many, jet_sqrt
 from .linalg import rank
 from .rationals import I, rational_sqrt
 
@@ -61,12 +61,10 @@ def _pull_back_map(
 ) -> tuple[list[Jet], Jet]:
     """Core map components with eta replaced by ``eta``, z kept, over
     the alphabet of ``eta``."""
-    target = eta.alphabet
-    along = {"eta": eta}
-    return (
-        [substitute(jet, along, target, order) for jet in z_maps],
-        substitute(w_map, along, target, order),
+    *pulled_z, pulled_w = compose_many(
+        [*z_maps, w_map], {"eta": eta}, alphabet=eta.alphabet, order=order
     )
+    return pulled_z, pulled_w
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ def extract_multiplier(eq: CentralEquivalence) -> Jet:
     defect = gw.imag_part() - defining_pullback(eq.target.phi, fz, gw, big, order)
 
     sigma1 = eq.source.phi.rename({}, big)
-    shifted = substitute(defect, {"v": v + sigma1}, big, order)
+    (shifted,) = compose_many([defect], {"v": v + sigma1}, alphabet=big, order=order)
     try:
         ratio = shifted.divide_by_coordinate("v")
     except NotDivisibleError:
@@ -158,7 +156,7 @@ def extract_multiplier(eq: CentralEquivalence) -> Jet:
     certify(ratio is not None, "extract_multiplier", "defect vanishes on the source",
             "defect failed to vanish on the source hypersurface after the "
             "identity was already validated")
-    multiplier = substitute(ratio, {"v": v - sigma1}, big, order - 1)
+    (multiplier,) = compose_many([ratio], {"v": v - sigma1}, alphabet=big, order=order - 1)
     certify(multiplier.is_real(), "extract_multiplier", "multiplier is real",
             "multiplier of real defining data must be real")
     return multiplier
@@ -261,8 +259,8 @@ def lift_equivalence(
     w1 = Jet.variable(full, order, "s") + source_model.phi * I
     z_maps, w_map = _pull_back_map(eq.z_maps, eq.w_map, w1, order)
 
-    multiplier_full = substitute(
-        multiplier, {"v": source_model.phi.truncate(order - 1)}, full, order - 1
+    (multiplier_full,) = compose_many(
+        [multiplier], {"v": source_model.phi.truncate(order - 1)}, alphabet=full, order=order - 1
     )
     root = jet_sqrt(multiplier_full * (Fraction(1) / head.real))
     t_maps = []

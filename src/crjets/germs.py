@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .alphabet import Alphabet
 from .errors import PreconditionError, certify
-from .jets import Jet, compose
+from .jets import Jet, compose_many
 from .linalg import hermitian_signature
 from .rationals import ZERO, GaussianRational, I, MINUS_I
 
@@ -132,7 +132,7 @@ def defining_pullback(
     assignment["s"] = w_map.real_part()
     for l, t in enumerate(t_maps, start=1):
         assignment[f"t{l}"] = t
-    return compose(phi, assignment, alphabet=target, order=order)
+    return compose_many([phi], assignment, alphabet=target, order=order)[0]
 
 
 class VectorField:

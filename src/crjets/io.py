@@ -182,8 +182,6 @@ def _override_order(jet: Jet, order: int | None, minimum: int = 1, what: str = "
         raise ParseError(f"order override must be at least {minimum}{what}")
     if order <= jet.order:
         return jet.truncate(order)
-    if order > jet.alphabet.max_order():
-        raise PreconditionError("requested order exceeds the packing limit")
     return Jet(jet.alphabet, order, jet.terms)
 
 

@@ -570,8 +570,10 @@ def compose_many(
 ) -> list[Jet]:
     """Substitute jets for variables in several jets sharing one assignment.
 
-    Every variable in the support of any outer jet must be assigned a jet
-    (or exact scalar) over one common target alphabet. Substituted values
+    Assigned jets (or exact scalars) live over one common target alphabet.
+    A variable in the support of an outer jet that the assignment leaves
+    out maps to the variable of the same name in the target, an exact
+    identity, and is an error if the target has none. Substituted values
     must have zero constant term unless the variable is listed in
     ``allow_constant``; a constant shift is exact polynomial recentering
     at the stored truncation. The result order is the least participating
@@ -582,13 +584,13 @@ def compose_many(
     the least participating order. A result order past the target's
     packing limit raises.
 
-    A support variable whose substitute, truncated to the result order,
-    is one non-constant monomial with coefficient exactly 1 (an identity,
-    a renaming, x -> y^2) is substituted by Alphabet.remap, the loop that
-    also renames and conjugates: its part of a term becomes e times the
-    monomial's code, and the term is dropped when that part's degree
-    passes the result order. The other variables U are
-    grouped: each outer's terms are collected by their exponents b in U
+    A left-out variable, or one whose substitute, truncated to the result
+    order, is one non-constant monomial with coefficient exactly 1 (an
+    identity, a renaming, x -> y^2), is substituted by Alphabet.remap, the
+    loop that also renames and conjugates: its part of a term becomes e
+    times the monomial's code, and the term is dropped when that part's
+    degree passes the result order. The other variables U are grouped:
+    each outer's terms are collected by their exponents b in U
     into one polynomial P_b over the target, and the result is P_0 plus
     one truncated product P_b * U^b per group. The products U^b are
     memoised per call and shared by every outer; each is built from a
@@ -597,8 +599,8 @@ def compose_many(
     P_b * U^b of one outer is multiplied straight into that outer's raw
     (a, b, d) accumulator, seeded with P_0 and with the shorter operand
     as the kernel's outer loop, and each output monomial is normalized
-    once at the end. Prefer one compose_many call over many compose
-    calls.
+    once at the end. Prefer one call over several that share an
+    assignment.
     """
     if not outers:
         return []
@@ -628,10 +630,10 @@ def compose_many(
         raise PreconditionError("all-scalar assignment needs an explicit target alphabet")
 
     support: set[str] = set().union(*(o.support() for o in outers))
-    missing = support - jets_assigned.keys()
+    missing = sorted(n for n in support - jets_assigned.keys() if n not in target.index)
     if missing:
-        raise PreconditionError(f"assignment misses support variables {sorted(missing)}")
-    for name in support:
+        raise PreconditionError(f"assignment misses support variables {missing}")
+    for name in support & jets_assigned.keys():
         v = jets_assigned[name]
         const = v.constant_term() if isinstance(v, Jet) else v
         if not const.is_zero() and name not in allow:
@@ -658,7 +660,10 @@ def compose_many(
     for name, shift in zip(src.names, src.shifts):
         if name not in support:
             continue
-        v = jets_assigned[name]
+        v = jets_assigned.get(name)
+        if v is None:
+            monomial.append((shift, target.encode_dict({name: 1})))
+            continue
         if isinstance(v, Jet):
             terms = v.truncate(min(v.order, result_order)).terms
         else:
@@ -779,46 +784,6 @@ def _reliable_order(outers: Sequence[Jet], assigned: Mapping[str, Jet | Gaussian
             low = min(c >> deg_shift for o in outers for c in o.terms if (c >> shift) & mask)
             bound = min(bound, 2 * v.order + 1, v.order + low - 1)
     return bound
-
-
-def compose(
-    outer: Jet,
-    assignment: Mapping[str, Jet | Scalar],
-    *,
-    allow_constant: Iterable[str] = (),
-    alphabet: Alphabet | None = None,
-    order: int | None = None,
-) -> Jet:
-    """Single-jet form of compose_many; see there for the contract."""
-    return compose_many(
-        [outer], assignment, allow_constant=allow_constant, alphabet=alphabet, order=order
-    )[0]
-
-
-def substitute(
-    jet: Jet,
-    changes: Mapping[str, Jet | Scalar],
-    target: Alphabet,
-    order: int,
-    *,
-    allow_constant: Iterable[str] = (),
-) -> Jet:
-    """Apply ``changes`` to ``jet`` and re-express the result over ``target``.
-
-    Every variable of the jet's alphabet that ``changes`` leaves out and
-    ``target`` also carries is mapped to itself; a support variable with
-    neither a change nor a namesake in ``target`` is an error. The rest
-    is the contract of compose, result order included.
-    """
-    assignment: dict[str, Jet | Scalar] = {
-        name: Jet.variable(target, order, name)
-        for name in jet.alphabet.names
-        if name not in changes and name in target.index
-    }
-    assignment.update(changes)
-    return compose(
-        jet, assignment, allow_constant=allow_constant, alphabet=target, order=order
-    )
 
 
 def jet_sqrt(a: Jet) -> Jet:

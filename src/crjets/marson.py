@@ -36,7 +36,7 @@ from .germs import (
     make_germ,
     standard_alphabet,
 )
-from .jets import Jet, compose_many, substitute
+from .jets import Jet, compose_many
 from .linalg import rank
 from .rationals import HALF_I, I, MINUS_HALF_I, MINUS_I, GaussianRational
 
@@ -63,14 +63,12 @@ def external_lift(germ: StructureGerm) -> ExternalLift:
         absorb[f"t{l}"] = (
             Jet.variable(big, order, new) - Jet.variable(big, order, f"zb{nu + l}")
         ) * MINUS_HALF_I
-    phi_lift = substitute(germ.phi, absorb, big, order)
+    (phi_lift,) = compose_many([germ.phi], absorb, alphabet=big, order=order)
     lifted = make_germ(nu + npr, 0, phi_lift)
 
     # One composition over the slice for phi and the pulled first integrals;
-    # every lift variable that the slice leaves alone maps to itself.
-    back: dict[str, Jet] = {
-        name: Jet.variable(full, order, name) for name in big.names if name in full.index
-    }
+    # every lift variable that the slice leaves out maps to its namesake.
+    back: dict[str, Jet] = {}
     for l in range(1, npr + 1):
         tvar = Jet.variable(full, order, f"t{l}")
         back[f"z{nu + l}"] = tvar * I
@@ -187,8 +185,8 @@ def descend_map(
 
     full = germ.alphabet
     along = {"w": Jet.variable(full, order, "s") + germ.phi * I}
-    pulled_core = [substitute(jet, along, full, order) for jet in core_map]
-    pulled_shear = [substitute(jet, along, full, order) for jet in shear]
+    pulled = compose_many([*core_map, *shear], along, alphabet=full, order=order)
+    pulled_core, pulled_shear = pulled[: nu + 1], pulled[nu + 1 :]
     certify(is_solution(germ, *pulled_core, *pulled_shear), "descend_map", "frame kills pullbacks",
             "pullback of a holomorphic map component is not annihilated by the frame")
 

@@ -52,7 +52,7 @@ from .errors import (
     certify,
 )
 from .germs import StructureGerm
-from .jets import Jet, compose_many, substitute
+from .jets import Jet, compose_many
 from .rationals import HALF, GaussianRational, as_gaussian
 from .solve import implicit_solve
 
@@ -121,14 +121,14 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
     big = segre_alphabet(core.nu)
     w = Jet.variable(big, order, "w")
     wb = Jet.variable(big, order, "wb")
-    sigma_big = substitute(core.phi, {"s": (w + wb) * HALF}, big, order)
+    (sigma_big,) = compose_many([core.phi], {"s": (w + wb) * HALF}, alphabet=big, order=order)
     equation = w - wb - sigma_big * GaussianRational(0, 2)
     graph = implicit_solve([equation], ["w"])[0]
     rho = graph.rename({}, big)
 
     certify(rho.coefficient({"wb": 1}) == as_gaussian(1), "complexify", "graph starts as wb",
             "graph jet must start as wb plus higher terms")
-    round_trip = substitute(rho, {"wb": rho.conjugate()}, big, order)
+    (round_trip,) = compose_many([rho], {"wb": rho.conjugate()}, alphabet=big, order=order)
     certify(round_trip == Jet.variable(big, order, "w"), "complexify", "reality identity",
             "reality identity failed: reflecting the graph through itself did not return w")
     return ComplexifiedHypersurface(core, rho, equation)
@@ -152,7 +152,9 @@ def segre_section(
         f"zb{j}": as_gaussian(v) for j, v in enumerate(zb_values, start=1)
     }
     frozen["wb"] = as_gaussian(wb_value)
-    return substitute(ch.rho, frozen, zonly, ch.order, allow_constant=frozen)
+    return compose_many(
+        [ch.rho], frozen, allow_constant=frozen, alphabet=zonly, order=ch.order
+    )[0]
 
 
 def segre_graph(ch: ComplexifiedHypersurface, z_point: tuple, w_point) -> Jet:
@@ -207,7 +209,6 @@ def conjugate_elimination(ch: ComplexifiedHypersurface) -> ConjugateElimination:
     )
     at_bb: dict[str, Jet] = {"wb": bb}
     for j, ab in enumerate(unknowns, start=1):
-        at_bb[f"z{j}"] = Jet.variable(big4, order, f"z{j}")
         at_bb[f"zb{j}"] = Jet.variable(big4, order, ab)
     slopes = compose_many(
         [ch.rho.derive(f"z{j}") for j in range(1, nu + 1)], at_bb, alphabet=big4, order=order
@@ -223,7 +224,7 @@ def conjugate_elimination(ch: ComplexifiedHypersurface) -> ConjugateElimination:
             "z-block of the Levi form is degenerate; the frozen parameters "
             "cannot be eliminated"
         ) from None
-    wb = substitute(bb, dict(zip(unknowns, solved)), section, order)
+    (wb,) = compose_many([bb], dict(zip(unknowns, solved)), alphabet=section, order=order)
     return ConjugateElimination(tuple(solved), wb)
 
 
@@ -263,29 +264,21 @@ def _substitute_elimination(
     section = section_parameter_alphabet(nu)
     eliminated = {f"zb{j}": zb for j, zb in enumerate(elim.zb, start=1)}
     eliminated["wb"] = elim.wb
-    for name in section.names[: nu + 1]:
-        eliminated[name] = Jet.variable(section, order, name)
     return compose_many(jets, eliminated, alphabet=section, order=order)
 
 
-def phi_elimination(
-    ch: ComplexifiedHypersurface, elim: ConjugateElimination | None = None
-) -> SectionHessian:
+def phi_elimination(ch: ComplexifiedHypersurface, elim: ConjugateElimination) -> SectionHessian:
     """Section Hessian by direct substitution into the graph's second
     z-derivatives."""
     nu = ch.nu
     order = ch.order - 2
-    if elim is None:
-        elim = conjugate_elimination(ch)
     seconds = [ch.rho.derive(f"z{i + 1}").derive(f"z{j + 1}") for i, j in _upper_pairs(nu)]
     return _section_hessian(
         nu, _substitute_elimination(seconds, elim, nu, order), "elimination", order
     )
 
 
-def phi_determinant(
-    ch: ComplexifiedHypersurface, elim: ConjugateElimination | None = None
-) -> SectionHessian:
+def phi_determinant(ch: ComplexifiedHypersurface, elim: ConjugateElimination) -> SectionHessian:
     """Section Hessian by bordered determinants of a defining function.
 
     F = w - wb - 2i sigma_c and its derivatives F_w, F_ww, F_zi, F_ziw and
@@ -302,9 +295,6 @@ def phi_determinant(
     """
     nu = ch.nu
     order = ch.order - 2
-    if elim is None:
-        elim = conjugate_elimination(ch)
-
     d_w = ch.equation.derive("w")
     d_z = [ch.equation.derive(f"z{j}") for j in range(1, nu + 1)]
     pairs = _upper_pairs(nu)

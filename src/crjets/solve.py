@@ -97,8 +97,7 @@ def implicit_solve(
 
     guesses: list[Jet] = [Jet.zero(target, work_order) for _ in unknowns]
     for k in range(1, work_order + 1):
-        assignment: dict[str, Jet] = {n: Jet.variable(target, k, n) for n in params}
-        assignment.update((u, g.truncate(k)) for u, g in zip(unknowns, guesses))
+        assignment = {u: g.truncate(k) for u, g in zip(unknowns, guesses)}
         residuals = compose_many(
             [eq.truncate(k) for eq in eqs], assignment, alphabet=target, order=k
         )
@@ -117,9 +116,9 @@ def implicit_solve(
             # polynomial, exact at the working order.
             guesses[j] = guesses[j] - Jet(target, work_order, delta.terms)
 
-    assignment = {n: Jet.variable(target, work_order, n) for n in params}
-    assignment.update(zip(unknowns, guesses))
-    residuals = compose_many(eqs, assignment, alphabet=target, order=work_order)
+    residuals = compose_many(
+        eqs, dict(zip(unknowns, guesses)), alphabet=target, order=work_order
+    )
     certify(all(r.is_zero() for r in residuals), "implicit_solve", "residual is zero",
             "chord iteration failed to reach an exactly zero residual; "
             "this indicates corrupted coefficient arithmetic")

@@ -288,7 +288,7 @@ def previous_phi_determinant(ch, zb, wb):
     """Entries of the bordered-determinant route, multiplied over the Segre
     alphabet and then substituted at the eliminated (zb, wb)."""
     from crjets import GaussianRational, Jet
-    from crjets.jets import substitute
+    from crjets.jets import compose_many
     from crjets.rationals import HALF
     from crjets.segre import section_parameter_alphabet
 
@@ -296,7 +296,7 @@ def previous_phi_determinant(ch, zb, wb):
     out = order - 2
     big = ch.rho.alphabet
     w, wbv = Jet.variable(big, order, "w"), Jet.variable(big, order, "wb")
-    sigma = substitute(ch.core.phi, {"s": (w + wbv) * HALF}, big, order)
+    (sigma,) = compose_many([ch.core.phi], {"s": (w + wbv) * HALF}, alphabet=big, order=order)
     f = (w - wbv - sigma * GaussianRational(0, 2)) * GaussianRational(0, Fraction(-1, 2))
     d_w = f.derive("w").truncate(out)
     d_ww = f.derive("w").derive("w")
@@ -318,8 +318,8 @@ def previous_phi_determinant(ch, zb, wb):
                 - d_zj * (d_zi * d_ww - d_zi_w * d_w)
                 + d_w * (d_zi * d_zj_w - d_zi_zj * d_w)
             )
-            value = substitute(
-                bordered * inv_w_cubed, eliminated, section_parameter_alphabet(nu), out
+            (value,) = compose_many(
+                [bordered * inv_w_cubed], eliminated, alphabet=section_parameter_alphabet(nu), order=out
             )
             rows[i - 1][j - 1] = rows[j - 1][i - 1] = value
     return tuple(tuple(row) for row in rows)

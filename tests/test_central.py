@@ -10,7 +10,7 @@ from crjets import (
     GaussianRational,
     Jet,
     central_manifold,
-    compose,
+    compose_many,
     generators,
     is_straightened,
     make_germ,
@@ -83,9 +83,9 @@ def test_morse_with_cubic_correction():
     assert form.quad_coeffs == (Fraction(1),)
     v = form.maps[0]
     # V is reliable to order 5 with valuation 1: t1^2 at V derives order 6.
-    assert compose(g["t1"] ** 2, {"t1": v}, order=6) == (g["t1"] ** 2 + g["t1"] ** 3)
-    assert form.base == compose(
-        germ.phi,
+    assert compose_many([g["t1"] ** 2], {"t1": v}, order=6)[0] == (g["t1"] ** 2 + g["t1"] ** 3)
+    assert form.base == compose_many(
+        [germ.phi],
         {
             "z1": Jet.variable(form.base.alphabet, 6, "z1"),
             "zb1": Jet.variable(form.base.alphabet, 6, "zb1"),
@@ -94,7 +94,7 @@ def test_morse_with_cubic_correction():
         },
         alphabet=form.base.alphabet,
         order=6,
-    )
+    )[0]
 
 
 def test_morse_indefinite_cross_term():
@@ -133,7 +133,7 @@ def test_graph_gradient_residual_on_random_germs():
         for name, g in zip(germ.t_names(), m.graph):
             assignment[name] = g.rename({}, full)
         for name in germ.t_names():
-            assert compose(germ.phi.derive(name), assignment).is_zero()
+            assert compose_many([germ.phi.derive(name)], assignment)[0].is_zero()
         # straightened germ has no t-linear part: gradient vanishes at t = 0
         flat = straighten(germ, m)
         for name in flat.t_names():

@@ -189,6 +189,38 @@ def test_order_override(tmp_path, capsys):
     assert report["input"]["order"] == 3
 
 
+def test_order_two_germs_certify(tmp_path, capsys):
+    # The section Hessian and the Morse loop's square factor are jets of
+    # order 0, where the variables that compositions keep cannot be built
+    # as jets; they keep their names through the composition instead.
+    order_two = ("--order", "2", "--check")
+    zero_entry = [[{"order": 0, "terms": [], "variables": ["z1", "w", "wp1"]}]]
+    for germ in (QUADRIC, SPLIT_MODEL):
+        report = run_json(tmp_path, capsys, "phi", drop(tmp_path, "g.json", germ), extra=order_two)
+        assert report["results"]["entries"] == zero_entry
+        assert report["reliable_orders"] == {"entries": 0}
+        assert all(report["checks"].values())
+    path = drop(tmp_path, "g.json", QUADRIC)
+    report = run_json(tmp_path, capsys, "rigid-check", path, extra=order_two)
+    assert report["results"]["consistent_with_rigid_analyticity"] is True
+    assert all(report["checks"].values())
+    for germ in (SPLIT_MODEL, TILTED):
+        path = drop(tmp_path, "g.json", germ)
+        report = run_json(tmp_path, capsys, "normalize", path, extra=order_two)
+        assert report["checks"]["reconstruction_is_exact"] is True
+        assert report["reliable_orders"] == {"base": 2, "square_maps": 1}
+
+
+def test_order_past_the_packing_limit_is_named(tmp_path, capsys):
+    path = drop(tmp_path, "g.json", QUADRIC)
+    assert cli.run(["levi", path, "--order", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "precondition violated: order 99 exceeds 30, the packing limit for this alphabet\n"
+    )
+
+
 def corpus_invocations(tmp_path):
     """Every subcommand on the fixed germs above and a few seeded random
     germs, each with and without --check."""

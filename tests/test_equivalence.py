@@ -8,7 +8,7 @@ import pytest
 from crjets import (
     GaussianRational,
     Jet,
-    compose,
+    compose_many,
     equivalence_alphabet,
     extract_multiplier,
     generators,
@@ -79,11 +79,11 @@ def test_multiplier_consistency_on_the_lift():
     sub["v"] = model.phi  # evaluate the multiplier on the surface
     # The multiplier is reliable to order K - 1 only, and so is its pull
     # back; times t1^2, of valuation 2, the product derives order K.
-    pulled = compose(mult, sub, alphabet=full, order=K)
+    (pulled,) = compose_many([mult], sub, alphabet=full, order=K)
     assert pulled.order == K - 1
     t1 = Jet.variable(full, K, "t1")
     # T = t_maps[0] is reliable to K - 1 with valuation 1: t1^2 at T derives K.
-    lhs = compose(t1 * t1, {"t1": lift.t_maps[0]}, order=K)
+    (lhs,) = compose_many([t1 * t1], {"t1": lift.t_maps[0]}, order=K)
     assert lhs.order == K
     assert lhs == t1 * t1 * pulled
 

@@ -21,7 +21,7 @@ from crjets import (
 )
 from crjets.errors import PreconditionError
 from crjets.germs import at_t_zero
-from crjets.jets import substitute
+from crjets.jets import compose_many
 
 from germ_corpus import (
     rand_fraction,
@@ -260,7 +260,7 @@ def test_t_zero_restriction_matches_substitution(case):
     nu, jet = case
     t_names = [n for n in jet.alphabet.names if n.startswith("t")]
     central = standard_alphabet(nu, 0)
-    expected = substitute(jet, dict.fromkeys(t_names, 0), central, jet.order)
+    (expected,) = compose_many([jet], dict.fromkeys(t_names, 0), alphabet=central, order=jet.order)
     got = at_t_zero(jet, nu)
     assert got == expected
     assert got.alphabet == central
@@ -273,5 +273,5 @@ def test_restriction_keeping_the_alphabet_matches_substitution(case, data):
     alpha = jet.alphabet
     names = data.draw(st.lists(st.sampled_from(alpha.names), unique=True))
     got = jet.at_zero(names, alpha)
-    assert got == substitute(jet, dict.fromkeys(names, 0), alpha, jet.order)
+    assert got == compose_many([jet], dict.fromkeys(names, 0), alphabet=alpha, order=jet.order)[0]
     assert got.alphabet is alpha

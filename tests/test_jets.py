@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import crjets._kernels
-from crjets import Alphabet, GaussianRational, I, Jet, compose, compose_many, jet_sqrt
+from crjets import Alphabet, GaussianRational, I, Jet, compose_many, jet_sqrt
 from crjets.alphabet import SMALL_LIMIT
 from crjets.errors import (
     AlphabetMismatchError,
@@ -42,7 +42,8 @@ WIDE_CONJ = Alphabet(
     tuple(f"c{i}" for i in range(SMALL_LIMIT + 2)), {"c0": "c10", "c3": "c4", "c9": "c1"}
 )
 
-fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+# The values of st.fractions(-9, 9, max_denominator=6), drawn faster.
+fracs = st.integers(1, 6).flatmap(lambda d: st.integers(-9 * d, 9 * d).map(lambda n: Fraction(n, d)))
 coefs = st.tuples(fracs, fracs)
 BIG = 1 << 1000
 # Parts with a numerator or a denominator of at least 1000 bits.
@@ -264,7 +265,7 @@ def test_compose_matches_oracle(pin1, pin2):
     outer_poly = {(2, 0): ONE, (1, 1): (Fraction(3), Fraction(0)), (0, 1): (Fraction(0), Fraction(1))}
     outer = poly_to_jet(outer_poly, XY, 5)
     g1, g2 = poly_to_jet(pin1, XY, 5), poly_to_jet(pin2, XY, 5)
-    got = compose(outer, {"x": g1, "y": g2})
+    (got,) = compose_many([outer], {"x": g1, "y": g2})
     want = pcompose(outer_poly, [jet_to_poly(g1), jet_to_poly(g2)], 5, 2)
     assert jet_to_poly(got) == want
 
@@ -272,7 +273,7 @@ def test_compose_matches_oracle(pin1, pin2):
 def test_compose_rejects_nonzero_constant():
     x, y = Jet.variable(XY, 4, "x"), Jet.variable(XY, 4, "y")
     with pytest.raises(PreconditionError):
-        compose(x, {"x": y + 1, "y": y})
+        compose_many([x], {"x": y + 1, "y": y})
     # explicit opt-in for frozen parameters
     got = compose_many([x], {"x": y + 1, "y": y}, allow_constant=("x",))
     assert got[0] == y + 1
@@ -683,3 +684,41 @@ def test_composition_refuses_an_order_past_the_target_packing_limit():
     x0 = Jet.variable(wide, 31, "x0")
     with pytest.raises(PreconditionError, match="^order 31 exceeds 30, the packing limit"):
         compose_many([x0], {"x0": 2}, alphabet=Alphabet(("y",), None), allow_constant=["x0"])
+
+
+XYW = Alphabet(("x", "y", "w"), None)
+
+
+@st.composite
+def partial_assignments(draw):
+    """Outers over XYU, substitutes over XYW for u and for some of x and
+    y, and a requested order or none."""
+    outers = [
+        poly_to_jet(known, XYU, order)
+        for order, known, _ in (draw(factors(3)) for _ in range(draw(st.integers(1, 2))))
+    ]
+    assignment = {}
+    for name in XYU.names:
+        if name == "u" or draw(st.booleans()):
+            order, known, _ = draw(factors(3, lowest=1))
+            assignment[name] = poly_to_jet(known, XYW, order)
+    return outers, assignment, draw(st.one_of(st.none(), st.integers(1, 10)))
+
+
+@given(partial_assignments())
+@settings(max_examples=100, deadline=None)
+def test_left_out_variables_map_to_their_namesakes(case):
+    outers, assignment, cap = case
+    # An identity is exact: at the requested order, or at an order no
+    # less than the least participating one, it changes nothing.
+    at = cap if cap is not None else max(j.order for j in [*outers, *assignment.values()])
+    explicit = {name: Jet.variable(XYW, at, name) for name in ("x", "y")}
+    explicit.update(assignment)
+    got = compose_many(outers, assignment, alphabet=XYW, order=cap)
+    want = compose_many(outers, explicit, alphabet=XYW, order=cap)
+    assert [(g.order, g.terms) for g in got] == [(w.order, w.terms) for w in want]
+    # u has no namesake in XYW.
+    if any("u" in o.support() for o in outers):
+        del assignment["u"]
+        with pytest.raises(PreconditionError, match=r"^assignment misses support variables \['u'\]$"):
+            compose_many(outers, assignment, alphabet=XYW, order=cap)

@@ -14,7 +14,7 @@ from crjets import (
     I,
     Jet,
     OdeUnsolvableError,
-    compose,
+    compose_many,
     complexify,
     conjugate_elimination,
     generators,
@@ -81,8 +81,9 @@ def test_phi_routes_vanish_on_quadrics():
         (lambda g: g["z1"] * g["zb1"] - g["z2"] * g["zb2"], 2),
     ):
         ch = complexify(central(build, nu=nu, order=8))
-        a = phi_elimination(ch)
-        b = phi_determinant(ch)
+        elim = conjugate_elimination(ch)
+        a = phi_elimination(ch, elim)
+        b = phi_determinant(ch, elim)
         for i in range(nu):
             for j in range(nu):
                 assert a.entries[i][j].is_zero()
@@ -170,7 +171,7 @@ def test_phi_entries_are_symmetric_for_two_variables():
     rng = random.Random(31)
     germ = random_central(rng, nu=2, order=5)
     ch = complexify(germ)
-    h = phi_elimination(ch)
+    h = phi_elimination(ch, conjugate_elimination(ch))
     assert h.entries[0][1] == h.entries[1][0]
 
 
@@ -184,7 +185,8 @@ def test_w_offenders_fire_on_non_rigid_data():
     # sigma = z zb - s^2/4 is the straightened quadric-with-parameter;
     # its Hessian genuinely depends on w
     germ = central(lambda g: g["z1"] * g["zb1"] - g["s"] ** 2 * Fraction(1, 4))
-    h = phi_determinant(complexify(germ))
+    ch = complexify(germ)
+    h = phi_determinant(ch, conjugate_elimination(ch))
     offenders = h.w_offenders()
     assert offenders
     alpha = h.entries[0][0].alphabet
@@ -271,7 +273,7 @@ def test_profile_residual_on_random_even_heights():
         x = Jet.variable(XA, 8, "x")
         lhs = x * x * h.derive("x").derive("x")
         inner = x * h.derive("x")
-        rhs = compose(psi, {"u": inner}, alphabet=XA, order=8)
+        (rhs,) = compose_many([psi], {"u": inner}, alphabet=XA, order=8)
         assert lhs.order == inner.order == rhs.order == h.order == 8
         assert lhs == rhs
 
@@ -302,10 +304,10 @@ def test_section_satisfies_the_profile_equation():
         zj = Jet.variable(section.alphabet, order - 2, "z1")
         lhs = zj * zj * section.derive("z1").derive("z1")
         sprime = (Jet.variable(section.alphabet, order - 1, "z1") * section.derive("z1")).truncate(order - 2)
-        rhs = compose(
-            psi.truncate(order - 2),
+        rhs = compose_many(
+            [psi.truncate(order - 2)],
             {"u": sprime * GaussianRational(0, -1)},
             alphabet=section.alphabet,
             order=order - 2,
-        ) * GaussianRational(0, Fraction(1, 2)) - sprime * Fraction(1, 2)
+        )[0] * GaussianRational(0, Fraction(1, 2)) - sprime * Fraction(1, 2)
         assert lhs == rhs

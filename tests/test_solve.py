@@ -13,7 +13,7 @@ from crjets import (
     GaussianRational,
     Jet,
     complexify,
-    compose,
+    compose_many,
     conjugate_elimination,
     implicit_solve,
     revert_series,
@@ -63,8 +63,7 @@ def test_two_unknowns_coupled():
     sols = implicit_solve([u - x - v * v, v - x * x - u * v], ["u", "v"])
     su, sv = sols
     xs = Jet.variable(a.subalphabet(["x"]), 5, "x")
-    r1 = compose(u - x - v * v, {"x": xs, "u": su, "v": sv})
-    r2 = compose(v - x * x - u * v, {"x": xs, "u": su, "v": sv})
+    r1, r2 = compose_many([u - x - v * v, v - x * x - u * v], {"x": xs, "u": su, "v": sv})
     assert r1.is_zero() and r2.is_zero()
 
 
@@ -85,8 +84,8 @@ def test_reversion_round_trip():
     t = Jet.variable(a, 7, "t")
     f = t + t * t
     g = revert_series(f)
-    assert compose(f, {"t": g}) == t
-    assert compose(g, {"t": f}) == t
+    assert compose_many([f], {"t": g})[0] == t
+    assert compose_many([g], {"t": f})[0] == t
 
 
 def test_reversion_known_series():
