@@ -3,6 +3,7 @@
     unpack(T) -> list             code-sorted (code, a, b, d) tuples of T
     mul_into(acc, A, B, bcodes, deg_shift, cap)
     finish(acc) -> dict
+    finish_unpacked(acc) -> list  unpack(finish(acc)), no coefficient objects
     mul_terms(A, B, deg_shift, cap) -> dict
 
 Coefficient maps send packed monomial codes to GaussianRational values.
@@ -23,6 +24,10 @@ common case, the product is scaled up to it and no gcd is taken.
 ``finish`` normalizes each accumulated monomial once and drops exact
 zeros. Several products may accumulate into one ``acc`` before it is
 finished, which is how ``jets.compose_many`` sums its P_b * U^b.
+``finish_unpacked`` returns what ``unpack(finish(acc))`` does, the
+normalized nonzero terms as a code-sorted tuple list, without building a
+GaussianRational: ``compose_many`` keeps its powers U^b in that form,
+since each is an operand of further products and never a result.
 
 ``mul_terms`` is unpack + mul_into + finish on two coefficient maps; the
 result contains every product monomial of degree <= cap, exactly, with
@@ -76,6 +81,17 @@ def finish(acc: dict) -> dict:
     # Looked up per call, so that a wrapper installed on the class is seen.
     normalize = GaussianRational.normalize
     return {c: normalize(x, y, z) for c, (x, y, z) in acc.items() if x or y}
+
+
+def finish_unpacked(acc: dict) -> list[tuple[int, int, int, int]]:
+    # Accumulated denominators are positive, so the gcd alone normalizes.
+    out = []
+    for c, (x, y, z) in acc.items():
+        if x or y:
+            g = gcd(x, y, z)
+            out.append((c, x // g, y // g, z // g) if g > 1 else (c, x, y, z))
+    out.sort()
+    return out
 
 
 def mul_terms(A: dict, B: dict, deg_shift: int, cap: int) -> dict:

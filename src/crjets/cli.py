@@ -73,6 +73,11 @@ CHART_NOTE = (
     "the external lift is computed from the given chart; a different "
     "presentation of the same structure can lift to a different germ"
 )
+# The least germ order of every command that reads germs. phi vanishes to
+# second order, so an order-1 germ is phi = 0, and the pipelines work at
+# order - 1 (first derivatives, the critical graph, the elimination) and
+# order - 2 (the section Hessian and the Morse factors).
+MIN_GERM_ORDER = 2
 
 
 class ParserExit(Exception):
@@ -155,6 +160,18 @@ def _parse_file(path: str, parse: Callable[..., Any], *args: Any) -> Any:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _parse_germ(args: argparse.Namespace, path: str) -> StructureGerm:
+    """Parse a germ file for args.command, refusing an order below
+    MIN_GERM_ORDER before any pipeline arithmetic."""
+    germ = _parse_file(path, germ_from_json, args.order)
+    if germ.order < MIN_GERM_ORDER:
+        raise PreconditionError(
+            f"{args.command} needs a germ of order at least {MIN_GERM_ORDER}, "
+            f"got order {germ.order}"
+        )
+    return germ
+
+
 def _germ_echo(germ: StructureGerm) -> dict[str, Any]:
     return {"nu": germ.nu, "nprime": germ.nprime, "order": germ.order}
 
@@ -173,7 +190,7 @@ def _signature(form: LeviForm) -> dict[str, int]:
 
 
 def cmd_levi(args: argparse.Namespace) -> Sections:
-    germ = _parse_file(args.file, germ_from_json, args.order)
+    germ = _parse_germ(args, args.file)
     form = levi_form(germ)
     cov = characteristic_covector(germ)
     results = {
@@ -200,7 +217,7 @@ def cmd_levi(args: argparse.Namespace) -> Sections:
 
 
 def cmd_central(args: argparse.Namespace) -> Sections:
-    germ = _parse_file(args.file, germ_from_json, args.order)
+    germ = _parse_germ(args, args.file)
     manifold, flat = central_and_straightened(germ)
     results = {
         "graph": dict(zip(germ.t_names(), manifold.graph)),
@@ -217,7 +234,7 @@ def cmd_central(args: argparse.Namespace) -> Sections:
 
 
 def cmd_normalize(args: argparse.Namespace) -> Sections:
-    germ = _parse_file(args.file, germ_from_json, args.order)
+    germ = _parse_germ(args, args.file)
     flat = straighten(germ)
     form = morse_normalize(flat)
     results = {
@@ -233,7 +250,7 @@ def cmd_normalize(args: argparse.Namespace) -> Sections:
 
 
 def cmd_phi(args: argparse.Namespace) -> Sections:
-    germ = _parse_file(args.file, germ_from_json, args.order)
+    germ = _parse_germ(args, args.file)
     hessian = certified_section_hessian(germ)
     results = {
         "reduced_to_center_first": bool(germ.nprime),
@@ -248,7 +265,7 @@ def cmd_phi(args: argparse.Namespace) -> Sections:
 
 
 def cmd_external(args: argparse.Namespace) -> Sections:
-    germ = _parse_file(args.file, germ_from_json, args.order)
+    germ = _parse_germ(args, args.file)
     ext = external_lift(germ)
     form = external_levi(ext)
     results = {
@@ -267,7 +284,7 @@ def cmd_external(args: argparse.Namespace) -> Sections:
 
 
 def cmd_rigid_check(args: argparse.Namespace) -> Sections:
-    germ = _parse_file(args.file, germ_from_json, args.order)
+    germ = _parse_germ(args, args.file)
     report = rigid_phi_test(germ)
     names = section_parameter_alphabet(germ.nu).names
     results = {
@@ -302,8 +319,8 @@ def cmd_ode(args: argparse.Namespace) -> Sections:
 
 
 def cmd_lift(args: argparse.Namespace) -> Sections:
-    source = _parse_file(args.file, germ_from_json, args.order)
-    target = _parse_file(args.file2, germ_from_json, args.order)
+    source = _parse_germ(args, args.file)
+    target = _parse_germ(args, args.file2)
     # certify split shape before any heavier work
     source_core, target_core = split_core(source), split_core(target)
     z_maps, w_map = _parse_file(

@@ -593,9 +593,10 @@ def compose_many(
     each outer's terms are collected by their exponents b in U
     into one polynomial P_b over the target, and the result is P_0 plus
     one truncated product P_b * U^b per group. The products U^b are
-    memoised per call and shared by every outer; each is built from a
-    memoised shorter one and kept normalized, since it is an operand of
-    several products. Each U^b is unpacked once for all its users. Every
+    memoised per call and shared by every outer. Each is one fused
+    product of two memoised shorter ones into a fresh accumulator, kept
+    in the kernel's unpacked form (_kernels.finish_unpacked), since it is
+    an operand of further products and never a result. Every
     P_b * U^b of one outer is multiplied straight into that outer's raw
     (a, b, d) accumulator, seeded with P_0 and with the shorter operand
     as the kernel's outer loop, and each output monomial is normalized
@@ -654,8 +655,11 @@ def compose_many(
     deg_shift = target.deg_shift
     # Source fields of monomial substitutes and their target codes.
     monomial: list[tuple[int, int]] = []
-    # Source fields of the other variables U, and their substitutes' terms.
-    grouped: list[tuple[int, dict[int, GaussianRational]]] = []
+    # Source fields of the other variables U. U^b is keyed by the source
+    # code of b (its U fields, no degree field); the substitutes are the
+    # products of length one, unpacked.
+    grouped: list[int] = []
+    products: dict[int, list[tuple[int, int, int, int]]] = {}
     group_mask = 0
     for name, shift in zip(src.names, src.shifts):
         if name not in support:
@@ -673,18 +677,15 @@ def compose_many(
             if code and c.a == 1 and c.b == 0 and c.d == 1:
                 monomial.append((shift, code))
                 continue
-        grouped.append((shift, terms))
+        grouped.append(shift)
+        products[1 << shift] = _kernels.unpack(terms)
         group_mask |= mask << shift
 
-    # U^b is keyed by the source code of b (its U fields, no degree field)
-    # and is the product of two shorter ones: x^e = x^(e-1) * x, and a
-    # product of several variables is the one without its last variable
-    # times that variable's power. The substitutes are the products of
-    # length one.
-    products = {1 << shift: terms for shift, terms in grouped}
-
+    # A longer U^b is the product of two shorter ones: x^e = x^(e-1) * x,
+    # and a product of several variables is the one without its last
+    # variable times that variable's power.
     def halves(b: int) -> tuple[int, int] | None:
-        for shift, _ in reversed(grouped):
+        for shift in reversed(grouped):
             e = (b >> shift) & mask
             if e:
                 break
@@ -741,15 +742,20 @@ def compose_many(
     # Both halves of U^b have smaller codes than b: ascending order builds
     # every product after its halves.
     for b in sorted(kept.union(users)):
-        u = products.get(b)
-        if u is None:
-            first, second = halves(b)
-            u = _kernels.mul_terms(products[first], products[second], deg_shift, result_order)
+        ub = products.get(b)
+        if ub is None:
+            first, second = (products[half] for half in halves(b))
+            if len(first) > len(second):
+                first, second = second, first
+            built: dict[int, list[int]] = {}
+            _kernels.mul_into(
+                built, first, second, [t[0] for t in second], deg_shift, result_order
+            )
+            ub = _kernels.finish_unpacked(built)
             if b in kept:
-                products[b] = u
+                products[b] = ub
         if b not in users:
             continue
-        ub = _kernels.unpack(u)
         ucodes = [t[0] for t in ub]
         for poly, acc in users[b]:
             pb = _kernels.unpack(poly)

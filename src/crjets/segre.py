@@ -1,18 +1,20 @@
 """Complexified defining graph and the second-order section functions.
 
 A core germ (no t variables) sigma(z, zb, s) defines the hypersurface
-Im w = sigma(z, zb, Re w). Solving the defining function
+Im w = sigma(z, zb, Re w). With s = (w + wb)/2 its complexified defining
+function is
 
-    F = w - wb - 2i * sigma(z, zb, (w + wb)/2) = 0
+    F = w - wb - 2i * sigma(z, zb, s) = 2 (s - wb - i sigma(z, zb, s)),
 
-for w gives the graph jet rho(z, zb, wb); complexify keeps both and
-certifies the reality identity rho(z, zb, rhob(zb, z, w)) = w, where
-rhob is the conjugate jet. The sections obtained by freezing (zb, wb) at
-exact points form a family of holomorphic graphs. Differentiating a
-section twice and eliminating the frozen parameters through the
-first-order data produces, for Levi-nondegenerate cores, a matrix of
-jets in (z, w, wp) that governs the second derivatives of every section
-at once.
+so complexify solves s - i sigma(z, zb, s) = wb for s = S(z, zb, wb)
+and takes the graph jet rho(z, zb, wb) = 2S - wb, the unique solution of
+F = 0 for w. It certifies the reality identity
+rho(z, zb, rhob(zb, z, w)) = w, where rhob is the conjugate jet. The
+sections obtained by freezing (zb, wb) at exact points form a family of
+holomorphic graphs. Differentiating a section twice and eliminating the
+frozen parameters through the first-order data produces, for
+Levi-nondegenerate cores, a matrix of jets in (z, w, wp) that governs the
+second derivatives of every section at once.
 
 The elimination solves the nu equations d rho/d z_j = wp_j for zb
 alone. By the reality identity, wb = rhob(zb, z, w) satisfies the other
@@ -20,16 +22,16 @@ incidence equation rho(z, zb, wb) = w identically, so wb follows from
 the solved zb by one substitution. Two independent constructions of the
 matrix start from that elimination:
 
-  * the bordered-determinant route substitutes the elimination into the
-    defining function and its derivatives, then forms bordered
-    determinants normalized by a cube of F_w; the substituted F must
-    vanish exactly, which certifies that the elimination lies on the
-    incidence relation;
+  * the bordered-determinant route substitutes the elimination into
+    sigma and its derivatives, scales them into F and its derivatives,
+    then forms bordered determinants normalized by a cube of F_w; the
+    substituted F must vanish exactly, which certifies that the
+    elimination lies on the incidence relation;
   * the elimination route substitutes it into the plain second
     derivative of the graph.
 
-Besides the complexified defining function they start from, they share
-only the parameter elimination and must agree entrywise;
+They share only the core sigma and the parameter elimination: the
+determinant route never reads the graph jet. They must agree entrywise;
 certified_section_hessian runs both and compares them, so neither route
 can quietly stand in for the other.
 
@@ -53,8 +55,11 @@ from .errors import (
 )
 from .germs import StructureGerm
 from .jets import Jet, compose_many
-from .rationals import HALF, GaussianRational, as_gaussian
+from .rationals import HALF, MINUS_HALF_I, MINUS_I, GaussianRational, I, as_gaussian
 from .solve import implicit_solve
+
+TWO_I = GaussianRational(0, 2)
+MINUS_TWO_I = GaussianRational(0, -2)
 
 
 def segre_alphabet(nu: int) -> Alphabet:
@@ -91,12 +96,10 @@ def section_parameter_alphabet(nu: int) -> Alphabet:
 
 @dataclass(frozen=True)
 class ComplexifiedHypersurface:
-    """The graph jet rho and the defining function it solves, both over
-    segre_alphabet(nu)."""
+    """The core germ and its graph jet rho over segre_alphabet(nu)."""
 
     core: StructureGerm
     rho: Jet
-    equation: Jet
 
     @property
     def nu(self) -> int:
@@ -108,8 +111,13 @@ class ComplexifiedHypersurface:
 
 
 def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
-    """Solve the defining function w - wb - 2i sigma(z, zb, (w + wb)/2)
-    for w and certify the reality identity."""
+    """Solve s - i sigma(z, zb, s) = wb for s = S(z, zb, wb), take the
+    graph jet rho = 2S - wb and certify the reality identity.
+
+    The outer jet of the solve is sigma itself, so no power of
+    s = (w + wb)/2 is expanded: rho is the solution of
+    w - wb - 2i sigma(z, zb, (w + wb)/2) = 0 for w, which is unique.
+    """
     if core.nprime != 0:
         raise PreconditionError(
             "complexification expects a core germ without t variables; "
@@ -119,19 +127,21 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
         raise PreconditionError("complexification needs at least one complex variable")
     order = core.order
     big = segre_alphabet(core.nu)
-    w = Jet.variable(big, order, "w")
-    wb = Jet.variable(big, order, "wb")
-    (sigma_big,) = compose_many([core.phi], {"s": (w + wb) * HALF}, alphabet=big, order=order)
-    equation = w - wb - sigma_big * GaussianRational(0, 2)
-    graph = implicit_solve([equation], ["w"])[0]
-    rho = graph.rename({}, big)
+    solving = Alphabet(core.alphabet.names + ("wb",), None)
+    equation = (
+        Jet.variable(solving, order, "s")
+        - core.phi.rename({}, solving) * I
+        - Jet.variable(solving, order, "wb")
+    )
+    (half,) = implicit_solve([equation], ["s"], target=big)
+    rho = half * 2 - Jet.variable(big, order, "wb")
 
     certify(rho.coefficient({"wb": 1}) == as_gaussian(1), "complexify", "graph starts as wb",
             "graph jet must start as wb plus higher terms")
     (round_trip,) = compose_many([rho], {"wb": rho.conjugate()}, alphabet=big, order=order)
     certify(round_trip == Jet.variable(big, order, "w"), "complexify", "reality identity",
             "reality identity failed: reflecting the graph through itself did not return w")
-    return ComplexifiedHypersurface(core, rho, equation)
+    return ComplexifiedHypersurface(core, rho)
 
 
 def segre_section(
@@ -173,7 +183,7 @@ def segre_graph(ch: ComplexifiedHypersurface, z_point: tuple, w_point) -> Jet:
     for j, v in enumerate(a, start=1):
         point[f"z{j}"] = v
         point[f"zb{j}"] = v.conjugate()
-    residual = c - c.conjugate() - ch.core.phi.evaluate(point) * GaussianRational(0, 2)
+    residual = c - c.conjugate() - ch.core.phi.evaluate(point) * TWO_I
     if not residual.is_zero():
         raise PreconditionError(
             f"base point is not on the hypersurface: incidence residual {residual}"
@@ -255,62 +265,72 @@ class SectionHessian:
         return out
 
 
-def _substitute_elimination(
-    jets: list[Jet], elim: ConjugateElimination, nu: int, order: int
-) -> list[Jet]:
-    """Replace the frozen parameters (zb, wb) of jets over
-    segre_alphabet(nu) by their eliminated values, in one composition;
-    z and w stay."""
-    section = section_parameter_alphabet(nu)
-    eliminated = {f"zb{j}": zb for j, zb in enumerate(elim.zb, start=1)}
-    eliminated["wb"] = elim.wb
-    return compose_many(jets, eliminated, alphabet=section, order=order)
-
-
 def phi_elimination(ch: ComplexifiedHypersurface, elim: ConjugateElimination) -> SectionHessian:
-    """Section Hessian by direct substitution into the graph's second
-    z-derivatives."""
+    """Section Hessian by direct substitution of the elimination into the
+    graph's second z-derivatives, in one composition; z and w stay."""
     nu = ch.nu
     order = ch.order - 2
     seconds = [ch.rho.derive(f"z{i + 1}").derive(f"z{j + 1}") for i, j in _upper_pairs(nu)]
-    return _section_hessian(
-        nu, _substitute_elimination(seconds, elim, nu, order), "elimination", order
+    eliminated = {f"zb{j}": zb for j, zb in enumerate(elim.zb, start=1)}
+    eliminated["wb"] = elim.wb
+    values = compose_many(
+        seconds, eliminated, alphabet=section_parameter_alphabet(nu), order=order
     )
+    return _section_hessian(nu, values, "elimination", order)
 
 
 def phi_determinant(ch: ComplexifiedHypersurface, elim: ConjugateElimination) -> SectionHessian:
-    """Section Hessian by bordered determinants of a defining function.
+    """Section Hessian by bordered determinants of the defining function
+    F = w - wb - 2i sigma(z, zb, (w + wb)/2).
 
-    F = w - wb - 2i sigma_c and its derivatives F_w, F_ww, F_zi, F_ziw and
-    F_zizj (i <= j) are substituted at the elimination in one composition;
-    the bordered determinants and F_w^-3 are then formed over the section
+    sigma and its derivatives sigma_s, sigma_ss, sigma_zi, sigma_zis and
+    sigma_zizj (i <= j) are substituted at zb = E.zb, s = (w + E.wb)/2 in
+    one composition and scaled into F and its derivatives:
+
+        F = w - E.wb - 2i sigma,   F_w = 1 - i sigma_s,
+        F_ww = -(i/2) sigma_ss,    F_zi = -2i sigma_zi,
+        F_ziw = -i sigma_zis,      F_zizj = -2i sigma_zizj.
+
+    The bordered determinants and F_w^-3 are then formed over the section
     alphabet, which equals forming them first because composition is a
     ring homomorphism. Each entry is homogeneous of degree zero in F, so F
     needs no normalizing factor. The elimination lies on the incidence
     relation, so the substituted F must be exactly zero: InvariantError is
     raised if it is not, and the F term of each determinant drops. The
-    route reads the defining function kept by complexify, never the graph
-    jet, so past that function the only ingredient it shares with the
-    elimination route is the frozen-parameter elimination itself.
+    route reads the core sigma, never the graph jet, so the only
+    ingredient it shares with the elimination route is the
+    frozen-parameter elimination itself.
     """
     nu = ch.nu
     order = ch.order - 2
-    d_w = ch.equation.derive("w")
-    d_z = [ch.equation.derive(f"z{j}") for j in range(1, nu + 1)]
+    section = section_parameter_alphabet(nu)
+    sigma = ch.core.phi
+    d_s = sigma.derive("s")
+    d_z = [sigma.derive(f"z{j}") for j in range(1, nu + 1)]
     pairs = _upper_pairs(nu)
-    f, f_w, f_ww, *rest = _substitute_elimination(
-        [ch.equation, d_w, d_w.derive("w")]
+    # w at the elimination's order, at least 1, so that the section
+    # alphabet carries it even where the Hessian has order 0.
+    w = Jet.variable(section, ch.order - 1, "w")
+    at_elimination = {f"zb{j}": zb for j, zb in enumerate(elim.zb, start=1)}
+    at_elimination["s"] = (w + elim.wb) * HALF
+    s, s_s, s_ss, *rest = compose_many(
+        [sigma, d_s, d_s.derive("s")]
         + d_z
-        + [d.derive("w") for d in d_z]
+        + [d.derive("s") for d in d_z]
         + [d_z[i].derive(f"z{j + 1}") for i, j in pairs],
-        elim,
-        nu,
-        order,
+        at_elimination,
+        alphabet=section,
+        order=order,
     )
+    f = (w - elim.wb).truncate(order) - s * TWO_I
     certify(f.is_zero(), "phi_determinant", "F vanishes at the elimination",
             "defining-function identity failed: F does not vanish at the "
             "eliminated frozen parameters")
-    f_z, f_zw, f_zz = rest[:nu], rest[nu : 2 * nu], rest[2 * nu :]
+    f_w = 1 - s_s * I
+    f_ww = s_ss * MINUS_HALF_I
+    f_z = [d * MINUS_TWO_I for d in rest[:nu]]
+    f_zw = [d * MINUS_I for d in rest[nu : 2 * nu]]
+    f_zz = [d * MINUS_TWO_I for d in rest[2 * nu :]]
     inv_w_cubed = f_w.unit_inverse() ** 3
     values = [
         (

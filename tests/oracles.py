@@ -6,9 +6,9 @@ repeated multiplication. It shares no code with the package kernel
 (no packed monomial codes, no shared coefficient class), so agreement
 between the two is evidence, not tautology. Matrix inertia likewise
 comes from the characteristic polynomial, not from a congruence. The
-previous section-Hessian routes and characteristic covector at the end
-are the exception: they run on the package's jets and are the reference
-for the rewritten code.
+previous graph solve, section-Hessian routes and characteristic covector
+at the end are the exception: they run on the package's jets and are the
+reference for the rewritten code.
 """
 
 from __future__ import annotations
@@ -257,11 +257,29 @@ def poly_to_jet(p: Poly, alphabet, order: int):
     return Jet(alphabet, order, terms)
 
 
-# The section-Hessian routes as they were before the elimination solved nu
-# equations: (zb, wb) from all nu + 1 incidence equations, and bordered
-# determinants multiplied over the Segre alphabet before substituting. The
-# rewritten routes rest on the reality and homomorphism identities instead,
-# so equal results are evidence that those identities are applied right.
+# The section-Hessian routes as they were before complexify solved for s
+# and the elimination solved nu equations: the graph from the defining
+# function F = w - wb - 2i sigma(z, zb, (w + wb)/2) solved for w, (zb, wb)
+# from all nu + 1 incidence equations, and bordered determinants of F
+# multiplied over the Segre alphabet before substituting. The rewritten
+# routes rest on the substitution s = (w + wb)/2 and on the reality and
+# homomorphism identities instead, so equal results are evidence that
+# those identities are applied right.
+
+
+def previous_complexify(core):
+    """The graph jet rho over the Segre alphabet: F = 0 solved for w."""
+    from crjets import GaussianRational, Jet, implicit_solve
+    from crjets.jets import compose_many
+    from crjets.rationals import HALF
+    from crjets.segre import segre_alphabet
+
+    order = core.order
+    big = segre_alphabet(core.nu)
+    w, wb = Jet.variable(big, order, "w"), Jet.variable(big, order, "wb")
+    (sigma,) = compose_many([core.phi], {"s": (w + wb) * HALF}, alphabet=big, order=order)
+    (graph,) = implicit_solve([w - wb - sigma * GaussianRational(0, 2)], ["w"])
+    return graph.rename({}, big)
 
 
 def previous_conjugate_elimination(ch):

@@ -211,6 +211,23 @@ def test_order_two_germs_certify(tmp_path, capsys):
         assert report["reliable_orders"] == {"base": 2, "square_maps": 1}
 
 
+@pytest.mark.parametrize("germ", [QUADRIC, TILTED, {**TILTED, "order": 1, "phi": []}])
+def test_germ_commands_refuse_order_one(tmp_path, capsys, germ):
+    """Below order 2 a germ is phi = 0; every germ command refuses it before
+    any arithmetic, naming itself and the order it needs."""
+    path = drop(tmp_path, "g.json", germ)
+    scaling = drop(tmp_path, "map.json", SCALING_MAP)
+    order = () if germ["order"] == 1 else ("--order", "1")
+    for command in ("levi", "central", "normalize", "phi", "external", "rigid-check", "lift"):
+        files = (path, path, scaling) if command == "lift" else (path,)
+        assert cli.run([command, *files, *order, "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"precondition violated: {command} needs a germ of order at least 2, got order 1\n"
+        )
+
+
 def test_order_past_the_packing_limit_is_named(tmp_path, capsys):
     path = drop(tmp_path, "g.json", QUADRIC)
     assert cli.run(["levi", path, "--order", "99"]) == 2

@@ -216,6 +216,7 @@ def test_mul_into_accumulates_raw_products(case):
     got = crjets._kernels.finish(acc)
     assert jet_to_poly(Jet(alphabet, cap, got)) == padd(padd(seed, pmul(p, q, cap)), pmul(r, s, cap))
     assert_normalized(got)
+    assert crjets._kernels.finish_unpacked(acc) == crjets._kernels.unpack(got)
 
 
 def test_unpack_sorts_by_code():
@@ -230,6 +231,36 @@ def test_finish_normalizes_once_and_drops_zeros():
     got = crjets._kernels.finish({5: [2, 4, -6], 7: [0, 0, 35], 9: [6, 0, 4]})
     assert got == {5: GaussianRational(Fraction(-1, 3), Fraction(-2, 3)), 9: GaussianRational(Fraction(3, 2))}
     assert_normalized(got)
+
+
+@st.composite
+def raw_accumulators(draw):
+    """Raw [a, b, d] accumulators in any code order: positive denominators
+    that differ between entries, common factors, entries that cancelled to
+    zero and entries past 1000 bits."""
+    wide = st.integers(-(2**1100), 2**1100)
+    parts = st.one_of(st.integers(-40, 40), wide)
+    denominators = st.one_of(st.integers(1, 60), st.integers(1, 2**1100))
+    acc = {}
+    for code in draw(st.lists(st.integers(0, 2**24), max_size=12, unique=True)):
+        factor = draw(st.integers(1, 12))
+        if draw(st.integers(0, 4)):
+            a, b = draw(parts), draw(parts)
+        else:
+            a = b = 0
+        acc[code] = [a * factor, b * factor, draw(denominators) * factor]
+    return acc
+
+
+@given(raw_accumulators())
+@example({9: [3 * 2**1001, 6, 9], 2: [0, 0, 7], 5: [4, -8, 12], 1: [-(2**1100), 2**1099, 2**1050]})
+def test_finish_unpacked_is_unpack_of_finish(acc):
+    """The kernel form of a finished accumulator: code-sorted, reduced by
+    the gcd of numerators and denominator, zeros dropped."""
+    got = crjets._kernels.finish_unpacked(acc)
+    assert got == crjets._kernels.unpack(crjets._kernels.finish(acc))
+    assert [t[0] for t in got] == sorted(c for c, (a, b, _) in acc.items() if a or b)
+    assert_normalized({c: GaussianRational.from_normalized(a, b, d) for c, a, b, d in got})
 
 
 @given(polys(), polys(), polys())
@@ -416,13 +447,24 @@ def test_power_products_are_shared_across_outers(monkeypatch):
     arg = tx + ty * tx
     outers = [u * u * x, u * u * u * y, u * u * x * x + u * u * u]
     calls = count_kernel_calls(monkeypatch)
+    built = []
+    real_finish = crjets._kernels.finish_unpacked
+
+    def finish_unpacked(acc):
+        calls.append("finish_unpacked")
+        built.append(real_finish(acc))
+        return built[-1]
+
+    monkeypatch.setattr(crjets._kernels, "finish_unpacked", finish_unpacked)
     got = compose_many(outers, {"x": tx, "y": ty, "u": arg})
-    # u^2 and u^3 once each, each followed by one fused product P_b * U^b
-    # per outer that has the group
-    assert calls == ["mul_terms", "mul_into", "mul_into"] * 2
+    # u^2 and u^3 are built once each, by one fused product into a fresh
+    # accumulator, and each is followed by one fused product P_b * U^b per
+    # outer that has the group
+    assert calls == ["mul_into", "finish_unpacked", "mul_into", "mul_into"] * 2
     monkeypatch.undo()
-    cube = arg * arg * arg
-    assert got == [arg * arg * tx, cube * ty, arg * arg * tx * tx + cube]
+    square, cube = arg * arg, arg * arg * arg
+    assert built == [crjets._kernels.unpack(square.terms), crjets._kernels.unpack(cube.terms)]
+    assert got == [square * tx, cube * ty, square * tx * tx + cube]
 
 
 @given(polys(width=2), polys(width=5), polys(width=SMALL_LIMIT + 2))

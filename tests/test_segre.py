@@ -30,7 +30,7 @@ from crjets import (
 from crjets.errors import DegenerateFormError, InvariantError, PreconditionError, recording
 
 from germ_corpus import random_central, random_height, random_rigid_central
-from oracles import previous_conjugate_elimination, previous_phi_determinant
+from oracles import previous_complexify, previous_conjugate_elimination, previous_phi_determinant
 
 
 def central(phi_builder, nu=1, order=6):
@@ -128,10 +128,12 @@ def section_germs(draw):
 @example(random_central(random.Random(43), nu=1, order=7))
 @example(random_rigid_central(random.Random(44), order=7))
 def test_routes_match_the_previous_elimination_and_determinant(germ):
-    """The nu-equation elimination and the substitute-first determinant
-    equal the nu + 1 equation elimination and the multiply-first
-    determinant of tests/oracles.py exactly."""
+    """The graph solved for s, the nu-equation elimination and the
+    substitute-first determinant of sigma's derivatives equal the graph
+    solved for w, the nu + 1 equation elimination and the multiply-first
+    determinant of F of tests/oracles.py exactly."""
     ch = complexify(germ)
+    assert_same_jet(ch.rho, previous_complexify(germ))
     elim = conjugate_elimination(ch)
     zb, wb = previous_conjugate_elimination(ch)
     assert len(elim.zb) == len(zb) == germ.nu
