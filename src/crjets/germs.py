@@ -25,9 +25,6 @@ from .jets import Jet, compose_many
 from .linalg import hermitian_signature
 from .rationals import ZERO, GaussianRational, I, MINUS_I
 
-DEFAULT_ORDER = 6
-
-
 def standard_alphabet(nu: int, nprime: int) -> Alphabet:
     """Variables (z_1..z_nu, zb_1..zb_nu, s, t_1..t_nprime), z conjugate to zb.
 
@@ -97,9 +94,11 @@ def make_germ(nu: int, nprime: int, phi: Jet) -> StructureGerm:
 
 def at_t_zero(jet: Jet, nu: int) -> Jet:
     """A jet over standard_alphabet(nu, nprime) at t = 0, over
-    standard_alphabet(nu, 0), by Jet.at_zero. The order is kept."""
+    standard_alphabet(nu, 0), by Jet.at: the terms free of t, with no
+    coefficient arithmetic. Setting variables to zero drops terms only, so
+    the order is kept and the slice is reliable."""
     central = standard_alphabet(nu, 0)
-    return jet.at_zero([n for n in jet.alphabet.names if n not in central.index], central)
+    return jet.at({n: 0 for n in jet.alphabet.names if n not in central.index}, central)
 
 
 def first_integrals(germ: StructureGerm) -> dict[str, Jet]:
@@ -200,10 +199,6 @@ class LeviForm:
     positive: int
     negative: int
     null: int
-
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
 
     @property
     def nondegenerate(self) -> bool:

@@ -28,14 +28,17 @@ serialize identically. Codes move between variables only through
 Alphabet.remap: rename maps each variable to one target variable,
 conjugate is a rename by the alphabet's involution followed by coefficient
 conjugation, is_real compares each term with its partner under the
-involution, real_part and imag_part combine the two in one pass, and
-compose_many substitutes monomials the same way.
+involution, real_part and imag_part combine the two in one pass, at
+moves what is left after setting variables to exact values by rename, and
+compose_many substitutes monomials the same way. Jet.at is the one
+restriction to exact points; compose_many substitutes only jets without
+constant term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import _kernels
 from .alphabet import Alphabet
@@ -106,25 +109,10 @@ class Jet:
 
     @classmethod
     def from_terms(
-        cls,
-        alphabet: Alphabet,
-        order: int,
-        data: Mapping[tuple[int, ...] | frozenset, Scalar] | Iterable[tuple[Mapping[str, int], Scalar]],
+        cls, alphabet: Alphabet, order: int, data: Mapping[tuple[int, ...], Scalar]
     ) -> Jet:
-        """Build from (exponent vector | exponent dict) -> coefficient data."""
-        terms: dict[int, GaussianRational] = {}
-        items = data.items() if isinstance(data, Mapping) else data
-        for key, value in items:
-            if isinstance(key, tuple):
-                code = alphabet.encode(key)
-            else:
-                code = alphabet.encode_dict(dict(key))
-            coeff = terms.get(code, ZERO) + as_gaussian(value)
-            if coeff.is_zero():
-                terms.pop(code, None)
-            else:
-                terms[code] = coeff
-        return cls(alphabet, order, terms)
+        """Build from exponent vector -> coefficient data."""
+        return cls(alphabet, order, {alphabet.encode(k): as_gaussian(v) for k, v in data.items()})
 
     # ------------------------------------------------------------------
     # inspection
@@ -136,11 +124,8 @@ class Jet:
     def constant_term(self) -> GaussianRational:
         return self.terms.get(0, ZERO)
 
-    def coefficient(self, exponents: Mapping[str, int] | tuple[int, ...]) -> GaussianRational:
-        if isinstance(exponents, tuple):
-            code = self.alphabet.encode(exponents)
-        else:
-            code = self.alphabet.encode_dict(dict(exponents))
+    def coefficient(self, exponents: Mapping[str, int]) -> GaussianRational:
+        code = self.alphabet.encode_dict(exponents)
         if self.alphabet.degree(code) > self.order:
             raise PreconditionError(
                 f"coefficient of degree {self.alphabet.degree(code)} is beyond order {self.order}"
@@ -495,20 +480,44 @@ class Jet:
         # bound under which no exponent overflows a narrower target field.
         return Jet(target, self.order, terms)
 
-    def at_zero(self, names: Iterable[str], target: Alphabet) -> Jet:
-        """The jet with the variables ``names`` set to zero, over ``target``:
-        the terms whose codes have no field of those variables, with no
-        coefficient arithmetic. Over this jet's own alphabet the codes are
-        kept; otherwise they are moved by rename. The order is kept."""
+    def at(self, point: Mapping[str, Scalar], target: Alphabet) -> Jet:
+        """The jet with each variable of ``point`` set to its exact value,
+        over ``target``, at the same order; the other variables map to
+        their namesakes in ``target``.
+
+        A term with a variable set to zero is dropped with no coefficient
+        arithmetic. Over this jet's own alphabet a term with none of the
+        point's variables keeps its code; otherwise codes are moved by
+        rename. When a value is nonzero, the result is the stored
+        polynomial evaluated exactly there, not a reliable jet: the
+        unknown terms past the order would reach every degree.
+        """
         alpha = self.alphabet
-        fields = 0
-        for name in names:
+        mask, deg_shift = alpha.mask, alpha.deg_shift
+        zeros = 0
+        values = []
+        for name, value in point.items():
             if name not in alpha.index:
                 raise PreconditionError(f"unknown variable {name!r}")
-            fields |= alpha.mask << alpha.shifts[alpha.index[name]]
-        kept = Jet._raw(
-            alpha, self.order, {c: v for c, v in self.terms.items() if not c & fields}
-        )
+            shift = alpha.shifts[alpha.index[name]]
+            v = as_gaussian(value)
+            if v.is_zero():
+                zeros |= mask << shift
+            else:
+                values.append((shift, v))
+        terms = {c: v for c, v in self.terms.items() if not c & zeros}
+        if values:
+            evaluated: dict[int, GaussianRational] = {}
+            for code, coeff in terms.items():
+                for shift, v in values:
+                    e = (code >> shift) & mask
+                    if e:
+                        coeff = coeff * v**e
+                        code -= (e << shift) + (e << deg_shift)
+                s = evaluated.get(code)
+                evaluated[code] = coeff if s is None else s + coeff
+            terms = {c: v for c, v in evaluated.items() if not v.is_zero()}
+        kept = Jet._raw(alpha, self.order, terms)
         return kept if target == alpha else kept.rename({}, target)
 
     def _images(self, mapping: Mapping[str, str], target: Alphabet) -> list[tuple[int, int]]:
@@ -528,27 +537,6 @@ class Jet:
                 images.append((shift, (1 << target.shifts[j]) + one))
         return images
 
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-
-    def evaluate(self, point: Mapping[str, Scalar]) -> GaussianRational:
-        """Exact value of the stored polynomial at a point."""
-        vals = []
-        for name in self.alphabet.names:
-            vals.append(as_gaussian(point[name]) if name in point else None)
-        total = ZERO
-        for code, coeff in self.terms.items():
-            vec = self.alphabet.decode(code)
-            term = coeff
-            for e, v in zip(vec, vals):
-                if e:
-                    if v is None:
-                        raise PreconditionError("evaluation point misses a support variable")
-                    term = term * v**e
-            total = total + term
-        return total
-
 
 # ----------------------------------------------------------------------
 # free functions
@@ -562,27 +550,24 @@ def generators(alphabet: Alphabet, order: int) -> dict[str, Jet]:
 
 def compose_many(
     outers: Sequence[Jet],
-    assignment: Mapping[str, Jet | Scalar],
+    assignment: Mapping[str, Jet],
     *,
-    allow_constant: Iterable[str] = (),
     alphabet: Alphabet | None = None,
     order: int | None = None,
 ) -> list[Jet]:
     """Substitute jets for variables in several jets sharing one assignment.
 
-    Assigned jets (or exact scalars) live over one common target alphabet.
-    A variable in the support of an outer jet that the assignment leaves
-    out maps to the variable of the same name in the target, an exact
-    identity, and is an error if the target has none. Substituted values
-    must have zero constant term unless the variable is listed in
-    ``allow_constant``; a constant shift is exact polynomial recentering
-    at the stored truncation. The result order is the least participating
-    order, the minimum of the outer orders, the substituted jet orders and
-    ``order`` if given. An ``order`` above it gets the composition rule of
-    the module docstring, capped at ``order``: an unassigned outer variable
-    caps mu at 1, an exact scalar zero is left out, and a recentering keeps
-    the least participating order. A result order past the target's
-    packing limit raises.
+    Assigned jets live over one common target alphabet. A variable in the
+    support of an outer jet that the assignment leaves out maps to the
+    variable of the same name in the target, an exact identity, and is an
+    error if the target has none. Every assigned jet must have zero
+    constant term, so that each substitute has valuation at least 1;
+    exact values are set by Jet.at. The result order is the least
+    participating order, the minimum of the outer orders, the assigned
+    jet orders and ``order`` if given. An ``order`` above it gets the
+    composition rule of the module docstring, capped at ``order``: an
+    unassigned outer variable caps mu at 1. A result order past the
+    target's packing limit raises.
 
     A left-out variable, or one whose substitute, truncated to the result
     order, is one non-constant monomial with coefficient exactly 1 (an
@@ -610,43 +595,35 @@ def compose_many(
         if o.alphabet != src:
             raise AlphabetMismatchError("outer jets must share one alphabet")
 
-    allow = set(allow_constant)
     least = min(o.order for o in outers)
-
     target = alphabet
-    jets_assigned: dict[str, Jet | GaussianRational] = {}
     for name, value in assignment.items():
         if name not in src.index:
             raise PreconditionError(f"assignment names unknown variable {name!r}")
-        if isinstance(value, Jet):
-            if target is None:
-                target = value.alphabet
-            elif value.alphabet != target:
-                raise AlphabetMismatchError("substituted jets must share one alphabet")
-            least = min(least, value.order)
-            jets_assigned[name] = value
-        else:
-            jets_assigned[name] = as_gaussian(value)
+        if not isinstance(value, Jet):
+            raise PreconditionError(f"substitution for {name!r} is not a jet; "
+                                    "exact values are set by Jet.at")
+        if target is None:
+            target = value.alphabet
+        elif value.alphabet != target:
+            raise AlphabetMismatchError("substituted jets must share one alphabet")
+        const = value.constant_term()
+        if not const.is_zero():
+            raise PreconditionError(f"substitution for {name!r} has constant term {const}; "
+                                    "exact values are set by Jet.at")
+        least = min(least, value.order)
     if target is None:
-        raise PreconditionError("all-scalar assignment needs an explicit target alphabet")
+        raise PreconditionError("an empty assignment needs an explicit target alphabet")
 
     support: set[str] = set().union(*(o.support() for o in outers))
-    missing = sorted(n for n in support - jets_assigned.keys() if n not in target.index)
+    missing = sorted(n for n in support - assignment.keys() if n not in target.index)
     if missing:
         raise PreconditionError(f"assignment misses support variables {missing}")
-    for name in support & jets_assigned.keys():
-        v = jets_assigned[name]
-        const = v.constant_term() if isinstance(v, Jet) else v
-        if not const.is_zero() and name not in allow:
-            raise PreconditionError(
-                f"substitution for {name!r} has constant term {const}; "
-                "recentering must be requested via allow_constant"
-            )
     result_order = least
     if order is not None:
         result_order = order
         if order > least:
-            result_order = _reliable_order(outers, jets_assigned, support, least, order)
+            result_order = _reliable_order(outers, assignment, support, order)
     if result_order > target.max_order():
         raise PreconditionError(f"order {result_order} exceeds {target.max_order()}, "
                                 "the packing limit for this alphabet")
@@ -664,14 +641,11 @@ def compose_many(
     for name, shift in zip(src.names, src.shifts):
         if name not in support:
             continue
-        v = jets_assigned.get(name)
+        v = assignment.get(name)
         if v is None:
             monomial.append((shift, target.encode_dict({name: 1})))
             continue
-        if isinstance(v, Jet):
-            terms = v.truncate(min(v.order, result_order)).terms
-        else:
-            terms = {} if v.is_zero() else {0: v}
+        terms = v.truncate(min(v.order, result_order)).terms
         if len(terms) == 1:
             ((code, c),) = terms.items()
             if code and c.a == 1 and c.b == 0 and c.d == 1:
@@ -766,27 +740,24 @@ def compose_many(
     return [Jet._raw(target, result_order, _kernels.finish(acc)) for acc in accs]
 
 
-def _reliable_order(outers: Sequence[Jet], assigned: Mapping[str, Jet | GaussianRational],
-                    support: set[str], least: int, cap: int) -> int:
+def _reliable_order(outers: Sequence[Jet], assigned: Mapping[str, Jet],
+                    support: set[str], cap: int) -> int:
     """compose_many's derived result order, capped at ``cap``: the bounds
     are read only where they could fall below it."""
-    values = assigned.values()
-    if any(not (v.constant_term() if isinstance(v, Jet) else v).is_zero() for v in values):
-        return least
     src = outers[0].alphabet
     bound = cap
     n = min(o.order for o in outers)
     if n < cap:
         # An unknown outer term has degree >= N + 1, each of its variables
         # a substitute of valuation >= mu (>= 1 if unassigned).
-        mu = min((v._known_valuation() for v in values if isinstance(v, Jet)), default=cap + 1)
+        mu = min((v._known_valuation() for v in assigned.values()), default=cap + 1)
         bound = min(cap, (n + 1) * (mu if len(assigned) == src.nvars else 1) - 1)
     # The unknown part of u_v, of valuation >= m_v + 1, moves f(u) by
     # d_v f(u) times it; a product of two such parts lies past 2 m_v + 1.
     mask, deg_shift = src.mask, src.deg_shift
     for name, shift in zip(src.names, src.shifts):
         v = assigned.get(name) if name in support else None
-        if isinstance(v, Jet) and v.order < bound:
+        if v is not None and v.order < bound:
             low = min(c >> deg_shift for o in outers for c in o.terms if (c >> shift) & mask)
             bound = min(bound, 2 * v.order + 1, v.order + low - 1)
     return bound

@@ -149,22 +149,20 @@ def segre_section(
     zb_values: tuple,
     wb_value,
 ) -> Jet:
-    """The section z -> rho(z, zb0, wb0) at exact frozen parameters.
+    """The section z -> rho(z, zb0, wb0) at exact frozen parameters, by
+    Jet.at, at the order of rho.
 
-    For nonzero parameters this is exact arithmetic on the stored
-    polynomial; it is not a statement about degrees beyond the jet order.
+    For nonzero parameters this is the stored polynomial evaluated
+    exactly; it is not a reliable jet, since the unknown terms of rho
+    past its order reach every degree.
     """
     nu = ch.nu
     if len(zb_values) != nu:
         raise PreconditionError(f"expected {nu} conjugate coordinates")
     zonly = Alphabet(tuple(f"z{j}" for j in range(1, nu + 1)), None)
-    frozen: dict[str, GaussianRational] = {
-        f"zb{j}": as_gaussian(v) for j, v in enumerate(zb_values, start=1)
-    }
-    frozen["wb"] = as_gaussian(wb_value)
-    return compose_many(
-        [ch.rho], frozen, allow_constant=frozen, alphabet=zonly, order=ch.order
-    )[0]
+    frozen = {f"zb{j}": v for j, v in enumerate(zb_values, start=1)}
+    frozen["wb"] = wb_value
+    return ch.rho.at(frozen, zonly)
 
 
 def segre_graph(ch: ComplexifiedHypersurface, z_point: tuple, w_point) -> Jet:
@@ -183,7 +181,8 @@ def segre_graph(ch: ComplexifiedHypersurface, z_point: tuple, w_point) -> Jet:
     for j, v in enumerate(a, start=1):
         point[f"z{j}"] = v
         point[f"zb{j}"] = v.conjugate()
-    residual = c - c.conjugate() - ch.core.phi.evaluate(point) * TWO_I
+    phi = ch.core.phi
+    residual = c - c.conjugate() - phi.at(point, phi.alphabet).constant_term() * TWO_I
     if not residual.is_zero():
         raise PreconditionError(
             f"base point is not on the hypersurface: incidence residual {residual}"
@@ -465,8 +464,4 @@ def ode_right_side(height: Jet) -> Jet:
             f"profile equation obstructed: residual starts at degree {bad}",
             bad if bad is not None else -1,
         )
-    g = Jet.zero(u_alpha, half)
-    for k, ck in enumerate(coeffs, start=1):
-        if not ck.is_zero():
-            g = g + Jet.from_terms(u_alpha, half, {(k,): ck})
-    return g
+    return Jet.from_terms(u_alpha, half, {(k,): ck for k, ck in enumerate(coeffs, start=1)})

@@ -101,6 +101,18 @@ def pcompose(outer: Poly, args: list[Poly], order: int, width_out: int) -> Poly:
     return ptruncate(out, order)
 
 
+def point_args(names: list[str], point: dict[str, Coef], target_names: list[str]) -> list[Poly]:
+    """pcompose arguments that set each variable in ``point`` to its
+    constant and every other variable of ``names`` to its namesake among
+    ``target_names``."""
+    width = len(target_names)
+    return [
+        clean({(0,) * width: point[n]}) if n in point
+        else {tuple(int(m == n) for m in target_names): ONE}
+        for n in names
+    ]
+
+
 def pconj(p: Poly, swap: list[int]) -> Poly:
     """Complex conjugation: conjugate coefficients, permute variables by swap."""
     out: Poly = {}

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from crjets import (
     compose_many,
     generators,
     is_straightened,
+    levi_form,
     make_germ,
     morse_normalize,
     standard_alphabet,
@@ -24,6 +26,7 @@ from crjets.errors import DegenerateFormError, PreconditionError
 from crjets.linalg import hermitian_signature
 
 from germ_corpus import random_germ, sparse_real_germ
+from oracles import ZERO, cadd, cmatinv, cmul
 
 
 def germ_zzb_t2_st(order=6):
@@ -84,17 +87,8 @@ def test_morse_with_cubic_correction():
     v = form.maps[0]
     # V is reliable to order 5 with valuation 1: t1^2 at V derives order 6.
     assert compose_many([g["t1"] ** 2], {"t1": v}, order=6)[0] == (g["t1"] ** 2 + g["t1"] ** 3)
-    assert form.base == compose_many(
-        [germ.phi],
-        {
-            "z1": Jet.variable(form.base.alphabet, 6, "z1"),
-            "zb1": Jet.variable(form.base.alphabet, 6, "zb1"),
-            "s": Jet.variable(form.base.alphabet, 6, "s"),
-            "t1": 0,
-        },
-        alphabet=form.base.alphabet,
-        order=6,
-    )[0]
+    core = generators(standard_alphabet(1, 0), 6)
+    assert form.base == core["z1"] * core["zb1"]
 
 
 def test_morse_indefinite_cross_term():
@@ -156,3 +150,25 @@ def test_sigma_read_off_the_straightened_germ_equals_the_composition(nu, nprime,
     assert manifold.sigma.order == order
     assert manifold.graph == direct.graph
     assert flat == straighten(germ, direct) == straighten(germ)
+
+
+def matmul(a, b):
+    return [[reduce(cadd, map(cmul, row, col), ZERO) for col in zip(*b)] for row in a]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(3, 6), st.integers(0, 2**32))
+def test_central_levi_is_the_schur_complement(nu, nprime, order, seed):
+    """The Levi matrix of the central germ is A - B D^-1 C, where
+    [[A, B], [C, D]] is the full Levi matrix and D its t-block: the
+    critical graph eliminates t from the quadratic part. The block
+    product runs on the oracle's arithmetic."""
+    germ = random_germ(random.Random(seed), nu=nu, nprime=nprime, order=order)
+    full = [[(c.real, c.imag) for c in row] for row in levi_form(germ).matrix]
+    top, bottom = full[:nu], full[nu:]
+    a, b = [r[:nu] for r in top], [r[nu:] for r in top]
+    c, d = [r[:nu] for r in bottom], [r[nu:] for r in bottom]
+    correction = matmul(b, matmul(cmatinv(d), c))
+    schur = [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rc)] for ra, rc in zip(a, correction)]
+    central = levi_form(central_manifold(germ).central_germ()).matrix
+    assert [[(v.real, v.imag) for v in row] for row in central] == schur

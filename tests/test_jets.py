@@ -26,6 +26,7 @@ from oracles import (
     pconj,
     pderive,
     pmul,
+    point_args,
     poly_to_jet,
     prename,
     ptruncate,
@@ -303,11 +304,13 @@ def test_compose_matches_oracle(pin1, pin2):
 
 def test_compose_rejects_nonzero_constant():
     x, y = Jet.variable(XY, 4, "x"), Jet.variable(XY, 4, "y")
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^substitution for 'x' has constant term 1;"):
         compose_many([x], {"x": y + 1, "y": y})
-    # explicit opt-in for frozen parameters
-    got = compose_many([x], {"x": y + 1, "y": y}, allow_constant=("x",))
-    assert got[0] == y + 1
+    # Off the support too: in a full assignment it would make mu = 0.
+    with pytest.raises(PreconditionError, match="^substitution for 'y' has constant term 2;"):
+        compose_many([x], {"x": y, "y": y + 2}, order=6)
+    with pytest.raises(PreconditionError, match="^substitution for 'y' is not a jet;"):
+        compose_many([x], {"x": y, "y": 0})
 
 
 # compose_many's grouped evaluation: x and y are often mapped by monomials
@@ -321,17 +324,14 @@ U_ARG = {X: ONE, (1, 1): (Fraction(-1, 2), Fraction(1))}
 @st.composite
 def substitutes(draw, order):
     """A substitute over XY: a coefficient-1 monomial, a monomial with
-    another coefficient, a polynomial, or a polynomial with a constant."""
-    kind = draw(st.sampled_from(("monomial", "scaled", "poly", "shifted")))
+    another coefficient, or a polynomial without constant term."""
+    kind = draw(st.sampled_from(("monomial", "scaled", "poly")))
     if kind in ("monomial", "scaled"):
         degree = draw(st.integers(1, order + 1))
         i = draw(st.integers(0, degree))
         coef = ONE if kind == "monomial" else draw(coefs.filter(lambda c: c != ZERO))
         return {(i, degree - i): coef}
-    p = draw(polys(order, 2, min_degree=1))
-    if kind == "shifted":
-        p[(0, 0)] = draw(coefs.filter(lambda c: c != ZERO))
-    return p
+    return draw(polys(order, 2, min_degree=1))
 
 
 @st.composite
@@ -357,8 +357,6 @@ def compositions(draw):
 @example(([{(2, 0, 0): ONE, (1, 1, 0): ONE, (1, 0, 1): ONE}], [{X: TWO}, {Y: ONE}, U_ARG], 4, None))
 # x -> y^3 at order 4: x^2 lies past the order, x*u does not
 @example(([{(2, 0, 0): ONE, (1, 0, 1): ONE, (1, 0, 0): TWO}], [{(0, 3): ONE}, {X: ONE}, {X: ONE, Y: ONE}], 4, None))
-# u -> 1 + x, a constant shift
-@example(([{(0, 0, 3): ONE, (1, 0, 2): TWO, (0, 1, 0): ONE}], [{X: ONE}, {Y: ONE}, {(0, 0): ONE, X: ONE}], 4, None))
 # several outers sharing one assignment and U^b = u^2
 @example(([{(1, 0, 2): ONE}, {(0, 1, 2): TWO}, {(0, 0, 2): ONE, (1, 0, 0): ONE}], [{X: ONE}, {Y: ONE}, U_ARG], 5, 4))
 # an empty outer
@@ -368,10 +366,7 @@ def test_compose_many_matches_oracle(case):
     outer_polys, args, order, cap = case
     outers = [poly_to_jet(p, XYU, order) for p in outer_polys]
     subs = [poly_to_jet(a, XY, order) for a in args]
-    allow = [n for n, g in zip(XYU.names, subs) if not g.constant_term().is_zero()]
-    got = compose_many(
-        outers, dict(zip(XYU.names, subs)), allow_constant=allow, alphabet=XY, order=cap
-    )
+    got = compose_many(outers, dict(zip(XYU.names, subs)), alphabet=XY, order=cap)
     result_order = order if cap is None else cap
     arg_polys = [jet_to_poly(g) for g in subs]
     assert [g.order for g in got] == [result_order] * len(outers)
@@ -608,8 +603,42 @@ def test_rename_and_embed(p):
 def test_evaluate_is_exact():
     x, y = Jet.variable(XY, 3, "x"), Jet.variable(XY, 3, "y")
     f = x * x + y * 2 - 1
-    v = f.evaluate({"x": GaussianRational(Fraction(1, 2)), "y": I})
-    assert v == GaussianRational(Fraction(-3, 4), 2)
+    point = {"x": (Fraction(1, 2), Fraction(0)), "y": (Fraction(0), Fraction(1))}
+    v = f.at({"x": Fraction(1, 2), "y": I}, XY)
+    assert v == Jet.constant(XY, 3, GaussianRational(Fraction(-3, 4), 2))
+    assert jet_to_poly(v) == pcompose(jet_to_poly(f), point_args(XY.names, point, XY.names), 3, 2)
+
+
+@st.composite
+def restrictions(draw):
+    """(jet, point, target): a jet over XYZ or WIDE, exact values, zero or
+    not, for some of its variables, and as target the jet's own alphabet
+    or the narrower one of the variables left free."""
+    alpha = draw(st.sampled_from((XYZ, WIDE)))
+    order = draw(st.integers(0, 5))
+    jet = poly_to_jet(draw(polys(order, alpha.nvars)), alpha, order)
+    names = draw(st.lists(st.sampled_from(alpha.names), unique=True, max_size=4))
+    point = {n: draw(st.one_of(st.just(ZERO), coefs)) for n in names}
+    free = tuple(n for n in alpha.names if n not in point)
+    target = Alphabet(free, None) if free and draw(st.booleans()) else alpha
+    return jet, point, target
+
+
+@given(restrictions())
+# A value that is not zero moves x^2*y onto y's code, where it meets y.
+@example((poly_to_jet({(2, 1, 0): ONE, (0, 1, 0): TWO, (1, 0, 1): ONE}, XYZ, 3),
+          {"x": (Fraction(1, 2), Fraction(1))}, XYZ))
+# x set to zero and y to a value, over the alphabet of z alone.
+@example((poly_to_jet({(1, 0, 1): ONE, (0, 2, 1): TWO, (0, 0, 2): ONE}, XYZ, 3),
+          {"x": ZERO, "y": (Fraction(0), Fraction(-1))}, Alphabet(("z",), None)))
+@settings(max_examples=100, deadline=None)
+def test_restriction_matches_oracle(case):
+    jet, point, target = case
+    got = jet.at({n: GaussianRational(*c) for n, c in point.items()}, target)
+    assert got.alphabet == target and got.order == jet.order
+    args = point_args(jet.alphabet.names, point, target.names)
+    assert jet_to_poly(got) == pcompose(jet_to_poly(jet), args, jet.order, target.nvars)
+    assert_normalized(got.terms)
 
 
 def test_monomials_come_out_graded():
@@ -675,13 +704,13 @@ def factors(draw, width, lowest=0):
 
 @st.composite
 def reliable_compositions(draw):
-    """Outers over XYU, their substitutes over XY (a jet, a zero jet, an
-    exact scalar zero, or no assignment at all), and a requested order."""
+    """Outers over XYU, their substitutes over XY (a jet, a zero jet, or no
+    assignment at all), and a requested order."""
     outers = [draw(factors(3)) for _ in range(draw(st.integers(1, 2)))]
     used = {i for _, known, _ in outers for m in known for i, e in enumerate(m) if e}
     subs = []
     for i in range(len(XYU.names)):
-        kind = draw(st.sampled_from(("jet", "jet", "jet", "scalar zero", "unassigned")))
+        kind = draw(st.sampled_from(("jet", "jet", "jet", "unassigned")))
         if kind == "unassigned" and i in used:
             kind = "jet"
         subs.append((kind, *draw(factors(2, lowest=1))))
@@ -693,18 +722,17 @@ def reliable_compositions(draw):
 def test_composition_order_is_reliable(case):
     outers, subs, cap = case
     jets = [poly_to_jet(known, XYU, n) for n, known, _ in outers]
-    assignment = {}
-    for name, (kind, m, known, _) in zip(XYU.names, subs):
-        if kind == "jet":
-            assignment[name] = poly_to_jet(known, XY, m)
-        elif kind == "scalar zero":
-            assignment[name] = 0
+    assignment = {
+        name: poly_to_jet(known, XY, m)
+        for name, (kind, m, known, _) in zip(XYU.names, subs)
+        if kind == "jet"
+    }
     got = compose_many(jets, assignment, alphabet=XY, order=cap)
-    least = min(j.order for j in jets + [v for v in assignment.values() if isinstance(v, Jet)])
+    least = min(j.order for j in [*jets, *assignment.values()])
     order = got[0].order
     assert min(least, cap) <= order <= cap
     # An unassigned variable stands for an unknown substitute of valuation >= 1.
-    true_args = [{} if kind == "scalar zero" else padd(known, extra) for kind, _, known, extra in subs]
+    true_args = [padd(known, extra) for _, _, known, extra in subs]
     for (_, known, extra), g in zip(outers, got):
         assert g.order == order
         assert jet_to_poly(g) == pcompose(padd(known, extra), true_args, order, 2)
@@ -720,12 +748,12 @@ def test_product_order_is_reliable(a, b):
 
 
 def test_composition_refuses_an_order_past_the_target_packing_limit():
-    # A recentering keeps the outer's order 31, which a one-variable
-    # alphabet cannot pack.
-    wide = Alphabet(tuple(f"x{i}" for i in range(10)), None)
-    x0 = Jet.variable(wide, 31, "x0")
+    # y maps to its namesake and keeps the outer's order 31, which a
+    # one-variable alphabet cannot pack.
+    wide = Alphabet(("y",) + tuple(f"x{i}" for i in range(9)), None)
+    y = Jet.variable(wide, 31, "y")
     with pytest.raises(PreconditionError, match="^order 31 exceeds 30, the packing limit"):
-        compose_many([x0], {"x0": 2}, alphabet=Alphabet(("y",), None), allow_constant=["x0"])
+        compose_many([y], {}, alphabet=Alphabet(("y",), None))
 
 
 XYW = Alphabet(("x", "y", "w"), None)
