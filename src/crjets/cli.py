@@ -75,8 +75,9 @@ CHART_NOTE = (
 )
 # The least germ order of every command that reads germs. phi vanishes to
 # second order, so an order-1 germ is phi = 0, and the pipelines work at
-# order - 1 (first derivatives, the critical graph, the elimination) and
-# order - 2 (the section Hessian and the Morse factors).
+# order - 1 (first derivatives and the critical graph) and order - 2 (the
+# section Hessian, the elimination that feeds it, at least 1, and the
+# Morse factors).
 MIN_GERM_ORDER = 2
 
 

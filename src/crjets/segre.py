@@ -19,8 +19,12 @@ second derivatives of every section at once.
 The elimination solves the nu equations d rho/d z_j = wp_j for zb
 alone. By the reality identity, wb = rhob(zb, z, w) satisfies the other
 incidence equation rho(z, zb, wb) = w identically, so wb follows from
-the solved zb by one substitution. Two independent constructions of the
-matrix start from that elimination:
+the solved zb by one substitution. For a germ of order N the elimination
+is computed at order N - 2 (at least 1), the order of the matrix: both
+constructions compose at that order, and composition truncates every
+substitute to the result order, so a higher layer would be computed and
+thrown away. Two independent constructions of the matrix start from that
+elimination:
 
   * the bordered-determinant route substitutes the elimination into
     sigma and its derivatives, scales them into F and its derivatives,
@@ -205,12 +209,16 @@ def conjugate_elimination(ch: ComplexifiedHypersurface) -> ConjugateElimination:
     so bb = rhob(ab, z, w) solves rho(z, ab, bb) = w with no arithmetic
     beyond a renaming. The nu equations d rho/d z_j (z, ab, bb) = wp_j are
     composed at that bb and solved for ab alone, and wb is bb at the solved
-    ab. The solver certifies its equations, and everything is computed at
-    order - 1, below the order of the identity. Solvability at the origin
-    is exactly nondegeneracy of the z-block of the core's Levi form.
+    ab. The solver certifies its equations. Everything is computed at
+    order - 2, the order of the section Hessian that both routes compose
+    from the elimination: compose_many truncates each substitute to the
+    result order, so a degree-(order - 1) layer would never reach it. The
+    floor of 1 keeps w in the section alphabet of an order-2 germ, whose
+    Hessian has order 0. Solvability at the origin is exactly
+    nondegeneracy of the z-block of the core's Levi form.
     """
     nu = ch.nu
-    order = ch.order - 1
+    order = max(ch.order - 2, 1)
     big4 = elimination_alphabet(nu)
     unknowns = [f"ab{j}" for j in range(1, nu + 1)]
     bb = ch.rho.conjugate().rename(
@@ -307,9 +315,10 @@ def phi_determinant(ch: ComplexifiedHypersurface, elim: ConjugateElimination) ->
     d_s = sigma.derive("s")
     d_z = [sigma.derive(f"z{j}") for j in range(1, nu + 1)]
     pairs = _upper_pairs(nu)
-    # w at the elimination's order, at least 1, so that the section
-    # alphabet carries it even where the Hessian has order 0.
-    w = Jet.variable(section, ch.order - 1, "w")
+    # w at the elimination's order, the Hessian's but at least 1, so that
+    # w + E.wb adds equal orders and the section alphabet carries w even
+    # where the Hessian has order 0.
+    w = Jet.variable(section, elim.wb.order, "w")
     at_elimination = {f"zb{j}": zb for j, zb in enumerate(elim.zb, start=1)}
     at_elimination["s"] = (w + elim.wb) * HALF
     s, s_s, s_ss, *rest = compose_many(

@@ -157,6 +157,35 @@ def random_definite_germ(
     return make_germ(nu, nprime, Jet(alphabet, order, terms))
 
 
+def random_fiber_map(
+    rng: random.Random, germ: StructureGerm, s_free: bool = False
+) -> tuple[Jet, ...]:
+    """A real change of fiber coordinates t -> T(z, zb, s, t) at the germ's
+    order, at least 3: T(0) = 0, an invertible rational linear part in t,
+    and the real part of three random quadratic or cubic terms per
+    component, free of s when ``s_free``. phi(., T) has the same critical
+    values as phi."""
+    alphabet = germ.phi.alphabet
+    t_names = germ.t_names()
+    while True:
+        linear = [[rand_fraction(rng) for _ in t_names] for _ in t_names]
+        if rank([[GaussianRational(x) for x in row] for row in linear]) == len(t_names):
+            break
+    names = [name for name in alphabet.names if not (s_free and name == "s")]
+    fiber = []
+    for row in linear:
+        terms: dict[tuple[int, ...], GaussianRational] = {}
+        for _ in range(3):
+            exps = [0] * alphabet.nvars
+            for _ in range(rng.randint(2, 3)):
+                exps[alphabet.index[rng.choice(names)]] += 1
+            terms[tuple(exps)] = terms.get(tuple(exps), GaussianRational(0)) + rand_scalar(rng)
+        for name, c in zip(t_names, row):
+            terms[tuple(int(n == name) for n in alphabet.names)] = GaussianRational(c)
+        fiber.append(Jet.from_terms(alphabet, germ.order, terms).real_part())
+    return tuple(fiber)
+
+
 def random_rigid_central(
     rng: random.Random, nu: int = 1, order: int = 6, degmax: int = 3
 ) -> StructureGerm:

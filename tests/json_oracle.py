@@ -35,6 +35,16 @@ def terms_to_json(jet: Jet) -> list[dict[str, Any]]:
     return out
 
 
+def germ_to_json(germ) -> dict[str, Any]:
+    """The germ file object that germ_from_json reads."""
+    return {
+        "nu": germ.nu,
+        "nprime": germ.nprime,
+        "order": germ.order,
+        "phi": terms_to_json(germ.phi),
+    }
+
+
 def jet_to_json(jet: Jet) -> dict[str, Any]:
     return {
         "variables": list(jet.alphabet.names),

@@ -11,12 +11,12 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crjets import central, cli, segre, solve
+from crjets import central, cli, compose_many, make_germ, segre, solve
 from crjets.errors import InvariantError, recording
 from crjets.io import canonical_dumps
 
-from germ_corpus import random_definite_germ, random_germ, random_height
-from json_oracle import oracle_dumps, terms_to_json
+from germ_corpus import random_definite_germ, random_fiber_map, random_germ, random_height
+from json_oracle import germ_to_json, oracle_dumps, terms_to_json
 
 
 QUADRIC = {
@@ -246,9 +246,7 @@ def corpus_invocations(tmp_path):
     for k, germ in enumerate(
         [random_germ(rng, 1, 1, 5), random_germ(rng, 2, 0, 4), random_definite_germ(rng, 1, 2, 5)]
     ):
-        germs[f"random{k}"] = {
-            "nu": germ.nu, "nprime": germ.nprime, "order": germ.order, "phi": terms_to_json(germ.phi)
-        }
+        germs[f"random{k}"] = germ_to_json(germ)
     paths = {name: drop(tmp_path, f"{name}.json", obj) for name, obj in germs.items()}
     height = drop(tmp_path, "h.json", {"order": 8, "h": terms_to_json(random_height(rng))})
     scaling = drop(tmp_path, "map.json", SCALING_MAP)
@@ -289,6 +287,48 @@ def test_text_reports_match_the_pinned_digest(tmp_path, capsys):
         code = cli.run(argv + ["--format", "text"])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == CORPUS_TEXT_SHA256
+
+
+@st.composite
+def reparametrized_germs(draw):
+    """A random_definite_germ (nu 1-2, nprime 1-2, order 4-6), rigid or
+    not, and the same germ after a random real change of fiber coordinates
+    t -> T(z, zb, s, t), free of s for a rigid germ so that it stays rigid."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    rigid = draw(st.booleans())
+    germ = random_definite_germ(
+        rng, nu=draw(st.integers(1, 2)), nprime=draw(st.integers(1, 2)), order=draw(st.integers(4, 6))
+    )
+    if rigid:
+        germ = make_germ(germ.nu, germ.nprime, germ.phi.at({"s": 0}, germ.phi.alphabet))
+    fiber = random_fiber_map(rng, germ, s_free=rigid)
+    (moved,) = compose_many([germ.phi], dict(zip(germ.t_names(), fiber)), order=germ.order)
+    return germ, make_germ(germ.nu, germ.nprime, moved), rigid
+
+
+def json_report(command, germ):
+    """Exit code and --format json --check stdout of one run on the germ."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w") as handle:
+            handle.write(canonical_dumps(germ_to_json(germ)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run([command, path, "--format", "json", "--check"])
+    return code, out.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(reparametrized_germs())
+def test_reports_are_invariant_under_fiber_reparametrization(germs):
+    """The central manifold is an invariant of the structure: phi(., T) has
+    the critical values of phi, and phi and rigid-check reduce to the
+    center first, so their reports on phi and phi(., T) are byte-identical."""
+    germ, moved, rigid = germs
+    for command in ("phi", "rigid-check") if rigid else ("phi",):
+        code, out = json_report(command, germ)
+        assert code == 0, command
+        assert json_report(command, moved) == (code, out), command
 
 
 def test_exit_one_on_bad_input(tmp_path, capsys):

@@ -20,19 +20,9 @@ from crjets.io import (
 )
 
 from germ_corpus import random_germ
-from json_oracle import jet_to_json, oracle_dumps, scalar_to_json, stdlib_canonical, terms_to_json
+from json_oracle import germ_to_json, jet_to_json, oracle_dumps, scalar_to_json, stdlib_canonical
 
 import random
-
-
-def germ_to_json(germ):
-    """The germ file object that germ_from_json reads."""
-    return {
-        "nu": germ.nu,
-        "nprime": germ.nprime,
-        "order": germ.order,
-        "phi": terms_to_json(germ.phi),
-    }
 
 
 def test_fraction_text_round_trip():
