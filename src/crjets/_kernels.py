@@ -26,8 +26,10 @@ zeros. Several products may accumulate into one ``acc`` before it is
 finished, which is how ``jets.compose_many`` sums its P_b * U^b.
 ``finish_unpacked`` returns what ``unpack(finish(acc))`` does, the
 normalized nonzero terms as a code-sorted tuple list, without building a
-GaussianRational: ``compose_many`` keeps its powers U^b in that form,
-since each is an operand of further products and never a result.
+GaussianRational: ``compose_many`` keeps its intermediate operands in
+that form, the powers U^b shared by several outers and the Horner
+partial sums of one outer, since each is an operand of further products
+and never a result.
 
 ``mul_terms`` is unpack + mul_into + finish on two coefficient maps; the
 result contains every product monomial of degree <= cap, exactly, with

@@ -576,16 +576,26 @@ def compose_many(
     times the monomial's code, and the term is dropped when that part's
     degree passes the result order. The other variables U are grouped:
     each outer's terms are collected by their exponents b in U
-    into one polynomial P_b over the target, and the result is P_0 plus
-    one truncated product P_b * U^b per group. The products U^b are
-    memoised per call and shared by every outer. Each is one fused
-    product of two memoised shorter ones into a fresh accumulator, kept
-    in the kernel's unpacked form (_kernels.finish_unpacked), since it is
-    an operand of further products and never a result. Every
-    P_b * U^b of one outer is multiplied straight into that outer's raw
-    (a, b, d) accumulator, seeded with P_0 and with the shorter operand
-    as the kernel's outer loop, and each output monomial is normalized
-    once at the end. Prefer one call over several that share an
+    into one polynomial P_b over the target, and the result is
+    sum_b P_b * U^b, accumulated in each outer's raw (a, b, d)
+    accumulator, seeded with P_0, and normalized once per output
+    monomial at the end. Every product is one fused product with the
+    shorter operand as the kernel's outer loop, and an intermediate
+    operand is kept in the kernel's unpacked form
+    (_kernels.finish_unpacked), since it is never a result.
+
+    One outer is evaluated by Horner's rule, nested over the grouped
+    variables with the last one outermost: for that variable, with
+    substitute U of valuation mu, acc = R_top, then acc = R_e + U * acc
+    for e = top - 1, ..., 0, where R_e is the same evaluation over the
+    other grouped variables. The partial sum of step e is multiplied by
+    U^e, of valuation at least e * mu, so it and R_e are computed only
+    to result_order - e * mu; no power U^b is built. Several outers
+    share one table of powers instead: each U^b any of them needs is one
+    fused product of two memoised shorter ones, and every P_b * U^b of
+    each outer is multiplied into its accumulator. The number of outers
+    selects the path: Horner's rule for all of them at once would repeat
+    every product per outer. Prefer one call over several that share an
     assignment.
     """
     if not outers:
@@ -655,28 +665,11 @@ def compose_many(
         products[1 << shift] = _kernels.unpack(terms)
         group_mask |= mask << shift
 
-    # A longer U^b is the product of two shorter ones: x^e = x^(e-1) * x,
-    # and a product of several variables is the one without its last
-    # variable times that variable's power.
-    def halves(b: int) -> tuple[int, int] | None:
-        for shift in reversed(grouped):
-            e = (b >> shift) & mask
-            if e:
-                break
-        power = e << shift
-        if b != power:
-            return b - power, power
-        if e > 1:
-            return power - (1 << shift), 1 << shift
-        return None
-
-    # Group every outer's terms by b first. Each U^b is then built once,
-    # used by every outer that has the group, and kept only if a longer
-    # product is built from it. Each outer's accumulator maps a target
-    # code to a raw [a, b, d] sum, seeded with P_0.
+    # Group every outer's terms by b first. Each outer's accumulator maps a
+    # target code to a raw [a, b, d] sum, seeded with P_0.
     remap = src.remap
     accs: list[dict[int, list[int]]] = []
-    users: dict[int, list[tuple[dict, dict]]] = {}
+    grouped_polys: list[dict[int, dict[int, GaussianRational]]] = []
     for o in outers:
         groups: dict[int, dict[int, GaussianRational]] = {}
         for code, coeff in o.terms.items():
@@ -698,11 +691,35 @@ def compose_many(
                     del poly[mono]
             else:
                 poly[mono] = coeff
-        acc = {c: [v.a, v.b, v.d] for c, v in groups.pop(0, {}).items()}
-        accs.append(acc)
+        accs.append({c: [v.a, v.b, v.d] for c, v in groups.pop(0, {}).items()})
+        grouped_polys.append(groups)
+
+    if len(outers) == 1:
+        _horner(accs[0], grouped_polys[0], len(grouped), result_order,
+                grouped, products, mask, deg_shift)
+        return [Jet._raw(target, result_order, _kernels.finish(accs[0]))]
+
+    # A longer U^b is the product of two shorter ones: x^e = x^(e-1) * x,
+    # and a product of several variables is the one without its last
+    # variable times that variable's power.
+    def halves(b: int) -> tuple[int, int] | None:
+        for shift in reversed(grouped):
+            e = (b >> shift) & mask
+            if e:
+                break
+        power = e << shift
+        if b != power:
+            return b - power, power
+        if e > 1:
+            return power - (1 << shift), 1 << shift
+        return None
+
+    # Each U^b is built once, used by every outer that has the group, and
+    # kept only if a longer product is built from it.
+    users: dict[int, list[tuple[dict, dict]]] = {}
+    for groups, acc in zip(grouped_polys, accs):
         for b, poly in groups.items():
             users.setdefault(b, []).append((poly, acc))
-
     kept: set[int] = set()
     pending = list(users)
     while pending:
@@ -718,26 +735,69 @@ def compose_many(
     for b in sorted(kept.union(users)):
         ub = products.get(b)
         if ub is None:
-            first, second = (products[half] for half in halves(b))
-            if len(first) > len(second):
-                first, second = second, first
             built: dict[int, list[int]] = {}
-            _kernels.mul_into(
-                built, first, second, [t[0] for t in second], deg_shift, result_order
-            )
+            _fused(built, *(products[half] for half in halves(b)), deg_shift, result_order)
             ub = _kernels.finish_unpacked(built)
             if b in kept:
                 products[b] = ub
-        if b not in users:
-            continue
-        ucodes = [t[0] for t in ub]
-        for poly, acc in users[b]:
-            pb = _kernels.unpack(poly)
-            if len(pb) <= len(ub):
-                _kernels.mul_into(acc, pb, ub, ucodes, deg_shift, result_order)
-            else:
-                _kernels.mul_into(acc, ub, pb, [t[0] for t in pb], deg_shift, result_order)
+        for poly, acc in users.get(b, ()):
+            _fused(acc, _kernels.unpack(poly), ub, deg_shift, result_order)
     return [Jet._raw(target, result_order, _kernels.finish(acc)) for acc in accs]
+
+
+def _fused(acc: dict, first: list, second: list, deg_shift: int, cap: int) -> None:
+    """One fused product into acc, the shorter operand as the outer loop."""
+    if len(first) > len(second):
+        first, second = second, first
+    _kernels.mul_into(acc, first, second, [t[0] for t in second], deg_shift, cap)
+
+
+def _horner(acc: dict, polys: dict, k: int, cap: int,
+            grouped: list[int], substitutes: dict, mask: int, deg_shift: int) -> None:
+    """Add sum_b P_b * U^b over the first k grouped variables, b != 0, to
+    the raw accumulator acc, which already holds P_0; polys maps b to P_b
+    and substitutes maps the code of one variable to its unpacked U.
+
+    The last variable v that some b uses is outermost: with R_e the same
+    sum over the other variables for the groups whose v-exponent is e,
+    acc = R_top, then acc = R_e + U * acc for e = top - 1, ..., 0. Each
+    step is one fused product into a fresh accumulator seeded with R_e,
+    reduced once; the last step goes into acc. It is a module function,
+    not a closure in compose_many: a recursive closure refers to itself,
+    and that cycle would keep each call's substitutes alive until the
+    cyclic garbage collector runs.
+    """
+    for k in range(k, 0, -1):
+        shift = grouped[k - 1]
+        if any((b >> shift) & mask for b in polys):
+            break
+    else:
+        return
+    u = substitutes[1 << shift]
+    mu = u[0][0] >> deg_shift if u else cap + 1
+    by_e: dict[int, dict] = {}
+    for b, poly in polys.items():
+        e = (b >> shift) & mask
+        by_e.setdefault(e, {})[b - (e << shift)] = poly
+    # The partial sum of step e is multiplied by U^e, of valuation at
+    # least e * mu, so only its terms up to cap - e * mu can reach the
+    # result: R_e is computed to that cap, and an e where it is negative
+    # is dropped.
+    top = max((e for e in by_e if e * mu <= cap), default=0)
+    layout = grouped, substitutes, mask, deg_shift
+    inner: list = []
+    for e in range(top, 0, -1):
+        step_cap = cap - e * mu
+        part = by_e.get(e, {})
+        fresh = {c: [v.a, v.b, v.d] for c, v in part.get(0, {}).items()
+                 if c >> deg_shift <= step_cap}
+        _horner(fresh, part, k - 1, step_cap, *layout)
+        if inner:
+            _fused(fresh, u, inner, deg_shift, step_cap)
+        inner = _kernels.finish_unpacked(fresh)
+    _horner(acc, by_e.get(0, {}), k - 1, cap, *layout)
+    if inner:
+        _fused(acc, u, inner, deg_shift, cap)
 
 
 def _reliable_order(outers: Sequence[Jet], assigned: Mapping[str, Jet],

@@ -26,11 +26,13 @@ substitute to the result order, so a higher layer would be computed and
 thrown away. Two independent constructions of the matrix start from that
 elimination:
 
-  * the bordered-determinant route substitutes the elimination into
-    sigma and its derivatives, scales them into F and its derivatives,
-    then forms bordered determinants normalized by a cube of F_w; the
-    substituted F must vanish exactly, which certifies that the
-    elimination lies on the incidence relation;
+  * the determinant route substitutes the elimination into sigma and
+    its derivatives and scales them into F and its derivatives. On the
+    elimination the section has w_z = wp, so F_zi = -wp_i F_w, and the
+    bordered determinant over F_w^3 of the classical formula reduces to
+    implicit differentiation of F, divided by F_w once. The substituted F
+    must vanish exactly, which certifies that the elimination lies on
+    the incidence relation;
   * the elimination route substitutes it into the plain second
     derivative of the graph.
 
@@ -287,26 +289,30 @@ def phi_elimination(ch: ComplexifiedHypersurface, elim: ConjugateElimination) ->
 
 
 def phi_determinant(ch: ComplexifiedHypersurface, elim: ConjugateElimination) -> SectionHessian:
-    """Section Hessian by bordered determinants of the defining function
+    """Section Hessian by implicit differentiation of the defining function
     F = w - wb - 2i sigma(z, zb, (w + wb)/2).
 
-    sigma and its derivatives sigma_s, sigma_ss, sigma_zi, sigma_zis and
-    sigma_zizj (i <= j) are substituted at zb = E.zb, s = (w + E.wb)/2 in
-    one composition and scaled into F and its derivatives:
+    sigma and its derivatives sigma_s, sigma_ss, sigma_zis and sigma_zizj
+    (i <= j) are substituted at zb = E.zb, s = (w + E.wb)/2 in one
+    composition and scaled into F and its derivatives:
 
         F = w - E.wb - 2i sigma,   F_w = 1 - i sigma_s,
-        F_ww = -(i/2) sigma_ss,    F_zi = -2i sigma_zi,
-        F_ziw = -i sigma_zis,      F_zizj = -2i sigma_zizj.
+        F_ww = -(i/2) sigma_ss,    F_ziw = -i sigma_zis,
+        F_zizj = -2i sigma_zizj.
 
-    The bordered determinants and F_w^-3 are then formed over the section
-    alphabet, which equals forming them first because composition is a
-    ring homomorphism. Each entry is homogeneous of degree zero in F, so F
-    needs no normalizing factor. The elimination lies on the incidence
-    relation, so the substituted F must be exactly zero: InvariantError is
-    raised if it is not, and the F term of each determinant drops. The
-    route reads the core sigma, never the graph jet, so the only
-    ingredient it shares with the elimination route is the
-    frozen-parameter elimination itself.
+    F vanishes on the graph w = rho(z, zb, wb) identically in (z, zb, wb).
+    Differentiating twice in z and setting the frozen parameters to the
+    elimination, where rho = w and rho_zi = wp_i, gives
+
+        H_ij = -(F_zizj + wp_i F_zjw + wp_j F_ziw + wp_i wp_j F_ww) / F_w,
+
+    with the products formed over the section alphabet, which equals
+    forming them first because composition is a ring homomorphism. The
+    elimination lies on the incidence relation, so the substituted F must
+    be exactly zero: InvariantError is raised if it is not. The route
+    reads the core sigma, never the graph jet, so the only ingredient it
+    shares with the elimination route is the frozen-parameter elimination
+    itself.
     """
     nu = ch.nu
     order = ch.order - 2
@@ -315,15 +321,15 @@ def phi_determinant(ch: ComplexifiedHypersurface, elim: ConjugateElimination) ->
     d_s = sigma.derive("s")
     d_z = [sigma.derive(f"z{j}") for j in range(1, nu + 1)]
     pairs = _upper_pairs(nu)
-    # w at the elimination's order, the Hessian's but at least 1, so that
-    # w + E.wb adds equal orders and the section alphabet carries w even
-    # where the Hessian has order 0.
+    # w and wp at the elimination's order, the Hessian's but at least 1,
+    # so that w + E.wb adds equal orders and both exist where the Hessian
+    # has order 0; a product with wp is truncated to the Hessian's order.
     w = Jet.variable(section, elim.wb.order, "w")
+    wp = [Jet.variable(section, elim.wb.order, f"wp{j}") for j in range(1, nu + 1)]
     at_elimination = {f"zb{j}": zb for j, zb in enumerate(elim.zb, start=1)}
     at_elimination["s"] = (w + elim.wb) * HALF
     s, s_s, s_ss, *rest = compose_many(
         [sigma, d_s, d_s.derive("s")]
-        + d_z
         + [d.derive("s") for d in d_z]
         + [d_z[i].derive(f"z{j + 1}") for i, j in pairs],
         at_elimination,
@@ -336,16 +342,15 @@ def phi_determinant(ch: ComplexifiedHypersurface, elim: ConjugateElimination) ->
             "eliminated frozen parameters")
     f_w = 1 - s_s * I
     f_ww = s_ss * MINUS_HALF_I
-    f_z = [d * MINUS_TWO_I for d in rest[:nu]]
-    f_zw = [d * MINUS_I for d in rest[nu : 2 * nu]]
-    f_zz = [d * MINUS_TWO_I for d in rest[2 * nu :]]
-    inv_w_cubed = f_w.unit_inverse() ** 3
+    f_zw = [d * MINUS_I for d in rest[:nu]]
+    f_zz = [d * MINUS_TWO_I for d in rest[nu:]]
+    minus_inv_w = -f_w.unit_inverse()
     values = [
         (
-            f_w * (f_z[i] * f_zw[j] - f_zij * f_w)
-            - f_z[j] * (f_z[i] * f_ww - f_zw[i] * f_w)
+            f_zij
+            + (wp[i] * f_zw[j] + wp[j] * f_zw[i] + wp[i] * wp[j] * f_ww).truncate(order)
         )
-        * inv_w_cubed
+        * minus_inv_w
         for (i, j), f_zij in zip(pairs, f_zz)
     ]
     return _section_hessian(nu, values, "determinant", order)

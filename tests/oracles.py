@@ -274,9 +274,10 @@ def poly_to_jet(p: Poly, alphabet, order: int):
 # function F = w - wb - 2i sigma(z, zb, (w + wb)/2) solved for w, (zb, wb)
 # from all nu + 1 incidence equations, and bordered determinants of F
 # multiplied over the Segre alphabet before substituting. The rewritten
-# routes rest on the substitution s = (w + wb)/2 and on the reality and
-# homomorphism identities instead, so equal results are evidence that
-# those identities are applied right.
+# routes rest on the substitution s = (w + wb)/2, on the reality and
+# homomorphism identities and on the slopes w_z = wp of the eliminated
+# section instead, so equal results are evidence that those identities
+# are applied right.
 
 
 def previous_complexify(core):

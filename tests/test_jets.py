@@ -462,6 +462,34 @@ def test_power_products_are_shared_across_outers(monkeypatch):
     assert got == [square * tx, cube * ty, square * tx * tx + cube]
 
 
+def test_one_outer_is_evaluated_by_horners_rule(monkeypatch):
+    x, y, u = (Jet.variable(XYU, 6, n) for n in XYU.names)
+    tx, ty = Jet.variable(XY, 6, "x"), Jet.variable(XY, 6, "y")
+    arg = tx + ty * tx
+    outer = u * u * u * y + u * u * x + x
+    calls = count_kernel_calls(monkeypatch)
+    built = []
+    real_finish = crjets._kernels.finish_unpacked
+
+    def finish_unpacked(acc):
+        calls.append("finish_unpacked")
+        built.append(real_finish(acc))
+        return built[-1]
+
+    monkeypatch.setattr(crjets._kernels, "finish_unpacked", finish_unpacked)
+    (got,) = compose_many([outer], {"x": tx, "y": ty, "u": arg})
+    # u^3 y + u^2 x + x = x + u (u (u y + x)): the partial sums y, u y + x
+    # and u (u y + x) are each reduced once, each of the three Horner steps
+    # is one fused product, and the last one goes into the result; no
+    # power of u is built
+    assert calls == ["finish_unpacked", "mul_into"] * 3
+    monkeypatch.undo()
+    inner = tx + arg * ty
+    unpack = crjets._kernels.unpack
+    assert built == [unpack(ty.terms), unpack(inner.terms), unpack((arg * inner).terms)]
+    assert got == arg * arg * arg * ty + arg * arg * tx + tx
+
+
 @given(polys(width=2), polys(width=5), polys(width=SMALL_LIMIT + 2))
 def test_conjugation_matches_oracle(p, q, r):
     for poly, alpha in ((p, ZZB), (q, INTERLEAVED), (r, WIDE_CONJ)):
@@ -792,3 +820,55 @@ def test_left_out_variables_map_to_their_namesakes(case):
         del assignment["u"]
         with pytest.raises(PreconditionError, match=r"^assignment misses support variables \['u'\]$"):
             compose_many(outers, assignment, alphabet=XYW, order=cap)
+
+
+@st.composite
+def single_outer_compositions(draw):
+    """(alphabet, order, two outers, substitutes) over XYZ or WIDE. The
+    jets use one to five of the alphabet's variables; one to three of
+    these get substitutes of valuation 1 or 2 (zero where 2 passes the
+    order), and the others map to their namesakes."""
+    alpha = draw(st.sampled_from((XYZ, WIDE)))
+    order = draw(st.integers(1, 6))
+    used = draw(st.lists(st.sampled_from(range(alpha.nvars)), min_size=1, max_size=5, unique=True))
+    grouped = used[: draw(st.integers(1, min(3, len(used))))]
+
+    def embed(poly):
+        out = {}
+        for m, c in poly.items():
+            vec = [0] * alpha.nvars
+            for i, e in zip(used, m):
+                vec[i] = e
+            out[tuple(vec)] = c
+        return out
+
+    outers = [embed(draw(polys(order, len(used)))) for _ in range(2)]
+    subs = {}
+    for i in grouped:
+        mu = draw(st.sampled_from((1, 2)))
+        sub = draw(polys(order, len(used), min_degree=mu))
+        if mu <= order:
+            sub[draw(monomial(mu, len(used)))] = draw(nonzero_coefs)
+        subs[alpha.names[i]] = embed(sub)
+    return alpha, order, outers, subs
+
+
+@given(single_outer_compositions())
+# x^2 + 2z at order 5, x -> y^2 + 2y^3 of valuation 2: the last step
+# multiplies U by the partial sum U, which is needed to degree 5 - 2 = 3.
+@example((XYZ, 5, [{(2, 0, 0): ONE, (0, 0, 1): TWO}, {(0, 0, 1): ONE}],
+          {"x": {(0, 2, 0): ONE, (0, 3, 0): TWO}}))
+@settings(max_examples=60, deadline=None)
+def test_horner_matches_shared_powers_and_oracle(case):
+    alpha, order, (outer, second), subs = case
+    o, o2 = (poly_to_jet(p, alpha, order) for p in (outer, second))
+    assignment = {n: poly_to_jet(p, alpha, order) for n, p in subs.items()}
+    (alone,) = compose_many([o], assignment)
+    shared = compose_many([o, o2], assignment)[0]
+    assert alone == shared
+    args = [
+        subs.get(n, {tuple(int(j == i) for j in range(alpha.nvars)): ONE})
+        for i, n in enumerate(alpha.names)
+    ]
+    assert jet_to_poly(alone) == pcompose(outer, args, order, alpha.nvars)
+    assert_normalized(alone.terms)

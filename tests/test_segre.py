@@ -129,11 +129,13 @@ def section_germs(draw):
 @example(random_rigid_central(random.Random(44), order=7))
 @example(random_central(random.Random(45), nu=2, order=3))
 @example(random_central(random.Random(46), nu=1, order=2))
+@example(random_central(random.Random(47), nu=2, order=2))
 def test_routes_match_the_previous_elimination_and_determinant(germ):
     """The graph solved for s, the nu-equation elimination and the
-    substitute-first determinant of sigma's derivatives equal the graph
-    solved for w, the nu + 1 equation elimination and the multiply-first
-    determinant of F of tests/oracles.py exactly.
+    implicit differentiation of F composed from sigma's derivatives equal
+    the graph solved for w, the nu + 1 equation elimination and the
+    bordered determinant of F of tests/oracles.py exactly. At nu >= 2 the
+    off-diagonal entries check that each cross term pairs wp_i with F_zjw.
 
     The elimination is computed at the Hessian's order (at least 1) and
     equals the oracle's order-(N - 1) elimination truncated there; the

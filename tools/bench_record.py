@@ -4,17 +4,22 @@
     python3 tools/bench_record.py --seed 7 --seconds 30 --repo ../other-checkout --out BENCH_x.json
 
 For each workload named in the checkout's BENCHMARK.json, runs that
-checkout's ``perfbench/run.py`` once with ``--trace 0`` (end-to-end
-metrics) and once with ``--trace 1`` (per-layer times and counters), one
-run at a time, and keeps each run's result: the JSON object on the last
-line of its stdout. The file written holds them with a sha256 over the
-package sources, the interpreter version, the platform and CPU, the seed
-and the run length, and the checkout's git revision. A checkout with
-uncommitted changes measures no commit: its record has ``"dirty": true``,
-``"revision": null`` and the commit the changes sit on as
-``"base_revision"``, so only ``source_sha256`` ties it to the commit that
-later holds them. The default output is ``BENCH_<short revision>.json``
-at the root of a clean checkout; a dirty one needs ``--out``.
+checkout's ``perfbench/run.py`` three times with ``--trace 0``
+(end-to-end metrics) and once with ``--trace 1`` (per-layer times and
+counters), one run at a time. A run's result is the JSON object on the
+last line of its stdout. The three ``--trace 0`` results are kept as
+``trace0_runs`` and ``trace0`` holds their per-metric median, so that
+one slow moment of a shared host does not stand as the commit's figure;
+its ``correct`` holds only if every run's does, and its ``attempted``
+and ``failed`` add up the three runs. The file written holds the results
+with a sha256 over the package sources, the interpreter version, the
+platform and CPU, the seed and the run length, and the checkout's git
+revision. A checkout with uncommitted changes measures no commit: its
+record has ``"dirty": true``, ``"revision": null`` and the commit the
+changes sit on as ``"base_revision"``, so only ``source_sha256`` ties it
+to the commit that later holds them. The default output is
+``BENCH_<short revision>.json`` at the root of a clean checkout; a dirty
+one needs ``--out``.
 
 Exits 1, after writing the file, if any run reports ``"correct": false``;
 exits 2 without writing it if a run prints no result.
@@ -27,10 +32,12 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+END_TO_END_RUNS = 3
 
 
 def git(repo: str, *args: str) -> str:
@@ -86,6 +93,20 @@ def run_once(repo: str, workload: str, seed: int, seconds: float, trace: int) ->
         raise SystemExit(2)
 
 
+def median_result(results: list[dict]) -> dict:
+    """One result from several --trace 0 results: the median of each metric."""
+    metrics = {}
+    for name, metric in results[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in results]
+        metrics[name] = {"unit": metric["unit"], "value": statistics.median(values)}
+    return {
+        "correct": all(r.get("correct") is True for r in results),
+        "attempted": sum(r["attempted"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "metrics": metrics,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -117,11 +138,12 @@ def main(argv: list[str] | None = None) -> int:
         record["base_revision"] = head
     correct = True
     for workload in workloads:
-        runs = {}
-        for trace in (0, 1):
-            result = run_once(repo, workload, args.seed, args.seconds, trace)
-            correct = correct and result.get("correct") is True
-            runs[f"trace{trace}"] = result
+        end_to_end = [
+            run_once(repo, workload, args.seed, args.seconds, 0) for _ in range(END_TO_END_RUNS)
+        ]
+        traced = run_once(repo, workload, args.seed, args.seconds, 1)
+        runs = {"trace0": median_result(end_to_end), "trace0_runs": end_to_end, "trace1": traced}
+        correct = correct and runs["trace0"]["correct"] and traced.get("correct") is True
         record["runs"][workload] = runs
 
     out = args.out or os.path.join(repo, f"BENCH_{git(repo, 'rev-parse', '--short', 'HEAD')}.json")
