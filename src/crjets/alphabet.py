@@ -110,9 +110,14 @@ class Alphabet:
 
     def encode(self, exponents: Sequence[int]) -> int:
         """Pack an exponent vector (aligned with self.names) into a code."""
+        if len(exponents) != self.nvars:
+            raise PreconditionError(
+                f"exponent vector of length {len(exponents)} "
+                f"for an alphabet of {self.nvars} variables"
+            )
         code = 0
         deg = 0
-        for e, shift in zip(exponents, self.shifts, strict=True):
+        for e, shift in zip(exponents, self.shifts):
             if e < 0 or e > self.max_exponent:
                 raise PreconditionError(
                     f"exponent {e} outside [0, {self.max_exponent}] for this alphabet"
@@ -161,7 +166,8 @@ class Alphabet:
         Conjugation survives only if it maps the subset into itself;
         otherwise the result carries no conjugation.
         """
-        keep = [n for n in self.names if n in set(names)]
+        wanted = set(names)
+        keep = [n for n in self.names if n in wanted]
         if self.conj_map is not None and all(self.conj_map[n] in keep for n in keep):
             conj = {n: self.conj_map[n] for n in keep}
             return Alphabet(keep, conj)

@@ -26,19 +26,19 @@ coefficients are never stored. Term order for iteration and serialization
 is the alphabet's graded order (ascending code), so equal jets print and
 serialize identically. Codes move between variables only through
 Alphabet.remap: rename maps each variable to one target variable,
-conjugate is a rename by the alphabet's involution followed by coefficient
-conjugation, is_real compares each term with its partner under the
-involution, real_part and imag_part combine the two in one pass, at
-moves what is left after setting variables to exact values by rename, and
-compose_many substitutes monomials the same way. Jet.at is the one
-restriction to exact points; compose_many substitutes only jets without
-constant term.
+conjugate remaps each code by the alphabet's involution and conjugates its
+coefficient in the same pass, is_real compares each term with its partner
+under the involution, real_part and imag_part are (f + conj f) / 2 and
+(f - conj f) / 2i, at moves what is left after setting variables to exact
+values by rename, and compose_many substitutes monomials the same way.
+Jet.at is the one restriction to exact points; compose_many substitutes
+only jets without constant term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import _kernels
 from .alphabet import Alphabet
@@ -49,7 +49,7 @@ from .errors import (
     OrderMismatchError,
     PreconditionError,
 )
-from .rationals import ZERO, GaussianRational, as_gaussian
+from .rationals import HALF, MINUS_HALF_I, ZERO, GaussianRational, as_gaussian
 
 Scalar = int | Fraction | GaussianRational
 
@@ -183,12 +183,7 @@ class Jet:
         names = self.alphabet.names
         parts = []
         for vec, coeff in self.monomials():
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, vec)
-                if e
-            ]
-            mono = "*".join(factors)
+            mono = _monomial_text(names, vec)
             cs = str(coeff)
             if "+" in cs[1:] or "-" in cs[1:]:
                 cs = f"({cs})"
@@ -233,15 +228,7 @@ class Jet:
 
     def __add__(self, other: object) -> Jet:
         if isinstance(other, Jet):
-            self._check_compatible(other)
-            terms = dict(self.terms)
-            for code, coeff in other.terms.items():
-                s = terms.get(code, ZERO) + coeff
-                if s.is_zero():
-                    terms.pop(code, None)
-                else:
-                    terms[code] = s
-            return Jet._raw(self.alphabet, self.order, terms)
+            return self._merge(other, GaussianRational.__add__)
         if isinstance(other, (int, Fraction, GaussianRational)):
             v = as_gaussian(other)
             if v.is_zero():
@@ -262,18 +249,23 @@ class Jet:
 
     def __sub__(self, other: object) -> Jet:
         if isinstance(other, Jet):
-            self._check_compatible(other)
-            terms = dict(self.terms)
-            for code, coeff in other.terms.items():
-                s = terms.get(code, ZERO) - coeff
-                if s.is_zero():
-                    terms.pop(code, None)
-                else:
-                    terms[code] = s
-            return Jet._raw(self.alphabet, self.order, terms)
+            return self._merge(other, GaussianRational.__sub__)
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self + (-as_gaussian(other))
         return NotImplemented
+
+    def _merge(self, other: Jet, op: Callable[..., GaussianRational]) -> Jet:
+        """Combine coefficients code by code with ``op``, GaussianRational's
+        __add__ or __sub__, dropping the codes whose result is zero."""
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for code, coeff in other.terms.items():
+            s = op(terms.get(code, ZERO), coeff)
+            if s.is_zero():
+                terms.pop(code, None)
+            else:
+                terms[code] = s
+        return Jet._raw(self.alphabet, self.order, terms)
 
     def __rsub__(self, other: object) -> Jet:
         return (-self) + other
@@ -323,58 +315,57 @@ class Jet:
 
     def derive(self, name: str) -> Jet:
         """Formal partial derivative; the result is reliable one order lower."""
-        if self.order == 0:
-            raise PreconditionError("cannot derive an order-0 jet")
-        alpha = self.alphabet
-        if name not in alpha.index:
-            raise PreconditionError(f"unknown variable {name!r}")
-        shift = alpha.shifts[alpha.index[name]]
-        mask = alpha.mask
-        step = (1 << shift) + (1 << alpha.deg_shift)
+        shift, mask, step = self._coordinate_step(name, "cannot derive an order-0 jet")
         terms = {}
         for code, coeff in self.terms.items():
             e = (code >> shift) & mask
             if e:
                 terms[code - step] = coeff * e
-        return Jet._raw(alpha, self.order - 1, terms)
+        return Jet._raw(self.alphabet, self.order - 1, terms)
 
     def divide_by_coordinate(self, name: str) -> Jet:
         """Exact division by a variable; the result is reliable one order lower."""
+        shift, mask, step = self._coordinate_step(
+            name, "cannot divide an order-0 jet by a coordinate"
+        )
+        terms = {}
+        for code, coeff in self.terms.items():
+            if not (code >> shift) & mask:
+                alpha = self.alphabet
+                mono = _monomial_text(alpha.names, alpha.decode(code)) or "1"
+                raise NotDivisibleError(f"monomial {mono} lacks a factor of {name!r}")
+            terms[code - step] = coeff
+        return Jet._raw(self.alphabet, self.order - 1, terms)
+
+    def _coordinate_step(self, name: str, order_zero: str) -> tuple[int, int, int]:
+        """(shift, mask, step) of ``name``: its exponent in a code is
+        (code >> shift) & mask, and code - step lowers it and the degree
+        by one. An order-0 jet raises ``order_zero``, since the result
+        would have order -1."""
         if self.order == 0:
-            raise PreconditionError("cannot divide an order-0 jet by a coordinate")
+            raise PreconditionError(order_zero)
         alpha = self.alphabet
         if name not in alpha.index:
             raise PreconditionError(f"unknown variable {name!r}")
         shift = alpha.shifts[alpha.index[name]]
-        mask = alpha.mask
-        step = (1 << shift) + (1 << alpha.deg_shift)
-        terms = {}
-        for code, coeff in self.terms.items():
-            if not (code >> shift) & mask:
-                vec = alpha.decode(code)
-                mono = "*".join(
-                    n if e == 1 else f"{n}^{e}"
-                    for n, e in zip(alpha.names, vec)
-                    if e
-                ) or "1"
-                raise NotDivisibleError(
-                    f"monomial {mono} lacks a factor of {name!r}"
-                )
-            terms[code - step] = coeff
-        return Jet._raw(alpha, self.order - 1, terms)
+        return shift, alpha.mask, (1 << shift) + (1 << alpha.deg_shift)
 
     # ------------------------------------------------------------------
     # conjugation and reality
     # ------------------------------------------------------------------
 
     def conjugate(self) -> Jet:
-        """Coefficient conjugation combined with the alphabet involution."""
-        alpha = self.alphabet
-        if alpha.conj_map is None:
-            raise PreconditionError(f"alphabet {alpha.names} carries no conjugation")
-        renamed = self.rename(alpha.conj_map, alpha)
+        """Coefficient conjugation combined with the alphabet involution.
+
+        The involution is a bijection on codes, so no two terms merge and
+        one pass remaps each code and conjugates its coefficient.
+        """
+        images = self._involution_images()
+        remap = self.alphabet.remap
         return Jet._raw(
-            alpha, self.order, {c: v.conjugate() for c, v in renamed.terms.items()}
+            self.alphabet,
+            self.order,
+            {remap(c, images): v.conjugate() for c, v in self.terms.items()},
         )
 
     def is_real(self) -> bool:
@@ -395,42 +386,11 @@ class Jet:
 
     def real_part(self) -> Jet:
         """(self + conj(self)) / 2."""
-        return self._with_conjugate(1)
+        return (self + self.conjugate()) * HALF
 
     def imag_part(self) -> Jet:
         """(self - conj(self)) / 2i."""
-        return self._with_conjugate(-1)
-
-    def _with_conjugate(self, sign: int) -> Jet:
-        """(self + sign * conj(self)) / 2, turned by -i when sign is -1.
-
-        One pass over partner terms under the involution, as in is_real:
-        the coefficient at a code is v + sign * conj(w), w the partner's,
-        and a term without a partner also writes the conjugate's lone
-        term at the partner code. Each coefficient is normalized once,
-        with the factor 1/2 (or -i/2, a swap of the fields) folded in.
-        """
-        images = self._involution_images()
-        remap = self.alphabet.remap
-        normalize = GaussianRational.normalize
-        terms = self.terms
-        out: dict[int, GaussianRational] = {}
-
-        def put(code: int, a: int, b: int, d: int) -> None:
-            if a or b:
-                out[code] = normalize(a, b, 2 * d) if sign > 0 else normalize(b, -a, 2 * d)
-
-        for code, v in terms.items():
-            partner = remap(code, images)
-            w = terms.get(partner)
-            if w is None:
-                put(code, v.a, v.b, v.d)
-                put(partner, sign * v.a, -sign * v.b, v.d)
-            elif v.d == w.d:
-                put(code, v.a + sign * w.a, v.b - sign * w.b, v.d)
-            else:
-                put(code, v.a * w.d + sign * w.a * v.d, v.b * w.d - sign * w.b * v.d, v.d * w.d)
-        return Jet._raw(self.alphabet, self.order, out)
+        return (self - self.conjugate()) * MINUS_HALF_I
 
     def _involution_images(self) -> list[tuple[int, int]]:
         """Alphabet.remap images of the involution on the support variables."""
@@ -541,6 +501,11 @@ class Jet:
 # ----------------------------------------------------------------------
 # free functions
 # ----------------------------------------------------------------------
+
+
+def _monomial_text(names: Sequence[str], vec: Sequence[int]) -> str:
+    """x*y^2 style text of an exponent vector; "" for the constant."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, vec) if e)
 
 
 def generators(alphabet: Alphabet, order: int) -> dict[str, Jet]:

@@ -1,0 +1,62 @@
+"""Alphabet's input checks and derived alphabets."""
+
+import pytest
+
+from crjets import Alphabet, Jet
+from crjets.errors import PreconditionError
+
+XYZ = Alphabet(("x", "y", "z"), None)
+ZZB = Alphabet(("z", "zb", "t"), {"z": "zb"})
+
+
+def test_subalphabet_reads_an_iterator_once():
+    assert XYZ.subalphabet(n for n in ["x", "z"]).names == ("x", "z")
+    assert XYZ.subalphabet(iter(["y", "z"])).names == ("y", "z")
+    # alphabet order, not the order asked for
+    assert XYZ.subalphabet(["z", "x"]).names == ("x", "z")
+
+
+def test_subalphabet_keeps_a_closed_conjugation():
+    assert ZZB.subalphabet(iter(["zb", "z"])).conj_map == {"z": "zb", "zb": "z"}
+    assert ZZB.subalphabet(["z", "t"]).conj_map is None
+
+
+def test_encode_refuses_a_vector_of_the_wrong_length():
+    xy = Alphabet(("x", "y"), None)
+    message = "^exponent vector of length 1 for an alphabet of 2 variables$"
+    with pytest.raises(PreconditionError, match=message):
+        xy.encode((1,))
+    with pytest.raises(PreconditionError, match=message):
+        Jet.from_terms(xy, 3, {(1,): 1})
+    with pytest.raises(PreconditionError, match="^exponent vector of length 3 for"):
+        xy.encode((1, 0, 0))
+
+
+def test_encode_refuses_an_exponent_out_of_range():
+    top = XYZ.max_exponent
+    assert XYZ.decode(XYZ.encode((top, 0, 1))) == (top, 0, 1)
+    for bad in (-1, top + 1):
+        with pytest.raises(PreconditionError, match=rf"^exponent {bad} outside \[0, {top}\]"):
+            XYZ.encode((0, bad, 0))
+
+
+def test_encode_dict_refuses_an_unknown_name():
+    with pytest.raises(
+        PreconditionError, match=r"^unknown variable 'w'; alphabet has \('x', 'y', 'z'\)$"
+    ):
+        XYZ.encode_dict({"x": 1, "w": 2})
+
+
+def test_constructor_refuses_bad_names():
+    with pytest.raises(PreconditionError, match=r"^duplicate variable names in \('x', 'y', 'x'\)$"):
+        Alphabet(("x", "y", "x"))
+    with pytest.raises(PreconditionError, match="^alphabet needs at least one variable$"):
+        Alphabet(())
+
+
+def test_constructor_refuses_bad_conjugations():
+    with pytest.raises(PreconditionError, match="^conjugation names unknown variable: z -> w$"):
+        Alphabet(("z", "zb"), {"z": "w"})
+    # z -> zb and zb -> t: conjugating twice does not return to z
+    with pytest.raises(PreconditionError, match="^conjugation is not an involution at 'z'$"):
+        Alphabet(("z", "zb", "t"), {"z": "zb", "zb": "t"})

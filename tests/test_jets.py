@@ -29,6 +29,7 @@ from oracles import (
     point_args,
     poly_to_jet,
     prename,
+    pscale,
     ptruncate,
 )
 
@@ -126,6 +127,8 @@ def products(draw):
 
 
 MINUS_ONE = (Fraction(-1), Fraction(0))
+HALF = (Fraction(1, 2), Fraction(0))
+MINUS_HALF_I = (Fraction(0), Fraction(-1, 2))
 HUGE = (Fraction(3 * BIG + 1, 7), Fraction(-1, 2 * BIG + 3))
 
 
@@ -289,6 +292,27 @@ def test_divide_by_coordinate():
     with pytest.raises(NotDivisibleError) as err:
         (f + y).divide_by_coordinate("x")
     assert "y" in str(err.value)
+    with pytest.raises(NotDivisibleError, match=r"^monomial x\^2\*y\^3 lacks a factor of 'z'$"):
+        Jet.from_terms(XYZ, 5, {(2, 3, 0): 1}).divide_by_coordinate("z")
+    with pytest.raises(NotDivisibleError, match="^monomial 1 lacks a factor of 'x'$"):
+        (f + 1).divide_by_coordinate("x")
+
+
+def test_derive_and_divide_refuse_order_zero_and_unknown_variables():
+    constant = Jet.constant(XY, 0, 3)
+    with pytest.raises(PreconditionError, match="^cannot derive an order-0 jet$"):
+        constant.derive("x")
+    with pytest.raises(
+        PreconditionError, match="^cannot divide an order-0 jet by a coordinate$"
+    ):
+        constant.divide_by_coordinate("x")
+    x = Jet.variable(XY, 3, "x")
+    for method in (x.derive, x.divide_by_coordinate):
+        with pytest.raises(PreconditionError, match="^unknown variable 'q'$"):
+            method("q")
+    # the order is checked before the name
+    with pytest.raises(PreconditionError, match="^cannot derive an order-0 jet$"):
+        constant.derive("q")
 
 
 @given(polys(min_degree=1), polys(min_degree=1))
@@ -524,6 +548,8 @@ def test_is_real_matches_the_conjugate(p, q, r, k):
 
 @given(polys(width=2), polys(width=5), polys(width=SMALL_LIMIT + 2), st.integers(0, 10))
 def test_real_and_imag_parts_match_the_conjugate(p, q, r, k):
+    """(f + conj f) / 2 and (f - conj f) / 2i, with the conjugate, sum and
+    scaling taken from the oracle."""
     for poly, alpha in ((p, ZZB), (q, INTERLEAVED), (r, WIDE_CONJ)):
         jp = poly_to_jet(poly, alpha, 5)
         real = jp + jp.conjugate()
@@ -532,10 +558,16 @@ def test_real_and_imag_parts_match_the_conjugate(p, q, r, k):
             # one term alone, so that its partner is missing unless self-conjugate
             c = sorted(jp.terms)[k % len(jp.terms)]
             cases.append(Jet(alpha, 5, {c: jp.terms[c]}))
+        swap = [alpha.index[alpha.conj_map[n]] for n in alpha.names]
         for jet in cases:
-            conj = jet.conjugate()
-            assert jet.real_part() == (jet + conj) * Fraction(1, 2)
-            assert jet.imag_part() == (jet - conj) * GaussianRational(0, Fraction(-1, 2))
+            f = jet_to_poly(jet)
+            conj = pconj(f, swap)
+            re, im = jet.real_part(), jet.imag_part()
+            assert jet_to_poly(re) == pscale(padd(f, conj), HALF)
+            assert jet_to_poly(im) == pscale(padd(f, pscale(conj, MINUS_ONE)), MINUS_HALF_I)
+            assert re.order == im.order == jet.order
+            assert_normalized(re.terms)
+            assert_normalized(im.terms)
 
 
 def test_is_real_needs_a_conjugation():

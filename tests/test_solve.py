@@ -79,6 +79,30 @@ def test_nonzero_constant_is_rejected():
         implicit_solve([t - s + 1], ["t"])
 
 
+def test_implicit_solve_refuses_malformed_systems():
+    s, t = Jet.variable(ST, 4, "s"), Jet.variable(ST, 4, "t")
+    other = Jet.variable(Alphabet(("s", "u"), None), 4, "u")
+    for equations, unknowns, message in (
+        ([], [], "^no equations$"),
+        ([t - s], ["t", "s"], "^1 equations for 2 unknowns$"),
+        ([t - s, other], ["t", "u"], "^equations must share one alphabet$"),
+        ([t - s], ["u"], "^unknown 'u' is not a variable of the system$"),
+        ([t - s, t + s], ["t", "t"], "^unknown 't' listed twice$"),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            implicit_solve(equations, unknowns)
+    with pytest.raises(PreconditionError, match="^target alphabet lacks parameter 's'$"):
+        implicit_solve([t - s], ["t"], target=Alphabet(("x",), None))
+
+
+def test_revert_series_refuses_bad_input():
+    with pytest.raises(PreconditionError, match="^revert_series expects a one-variable jet$"):
+        revert_series(Jet.variable(ST, 4, "s"))
+    t = Jet.variable(Alphabet(("t",), None), 4, "t")
+    with pytest.raises(PreconditionError, match="^series to revert must vanish at 0$"):
+        revert_series(t + 1)
+
+
 def test_reversion_round_trip():
     a = Alphabet(("t",), None)
     t = Jet.variable(a, 7, "t")
