@@ -30,9 +30,7 @@ from .equivalence import (
 from .linalg import (
     hermitian_signature,
     invert_matrix,
-    matmul,
     rank,
-    solve_linear,
     symmetric_diagonalize,
 )
 from .errors import (
@@ -63,12 +61,9 @@ from .germs import (
 )
 from .jets import Jet, compose_many, generators, jet_sqrt
 from .marson import (
-    DescendedMap,
     ExternalLift,
-    descend_map,
     external_levi,
     external_lift,
-    holomorphic_alphabet,
     lift_levi_relation,
     predicted_external_levi,
 )
@@ -85,8 +80,6 @@ from .segre import (
     phi_determinant,
     phi_elimination,
     rigid_phi_test,
-    segre_graph,
-    segre_section,
 )
 from .solve import implicit_solve, revert_series
 
@@ -102,7 +95,6 @@ __all__ = [
     "ComplexifiedHypersurface",
     "ConjugateElimination",
     "DegenerateFormError",
-    "DescendedMap",
     "ExternalLift",
     "GaussianRational",
     "I",
@@ -128,7 +120,6 @@ __all__ = [
     "complexify",
     "compose_many",
     "conjugate_elimination",
-    "descend_map",
     "equivalence_alphabet",
     "external_levi",
     "external_lift",
@@ -137,7 +128,6 @@ __all__ = [
     "frame",
     "generators",
     "hermitian_signature",
-    "holomorphic_alphabet",
     "implicit_solve",
     "invert_matrix",
     "is_solution",
@@ -148,7 +138,6 @@ __all__ = [
     "lift_levi_relation",
     "make_equivalence",
     "make_germ",
-    "matmul",
     "model_germ",
     "morse_normalize",
     "ode_right_side",
@@ -159,9 +148,6 @@ __all__ = [
     "rational_sqrt",
     "revert_series",
     "rigid_phi_test",
-    "segre_graph",
-    "segre_section",
-    "solve_linear",
     "split_coefficients",
     "standard_alphabet",
     "straighten",

@@ -226,7 +226,7 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
         at_critical = {tname: tvar + critical_full}
         (shifted,) = compose_many([remainder], at_critical, alphabet=full, order=order)
         # remainder(t_l = c) is the t_l-free part of remainder(t_l + c).
-        rest = shifted.at({tname: 0}, full)
+        rest = shifted.at_zero([tname], full)
 
         doubly = shifted - rest
         try:

@@ -94,11 +94,11 @@ def make_germ(nu: int, nprime: int, phi: Jet) -> StructureGerm:
 
 def at_t_zero(jet: Jet, nu: int) -> Jet:
     """A jet over standard_alphabet(nu, nprime) at t = 0, over
-    standard_alphabet(nu, 0), by Jet.at: the terms free of t, with no
+    standard_alphabet(nu, 0), by Jet.at_zero: the terms free of t, with no
     coefficient arithmetic. Setting variables to zero drops terms only, so
     the order is kept and the slice is reliable."""
     central = standard_alphabet(nu, 0)
-    return jet.at({n: 0 for n in jet.alphabet.names if n not in central.index}, central)
+    return jet.at_zero([n for n in jet.alphabet.names if n not in central.index], central)
 
 
 def first_integrals(germ: StructureGerm) -> dict[str, Jet]:

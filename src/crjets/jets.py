@@ -29,16 +29,16 @@ Alphabet.remap: rename maps each variable to one target variable,
 conjugate remaps each code by the alphabet's involution and conjugates its
 coefficient in the same pass, is_real compares each term with its partner
 under the involution, real_part and imag_part are (f + conj f) / 2 and
-(f - conj f) / 2i, at moves what is left after setting variables to exact
-values by rename, and compose_many substitutes monomials the same way.
-Jet.at is the one restriction to exact points; compose_many substitutes
-only jets without constant term.
+(f - conj f) / 2i, at_zero moves what is left after setting variables to
+zero by rename, and compose_many substitutes monomials the same way.
+Jet.at_zero is the one restriction, to slices through the origin;
+compose_many substitutes only jets without constant term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import _kernels
 from .alphabet import Alphabet
@@ -440,44 +440,22 @@ class Jet:
         # bound under which no exponent overflows a narrower target field.
         return Jet(target, self.order, terms)
 
-    def at(self, point: Mapping[str, Scalar], target: Alphabet) -> Jet:
-        """The jet with each variable of ``point`` set to its exact value,
-        over ``target``, at the same order; the other variables map to
-        their namesakes in ``target``.
+    def at_zero(self, names: Iterable[str], target: Alphabet) -> Jet:
+        """The jet with each variable of ``names`` set to zero, over
+        ``target``, at the same order; the other variables map to their
+        namesakes in ``target``.
 
         A term with a variable set to zero is dropped with no coefficient
-        arithmetic. Over this jet's own alphabet a term with none of the
-        point's variables keeps its code; otherwise codes are moved by
-        rename. When a value is nonzero, the result is the stored
-        polynomial evaluated exactly there, not a reliable jet: the
-        unknown terms past the order would reach every degree.
+        arithmetic. Over this jet's own alphabet the kept terms keep their
+        codes; otherwise codes are moved by rename.
         """
         alpha = self.alphabet
-        mask, deg_shift = alpha.mask, alpha.deg_shift
         zeros = 0
-        values = []
-        for name, value in point.items():
+        for name in names:
             if name not in alpha.index:
                 raise PreconditionError(f"unknown variable {name!r}")
-            shift = alpha.shifts[alpha.index[name]]
-            v = as_gaussian(value)
-            if v.is_zero():
-                zeros |= mask << shift
-            else:
-                values.append((shift, v))
-        terms = {c: v for c, v in self.terms.items() if not c & zeros}
-        if values:
-            evaluated: dict[int, GaussianRational] = {}
-            for code, coeff in terms.items():
-                for shift, v in values:
-                    e = (code >> shift) & mask
-                    if e:
-                        coeff = coeff * v**e
-                        code -= (e << shift) + (e << deg_shift)
-                s = evaluated.get(code)
-                evaluated[code] = coeff if s is None else s + coeff
-            terms = {c: v for c, v in evaluated.items() if not v.is_zero()}
-        kept = Jet._raw(alpha, self.order, terms)
+            zeros |= alpha.mask << alpha.shifts[alpha.index[name]]
+        kept = Jet._raw(alpha, self.order, {c: v for c, v in self.terms.items() if not c & zeros})
         return kept if target == alpha else kept.rename({}, target)
 
     def _images(self, mapping: Mapping[str, str], target: Alphabet) -> list[tuple[int, int]]:
@@ -527,7 +505,7 @@ def compose_many(
     variable of the same name in the target, an exact identity, and is an
     error if the target has none. Every assigned jet must have zero
     constant term, so that each substitute has valuation at least 1;
-    exact values are set by Jet.at. The result order is the least
+    zeros are set by Jet.at_zero. The result order is the least
     participating order, the minimum of the outer orders, the assigned
     jet orders and ``order`` if given. An ``order`` above it gets the
     composition rule of the module docstring, capped at ``order``: an
@@ -577,7 +555,7 @@ def compose_many(
             raise PreconditionError(f"assignment names unknown variable {name!r}")
         if not isinstance(value, Jet):
             raise PreconditionError(f"substitution for {name!r} is not a jet; "
-                                    "exact values are set by Jet.at")
+                                    "variables are set to zero by Jet.at_zero")
         if target is None:
             target = value.alphabet
         elif value.alphabet != target:
@@ -585,7 +563,7 @@ def compose_many(
         const = value.constant_term()
         if not const.is_zero():
             raise PreconditionError(f"substitution for {name!r} has constant term {const}; "
-                                    "exact values are set by Jet.at")
+                                    "variables are set to zero by Jet.at_zero")
         least = min(least, value.order)
     if target is None:
         raise PreconditionError("an empty assignment needs an explicit target alphabet")

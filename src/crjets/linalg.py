@@ -1,6 +1,6 @@
 """Exact dense linear algebra over Fraction and Gaussian rationals.
 
-One Gauss-Jordan routine serves solving, inversion and rank. One
+One Gauss-Jordan routine serves inversion and rank. One
 congruence routine, symmetric_diagonalize, serves both quadratic forms
 of the structure: the Hermitian Levi form, whose inertia
 hermitian_signature counts, and the real t-Hessian that Morse
@@ -36,23 +36,6 @@ def _check_rect(m: Sequence[Sequence[F]]) -> tuple[int, int]:
     return rows, cols
 
 
-def matmul(a: Sequence[Sequence[F]], b: Sequence[Sequence[F]]) -> list[list[F]]:
-    ra, ca = _check_rect(a)
-    rb, cb = _check_rect(b)
-    if ca != rb:
-        raise PreconditionError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            s = a[i][0] * b[0][j]
-            for k in range(1, ca):
-                s = s + a[i][k] * b[k][j]
-            row.append(s)
-        out.append(row)
-    return out
-
-
 def identity_matrix(n: int, one: F) -> list[list[F]]:
     zero = one - one
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -85,25 +68,6 @@ def _gauss_jordan(m: list[list[F]], cols: int) -> list[int]:
     return pivots
 
 
-def _reduce_square(m: list[list[F]], n: int, what: str) -> None:
-    """Gauss-Jordan on an n x n block augmented on the right; raises
-    SingularJacobianError naming the first column without a pivot."""
-    pivots = _gauss_jordan(m, n)
-    if len(pivots) < n:
-        k = next((i for i, c in enumerate(pivots) if i != c), len(pivots))
-        raise SingularJacobianError(f"singular {what}, no pivot in column {k}")
-
-
-def solve_linear(a: Sequence[Sequence[F]], b: Sequence[F]) -> list[F]:
-    """Solve a x = b exactly; raises SingularJacobianError when singular."""
-    n, cols = _check_rect(a)
-    if n != cols or n != len(b):
-        raise PreconditionError("solve_linear needs a square system")
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    _reduce_square(m, n, "system")
-    return [row[n] for row in m]
-
-
 def invert_matrix(a: Sequence[Sequence[F]]) -> list[list[F]]:
     """Exact inverse; raises SingularJacobianError when singular."""
     n, cols = _check_rect(a)
@@ -113,7 +77,10 @@ def invert_matrix(a: Sequence[Sequence[F]]) -> list[list[F]]:
         return []
     ident = identity_matrix(n, _field_one(a))
     m = [list(row) + ident[i] for i, row in enumerate(a)]
-    _reduce_square(m, n, "matrix")
+    pivots = _gauss_jordan(m, n)
+    if len(pivots) < n:
+        k = next((i for i, c in enumerate(pivots) if i != c), len(pivots))
+        raise SingularJacobianError(f"singular matrix, no pivot in column {k}")
     return [row[n:] for row in m]
 
 

@@ -22,16 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .alphabet import Alphabet
-from .errors import PreconditionError, certify
+from .errors import certify
 from .germs import (
     LeviForm,
     StructureGerm,
-    defining_pullback,
     first_integrals,
-    is_solution,
     levi_form,
     make_germ,
     standard_alphabet,
@@ -125,96 +121,3 @@ def lift_levi_relation(ext: ExternalLift) -> bool:
     honest = external_levi(ext).rows()
     predicted = predicted_external_levi(ext.source)
     return honest == predicted
-
-
-def holomorphic_alphabet(nu: int) -> Alphabet:
-    """(z_1..z_nu, w) with no conjugation: arguments of descendable maps."""
-    return Alphabet(tuple(f"z{j}" for j in range(1, nu + 1)) + ("w",), None)
-
-
-@dataclass(frozen=True)
-class DescendedMap:
-    """Source-manifold coordinates of a descended lift map.
-
-    Real components in the order (x_1..x_nu, y_1..y_nu, s, t_1..t_nprime),
-    plus the complex pullbacks they came from.
-    """
-
-    x: tuple[Jet, ...]
-    y: tuple[Jet, ...]
-    s: Jet
-    t: tuple[Jet, ...]
-    holomorphic_z: tuple[Jet, ...]
-    holomorphic_w: Jet
-
-
-def descend_map(
-    ext: ExternalLift,
-    shear: Sequence[Jet],
-    core_map: Sequence[Jet],
-    target: StructureGerm | None = None,
-) -> DescendedMap:
-    """Descend a lift map of split shape to the source manifold.
-
-    ``core_map`` gives nu + 1 jets (new z components, then the new w
-    component) and ``shear`` nprime jets, all over holomorphic_alphabet(nu)
-    at the germ order, vanishing at 0. The map of the lift being descended
-    sends the absorbed directions to themselves plus ``shear``; dependence
-    on the absorbed variables is excluded by the argument alphabet itself.
-    The new real parameters are t_l + Im shear_l along the source, the new
-    (x, y, s) come from the core components. Every complex pullback must
-    be annihilated by the source frame, and when ``target`` is given the
-    pulled-back defining identity of the target is checked exactly.
-    """
-    germ = ext.source
-    nu, npr, order = germ.nu, germ.nprime, germ.order
-    hol = holomorphic_alphabet(nu)
-    if len(core_map) != nu + 1:
-        raise PreconditionError(f"core_map needs {nu + 1} components")
-    if len(shear) != npr:
-        raise PreconditionError(f"shear needs {npr} components")
-    for jet in list(core_map) + list(shear):
-        if jet.alphabet != hol:
-            raise PreconditionError(
-                "map components must live over the holomorphic (z, w) alphabet"
-            )
-        if jet.order != order:
-            raise PreconditionError("map components must carry the germ order")
-        if not jet.constant_term().is_zero():
-            raise PreconditionError("map components must vanish at the origin")
-
-    full = germ.alphabet
-    along = {"w": Jet.variable(full, order, "s") + germ.phi * I}
-    pulled = compose_many([*core_map, *shear], along, alphabet=full, order=order)
-    pulled_core, pulled_shear = pulled[: nu + 1], pulled[nu + 1 :]
-    certify(is_solution(germ, *pulled_core, *pulled_shear), "descend_map", "frame kills pullbacks",
-            "pullback of a holomorphic map component is not annihilated by the frame")
-
-    new_z = tuple(pulled_core[:nu])
-    new_w = pulled_core[nu]
-    new_t = tuple(
-        Jet.variable(full, order, f"t{l}") + pulled_shear[l - 1].imag_part()
-        for l in range(1, npr + 1)
-    )
-
-    if target is not None:
-        if target.nu != nu or target.nprime != npr:
-            raise PreconditionError("target germ has mismatched dimensions")
-        if target.order < order:
-            raise PreconditionError("target germ order is too low to verify against")
-        rhs = defining_pullback(
-            target.phi.truncate(order), new_z, new_w, full, order, new_t
-        )
-        if rhs != new_w.imag_part():
-            raise PreconditionError(
-                "map does not send the source structure into the target"
-            )
-
-    return DescendedMap(
-        tuple(j.real_part() for j in new_z),
-        tuple(j.imag_part() for j in new_z),
-        new_w.real_part(),
-        new_t,
-        new_z,
-        new_w,
-    )

@@ -159,20 +159,6 @@ class GaussianRational:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, n: int) -> GaussianRational:
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     # ------------------------------------------------------------------
     # text
     # ------------------------------------------------------------------
@@ -229,7 +215,6 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 MINUS_I = GaussianRational(0, -1)
 HALF = GaussianRational(Fraction(1, 2))

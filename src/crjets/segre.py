@@ -10,8 +10,8 @@ so complexify solves s - i sigma(z, zb, s) = wb for s = S(z, zb, wb)
 and takes the graph jet rho(z, zb, wb) = 2S - wb, the unique solution of
 F = 0 for w. It certifies the reality identity
 rho(z, zb, rhob(zb, z, w)) = w, where rhob is the conjugate jet. The
-sections obtained by freezing (zb, wb) at exact points form a family of
-holomorphic graphs. Differentiating a section twice and eliminating the
+sections obtained by freezing (zb, wb) form a family of holomorphic
+graphs. Differentiating a section twice and eliminating the
 frozen parameters through the first-order data produces, for
 Levi-nondegenerate cores, a matrix of jets in (z, w, wp) that governs the
 second derivatives of every section at once.
@@ -148,52 +148,6 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
     certify(round_trip == Jet.variable(big, order, "w"), "complexify", "reality identity",
             "reality identity failed: reflecting the graph through itself did not return w")
     return ComplexifiedHypersurface(core, rho)
-
-
-def segre_section(
-    ch: ComplexifiedHypersurface,
-    zb_values: tuple,
-    wb_value,
-) -> Jet:
-    """The section z -> rho(z, zb0, wb0) at exact frozen parameters, by
-    Jet.at, at the order of rho.
-
-    For nonzero parameters this is the stored polynomial evaluated
-    exactly; it is not a reliable jet, since the unknown terms of rho
-    past its order reach every degree.
-    """
-    nu = ch.nu
-    if len(zb_values) != nu:
-        raise PreconditionError(f"expected {nu} conjugate coordinates")
-    zonly = Alphabet(tuple(f"z{j}" for j in range(1, nu + 1)), None)
-    frozen = {f"zb{j}": v for j, v in enumerate(zb_values, start=1)}
-    frozen["wb"] = wb_value
-    return ch.rho.at(frozen, zonly)
-
-
-def segre_graph(ch: ComplexifiedHypersurface, z_point: tuple, w_point) -> Jet:
-    """Section attached to a base point, with an exact incidence check.
-
-    The base point (a, c) must satisfy the stored polynomial incidence
-    c - conj(c) = 2i * sigma(a, conj(a), (c + conj(c))/2) exactly; the
-    frozen parameters are then the conjugated coordinates.
-    """
-    nu = ch.nu
-    if len(z_point) != nu:
-        raise PreconditionError(f"expected {nu} complex coordinates")
-    a = [as_gaussian(v) for v in z_point]
-    c = as_gaussian(w_point)
-    point: dict[str, GaussianRational] = {"s": (c + c.conjugate()) * HALF}
-    for j, v in enumerate(a, start=1):
-        point[f"z{j}"] = v
-        point[f"zb{j}"] = v.conjugate()
-    phi = ch.core.phi
-    residual = c - c.conjugate() - phi.at(point, phi.alphabet).constant_term() * TWO_I
-    if not residual.is_zero():
-        raise PreconditionError(
-            f"base point is not on the hypersurface: incidence residual {residual}"
-        )
-    return segre_section(ch, tuple(v.conjugate() for v in a), c.conjugate())
 
 
 @dataclass(frozen=True)

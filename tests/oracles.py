@@ -14,6 +14,7 @@ reference for the rewritten code.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 Coef = tuple[Fraction, Fraction]
@@ -155,6 +156,10 @@ def cmatinv(m: list[list[Coef]]) -> list[list[Coef]]:
                 f = rows[r][col]
                 rows[r] = [cadd(v, cmul((-f[0], -f[1]), p)) for v, p in zip(rows[r], rows[col])]
     return [row[n:] for row in rows]
+
+
+def cmatmul(a: list[list[Coef]], b: list[list[Coef]]) -> list[list[Coef]]:
+    return [[reduce(cadd, map(cmul, row, col), ZERO) for col in zip(*b)] for row in a]
 
 
 def charpoly(m: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:

@@ -300,7 +300,7 @@ def reparametrized_germs(draw):
         rng, nu=draw(st.integers(1, 2)), nprime=draw(st.integers(1, 2)), order=draw(st.integers(4, 6))
     )
     if rigid:
-        germ = make_germ(germ.nu, germ.nprime, germ.phi.at({"s": 0}, germ.phi.alphabet))
+        germ = make_germ(germ.nu, germ.nprime, germ.phi.at_zero(["s"], germ.phi.alphabet))
     fiber = random_fiber_map(rng, germ, s_free=rigid)
     (moved,) = compose_many([germ.phi], dict(zip(germ.t_names(), fiber)), order=germ.order)
     return germ, make_germ(germ.nu, germ.nprime, moved), rigid

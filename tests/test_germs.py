@@ -271,7 +271,7 @@ def test_restriction_keeping_the_alphabet_matches_substitution(case, data):
     _, jet = case
     alpha = jet.alphabet
     names = data.draw(st.lists(st.sampled_from(alpha.names), unique=True))
-    got = jet.at(dict.fromkeys(names, 0), alpha)
+    got = jet.at_zero(names, alpha)
     args = point_args(alpha.names, dict.fromkeys(names, ZERO), alpha.names)
     assert jet_to_poly(got) == pcompose(jet_to_poly(jet), args, jet.order, alpha.nvars)
     assert got.alphabet is alpha and got.order == jet.order

@@ -307,7 +307,7 @@ def test_derive_and_divide_refuse_order_zero_and_unknown_variables():
     ):
         constant.divide_by_coordinate("x")
     x = Jet.variable(XY, 3, "x")
-    for method in (x.derive, x.divide_by_coordinate):
+    for method in (x.derive, x.divide_by_coordinate, lambda name: x.at_zero([name], XY)):
         with pytest.raises(PreconditionError, match="^unknown variable 'q'$"):
             method("q")
     # the order is checked before the name
@@ -660,43 +660,30 @@ def test_rename_and_embed(p):
     assert jet_to_poly(merged) == prename(jet_to_poly(f), [0, 0, 1], 2)
 
 
-def test_evaluate_is_exact():
-    x, y = Jet.variable(XY, 3, "x"), Jet.variable(XY, 3, "y")
-    f = x * x + y * 2 - 1
-    point = {"x": (Fraction(1, 2), Fraction(0)), "y": (Fraction(0), Fraction(1))}
-    v = f.at({"x": Fraction(1, 2), "y": I}, XY)
-    assert v == Jet.constant(XY, 3, GaussianRational(Fraction(-3, 4), 2))
-    assert jet_to_poly(v) == pcompose(jet_to_poly(f), point_args(XY.names, point, XY.names), 3, 2)
-
-
 @st.composite
 def restrictions(draw):
-    """(jet, point, target): a jet over XYZ or WIDE, exact values, zero or
-    not, for some of its variables, and as target the jet's own alphabet
-    or the narrower one of the variables left free."""
+    """(jet, names, target): a jet over XYZ or WIDE, some of its variables
+    to set to zero, and as target the jet's own alphabet or the narrower
+    one of the variables left free."""
     alpha = draw(st.sampled_from((XYZ, WIDE)))
     order = draw(st.integers(0, 5))
     jet = poly_to_jet(draw(polys(order, alpha.nvars)), alpha, order)
     names = draw(st.lists(st.sampled_from(alpha.names), unique=True, max_size=4))
-    point = {n: draw(st.one_of(st.just(ZERO), coefs)) for n in names}
-    free = tuple(n for n in alpha.names if n not in point)
+    free = tuple(n for n in alpha.names if n not in names)
     target = Alphabet(free, None) if free and draw(st.booleans()) else alpha
-    return jet, point, target
+    return jet, names, target
 
 
 @given(restrictions())
-# A value that is not zero moves x^2*y onto y's code, where it meets y.
-@example((poly_to_jet({(2, 1, 0): ONE, (0, 1, 0): TWO, (1, 0, 1): ONE}, XYZ, 3),
-          {"x": (Fraction(1, 2), Fraction(1))}, XYZ))
-# x set to zero and y to a value, over the alphabet of z alone.
+# x and y set to zero, over the alphabet of z alone.
 @example((poly_to_jet({(1, 0, 1): ONE, (0, 2, 1): TWO, (0, 0, 2): ONE}, XYZ, 3),
-          {"x": ZERO, "y": (Fraction(0), Fraction(-1))}, Alphabet(("z",), None)))
+          ["x", "y"], Alphabet(("z",), None)))
 @settings(max_examples=100, deadline=None)
 def test_restriction_matches_oracle(case):
-    jet, point, target = case
-    got = jet.at({n: GaussianRational(*c) for n, c in point.items()}, target)
+    jet, names, target = case
+    got = jet.at_zero(names, target)
     assert got.alphabet == target and got.order == jet.order
-    args = point_args(jet.alphabet.names, point, target.names)
+    args = point_args(jet.alphabet.names, dict.fromkeys(names, ZERO), target.names)
     assert jet_to_poly(got) == pcompose(jet_to_poly(jet), args, jet.order, target.nvars)
     assert_normalized(got.terms)
 

@@ -1,25 +1,20 @@
-"""External lifts: block relation, definiteness transport, descent."""
+"""External lifts: block relation and definiteness transport."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
 from crjets import (
     GaussianRational,
     Jet,
-    descend_map,
     external_levi,
     external_lift,
     generators,
-    holomorphic_alphabet,
     levi_form,
     lift_levi_relation,
     make_germ,
     predicted_external_levi,
     standard_alphabet,
 )
-from crjets.errors import PreconditionError
 
 from germ_corpus import random_definite_germ, random_germ
 
@@ -71,37 +66,3 @@ def test_parameterless_lift_is_the_germ_itself():
     ext = external_lift(germ)
     assert ext.chart == ()
     assert ext.lift.phi == germ.phi
-
-
-def test_identity_descends():
-    a = standard_alphabet(1, 1)
-    g = generators(a, 6)
-    germ = make_germ(1, 1, g["z1"] * g["zb1"] + g["t1"] ** 2)
-    ext = external_lift(germ)
-    hol = holomorphic_alphabet(1)
-    zc, wc = Jet.variable(hol, 6, "z1"), Jet.variable(hol, 6, "w")
-    d = descend_map(ext, shear=[Jet.zero(hol, 6)], core_map=[zc, wc], target=germ)
-    assert d.s == Jet.variable(a, 6, "s")
-    assert d.t[0] == Jet.variable(a, 6, "t1")
-    assert d.x[0] == (g["z1"] + g["zb1"]) * Fraction(1, 2)
-    assert d.y[0] == (g["z1"] - g["zb1"]) * GaussianRational(0, Fraction(-1, 2))
-
-
-def test_shear_descends_onto_translated_target():
-    # source phi = z zb + t^2, shear t -> t + Im z,
-    # target phi' = z zb + (t - Im z)^2 makes the identity exact
-    a = standard_alphabet(1, 1)
-    g = generators(a, 6)
-    source = make_germ(1, 1, g["z1"] * g["zb1"] + g["t1"] ** 2)
-    im_z = (g["z1"] - g["zb1"]) * GaussianRational(0, Fraction(-1, 2))
-    target = make_germ(1, 1, g["z1"] * g["zb1"] + (g["t1"] - im_z) ** 2)
-
-    ext = external_lift(source)
-    hol = holomorphic_alphabet(1)
-    zc, wc = Jet.variable(hol, 6, "z1"), Jet.variable(hol, 6, "w")
-    d = descend_map(ext, shear=[zc], core_map=[zc, wc], target=target)
-    assert d.t[0] == g["t1"] + im_z
-
-    # a wrong target is refused
-    with pytest.raises(PreconditionError):
-        descend_map(ext, shear=[zc], core_map=[zc, wc], target=source)

@@ -11,7 +11,6 @@ from crjets import (
     Alphabet,
     ConjugateElimination,
     GaussianRational,
-    I,
     Jet,
     OdeUnsolvableError,
     compose_many,
@@ -23,14 +22,22 @@ from crjets import (
     phi_determinant,
     phi_elimination,
     rigid_phi_test,
-    segre_graph,
-    segre_section,
     standard_alphabet,
 )
 from crjets.errors import DegenerateFormError, InvariantError, PreconditionError, recording
 
 from germ_corpus import random_central, random_height, random_rigid_central
-from oracles import previous_complexify, previous_conjugate_elimination, previous_phi_determinant
+from oracles import (
+    ONE,
+    ZERO,
+    jet_to_poly,
+    pcompose,
+    point_args,
+    poly_to_jet,
+    previous_complexify,
+    previous_conjugate_elimination,
+    previous_phi_determinant,
+)
 
 
 def central(phi_builder, nu=1, order=6):
@@ -56,23 +63,6 @@ def test_complexify_preconditions():
     s = Jet.variable(b, 4, "s")
     with pytest.raises(PreconditionError):
         complexify(make_germ(0, 0, s * s))
-
-
-def test_quadric_sections_are_affine():
-    ch = complexify(central(lambda g: g["z1"] * g["zb1"]))
-    sec = segre_section(ch, (1,), Fraction(1, 2))
-    z = Jet.variable(sec.alphabet, 6, "z1")
-    assert sec == Fraction(1, 2) + z * GaussianRational(0, 2)
-
-
-def test_segre_graph_checks_incidence():
-    ch = complexify(central(lambda g: g["z1"] * g["zb1"]))
-    # (a, c) = (1, i) lies on w - wb = 2i z zb
-    graph = segre_graph(ch, (1,), I)
-    z = Jet.variable(graph.alphabet, 6, "z1")
-    assert graph == -I + z * GaussianRational(0, 2)
-    with pytest.raises(PreconditionError):
-        segre_graph(ch, (1,), GaussianRational(0))
 
 
 def test_phi_routes_vanish_on_quadrics():
@@ -296,8 +286,11 @@ def test_section_satisfies_the_profile_equation():
     height h(x) = H(x^2).
 
     With S(z) = rho(z, 1, 0) = 2i H(z) and psi the profile of h, a direct
-    substitution gives z^2 S'' = (i/2) psi(-i z S') - (z S')/2.
+    substitution gives z^2 S'' = (i/2) psi(-i z S') - (z S')/2. The oracle
+    evaluates rho at the frozen parameters, which is exact here since rho
+    is the polynomial wb + 2i sigma.
     """
+    zonly = Alphabet(("z1",), None)
     rng = random.Random(17)
     for _ in range(4):
         c = [
@@ -313,7 +306,9 @@ def test_section_satisfies_the_profile_equation():
         h = height({2: c[0], 4: c[1], 6: c[2]}, 2 * order)
         psi = ode_right_side(h)  # order = `order`
 
-        section = segre_section(complexify(germ), (1,), 0)
+        rho = complexify(germ).rho
+        args = point_args(rho.alphabet.names, {"zb1": ONE, "w": ZERO, "wb": ZERO}, zonly.names)
+        section = poly_to_jet(pcompose(jet_to_poly(rho), args, order, zonly.nvars), zonly, order)
         zj = Jet.variable(section.alphabet, order - 2, "z1")
         lhs = zj * zj * section.derive("z1").derive("z1")
         sprime = (Jet.variable(section.alphabet, order - 1, "z1") * section.derive("z1")).truncate(order - 2)
