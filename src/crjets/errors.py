@@ -5,8 +5,9 @@ parse problems (bad files), precondition violations (valid data that a
 given operation rejects), and invariant violations (internal identities
 that should hold by construction and did not).
 
-Invariants are checked by certify, which appends (stage, identity, holds)
-to the record that recording opened in the current context, if any.
+Invariants are checked by certify. It appends (stage, identity, holds)
+to the record that recording opened in the current context, if any, and
+its InvariantError names the stage and the identity that failed.
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ _record: ContextVar[list[tuple[str, str, bool]] | None] = ContextVar("record", d
 
 def certify(holds: bool, stage: str, identity: str, message: str) -> None:
     """Append (stage, identity, holds) to the open record, if any, and
-    raise InvariantError(message) unless the identity holds."""
+    raise InvariantError("<stage>: <identity>: <message>") unless the
+    identity holds."""
     record = _record.get()
     if record is not None:
         record.append((stage, identity, holds))
     if not holds:
-        raise InvariantError(message)
+        raise InvariantError(f"{stage}: {identity}: {message}")
 
 
 @contextmanager

@@ -186,15 +186,38 @@ def _override_order(jet: Jet, order: int | None, minimum: int = 1, what: str = "
 
 
 def germ_from_json(obj: Any, order_override: int | None = None) -> StructureGerm:
-    """Parse a germ file object; precondition failures surface as such."""
+    """Parse a germ file object; precondition failures surface as such.
+
+    ``phi`` is a list of term records, or a jet object {"order", "terms",
+    "variables"} as reports write one, whose order is the germ's and
+    whose variables, if given, are the germ alphabet's. So the germ that
+    ``external`` reports under ``results.lift`` is a germ file as it stands.
+    """
     if not isinstance(obj, dict):
         raise ParseError("germ file must be a JSON object")
     nu = _require_count(obj, "nu")
     nprime = _require_count(obj, "nprime")
     order = _require_count(obj, "order", minimum=1)
     alphabet = standard_alphabet(nu, nprime)
-    phi = terms_from_json(obj.get("phi"), alphabet, order, "phi")
+    records = obj.get("phi")
+    if isinstance(records, dict):
+        records = _jet_records(records, alphabet, order)
+    phi = terms_from_json(records, alphabet, order, "phi")
     return make_germ(nu, nprime, _override_order(phi, order_override))
+
+
+def _jet_records(jet: dict, alphabet: Alphabet, order: int) -> Any:
+    """The term records of a germ's phi written as a jet object."""
+    extra = set(jet) - {"order", "terms", "variables"}
+    if extra:
+        raise ParseError(f"phi: unexpected keys {sorted(extra)}")
+    jet_order = jet.get("order")
+    if isinstance(jet_order, bool) or jet_order != order:
+        raise ParseError(f"phi: jet order {jet_order!r} is not the germ order {order}")
+    names = list(alphabet.names)
+    if jet.get("variables", names) != names:
+        raise ParseError(f"phi: variables must be {names}")
+    return jet.get("terms")
 
 
 def map_from_json(

@@ -8,8 +8,9 @@ function is
 
 so complexify solves s - i sigma(z, zb, s) = wb for s = S(z, zb, wb)
 and takes the graph jet rho(z, zb, wb) = 2S - wb, the unique solution of
-F = 0 for w. It certifies the reality identity
-rho(z, zb, rhob(zb, z, w)) = w, where rhob is the conjugate jet. The
+F = 0 for w. Since sigma is real, rho satisfies the reality identity
+rho(z, zb, rhob(zb, z, w)) = w, where rhob is the conjugate jet;
+complexify's docstring derives it from the solver's certificate. The
 sections obtained by freezing (zb, wb) form a family of holomorphic
 graphs. Differentiating a section twice and eliminating the
 frozen parameters through the first-order data produces, for
@@ -19,12 +20,14 @@ second derivatives of every section at once.
 The elimination solves the nu equations d rho/d z_j = wp_j for zb
 alone. By the reality identity, wb = rhob(zb, z, w) satisfies the other
 incidence equation rho(z, zb, wb) = w identically, so wb follows from
-the solved zb by one substitution. For a germ of order N the elimination
-is computed at order N - 2 (at least 1), the order of the matrix: both
-constructions compose at that order, and composition truncates every
-substitute to the result order, so a higher layer would be computed and
-thrown away. Two independent constructions of the matrix start from that
-elimination:
+the solved zb by one substitution. That premise is checked where it is
+used: the determinant route's "F vanishes at the elimination" fails when
+the computed rhob is not the conjugate graph. For a germ of order N the
+elimination is computed at order N - 2 (at least 1), the order of the
+matrix: both constructions compose at that order, and composition
+truncates every substitute to the result order, so a higher layer would
+be computed and thrown away. Two independent constructions of the matrix
+start from that elimination:
 
   * the determinant route substitutes the elimination into sigma and
     its derivatives and scales them into F and its derivatives. On the
@@ -117,12 +120,31 @@ class ComplexifiedHypersurface:
 
 
 def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
-    """Solve s - i sigma(z, zb, s) = wb for s = S(z, zb, wb), take the
-    graph jet rho = 2S - wb and certify the reality identity.
+    """Solve s - i sigma(z, zb, s) = wb for s = S(z, zb, wb) and take the
+    graph jet rho = 2S - wb.
 
     The outer jet of the solve is sigma itself, so no power of
     s = (w + wb)/2 is expanded: rho is the solution of
-    w - wb - 2i sigma(z, zb, (w + wb)/2) = 0 for w, which is unique.
+    F(z, zb, w, wb) = w - wb - 2i sigma(z, zb, (w + wb)/2) = 0 for w,
+    which is unique.
+
+    The reality identity rho(z, zb, rhob(zb, z, w)) = w needs no
+    certificate of its own, since certified premises imply it:
+
+      * make_germ refuses a sigma that is not real, so sigma(zb, z, s)
+        is the conjugate of sigma(z, zb, s);
+      * the solver certifies S - i sigma(z, zb, S) = wb exactly, that is
+        F(z, zb, rho, wb) = 0 at its order;
+      * conjugation is a ring homomorphism that swaps z with zb and wb
+        with w, and it fixes sigma, so the conjugate of that identity is
+        rhob - w + 2i sigma(z, zb, (rhob + w)/2) = 0, that is
+        F(z, zb, w, rhob) = 0 with rhob = rhob(zb, z, w);
+      * F(z, zb, w, wb) = 0 has the unique solution w = rho(z, zb, wb),
+        and at wb = rhob that gives w = rho(z, zb, rhob(zb, z, w)).
+
+    The premise that the computed rhob is that conjugate is checked where
+    the identity is used: conjugate_elimination substitutes rhob, and
+    phi_determinant certifies that F vanishes at the result.
     """
     if core.nprime != 0:
         raise PreconditionError(
@@ -144,9 +166,6 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
 
     certify(rho.coefficient({"wb": 1}) == as_gaussian(1), "complexify", "graph starts as wb",
             "graph jet must start as wb plus higher terms")
-    (round_trip,) = compose_many([rho], {"wb": rho.conjugate()}, alphabet=big, order=order)
-    certify(round_trip == Jet.variable(big, order, "w"), "complexify", "reality identity",
-            "reality identity failed: reflecting the graph through itself did not return w")
     return ComplexifiedHypersurface(core, rho)
 
 
@@ -161,9 +180,11 @@ class ConjugateElimination:
 def conjugate_elimination(ch: ComplexifiedHypersurface) -> ConjugateElimination:
     """Invert the first-order section data for the frozen parameters.
 
-    complexify certifies rho(z, zb, rhob(zb, z, w)) = w at the full order,
-    so bb = rhob(ab, z, w) solves rho(z, ab, bb) = w with no arithmetic
-    beyond a renaming. The nu equations d rho/d z_j (z, ab, bb) = wp_j are
+    By the reality identity rho(z, zb, rhob(zb, z, w)) = w, which
+    complexify derives from its certified premises, bb = rhob(ab, z, w)
+    solves rho(z, ab, bb) = w with no arithmetic beyond a renaming. That
+    premise is checked where it is used, by phi_determinant's "F vanishes
+    at the elimination". The nu equations d rho/d z_j (z, ab, bb) = wp_j are
     composed at that bb and solved for ab alone, and wb is bb at the solved
     ab. The solver certifies its equations. Everything is computed at
     order - 2, the order of the section Hessian that both routes compose

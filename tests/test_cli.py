@@ -1,6 +1,7 @@
 """Command line driver: outputs, exit codes, order overrides."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crjets import central, cli, compose_many, make_germ, segre, solve
+from crjets import Jet, central, cli, compose_many, make_germ, segre, solve
 from crjets.errors import InvariantError, recording
 from crjets.io import canonical_dumps
 
@@ -510,6 +511,109 @@ def test_each_call_records_into_its_own_record(tmp_path):
     with recording() as outer:
         assert cli.run(["normalize", path, "--check"]) == 0
     assert outer == []
+
+
+# A rigid nu = 1 germ with cubic terms, so that rho has non-real
+# coefficients of degree 3 and more.
+CUBIC = {
+    "nu": 1,
+    "nprime": 0,
+    "order": 6,
+    "phi": [
+        {"monomial": {"z1": 1, "zb1": 1}, "coefficient": "1"},
+        {"monomial": {"z1": 2, "zb1": 1}, "coefficient": "1"},
+        {"monomial": {"z1": 1, "zb1": 2}, "coefficient": "1"},
+        {"monomial": {"z1": 3}, "coefficient": {"re": "0", "im": "1"}},
+        {"monomial": {"zb1": 3}, "coefficient": {"re": "0", "im": "-1"}},
+    ],
+}
+
+
+def conjugate_skipping_cubic_terms(self):
+    """Jet.conjugate with a fault: coefficients of degree 3 and more are
+    moved to their conjugate monomial but not conjugated."""
+    images = self._involution_images()
+    remap, degree = self.alphabet.remap, self.alphabet.degree
+    return Jet._raw(
+        self.alphabet,
+        self.order,
+        {remap(c, images): v.conjugate() if degree(c) < 3 else v for c, v in self.terms.items()},
+    )
+
+
+def assert_caught_by(capsys, argv, certificate):
+    """The run exits 3 with empty stdout, and stderr names the stage and
+    the identity of the certificate that caught the fault."""
+    assert cli.run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"invariant violated: {certificate}: "), err
+
+
+@pytest.mark.parametrize("command", ["phi", "rigid-check"])
+def test_a_conjugation_fault_fails_the_defining_function_identity(
+    tmp_path, capsys, monkeypatch, command
+):
+    """complexify no longer recomputes the reality identity; the
+    determinant route's check of F at the elimination, which substitutes
+    the conjugated graph, catches a faulty conjugation instead."""
+    argv = [command, drop(tmp_path, "g.json", CUBIC), "--format", "json", "--check"]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(Jet, "conjugate", conjugate_skipping_cubic_terms)
+    assert_caught_by(capsys, argv, "phi_determinant: F vanishes at the elimination")
+
+
+def test_a_scaled_graph_fails_graph_starts_as_wb(tmp_path, capsys, monkeypatch):
+    """complexify's solution for S comes back doubled, after the solver
+    certified it, so rho = 4S - wb starts as 3 wb."""
+    real = segre.implicit_solve
+
+    def doubled(equations, unknowns, **kwargs):
+        solved = real(equations, unknowns, **kwargs)
+        return [x * 2 for x in solved] if list(unknowns) == ["s"] else solved
+
+    monkeypatch.setattr(segre, "implicit_solve", doubled)
+    argv = ["phi", drop(tmp_path, "g.json", CUBIC), "--check"]
+    assert_caught_by(capsys, argv, "complexify: graph starts as wb")
+
+
+def test_an_elimination_route_fault_fails_routes_agree(tmp_path, capsys, monkeypatch):
+    """A constant added to the elimination route's entry is seen only by
+    the comparison of the two routes."""
+    real = segre.phi_elimination
+
+    def shifted(ch, elim):
+        hessian = real(ch, elim)
+        return dataclasses.replace(hessian, entries=((hessian.entries[0][0] + 1,),))
+
+    monkeypatch.setattr(segre, "phi_elimination", shifted)
+    for command in ("phi", "rigid-check"):
+        argv = [command, drop(tmp_path, "g.json", CUBIC), "--check"]
+        assert_caught_by(capsys, argv, "certified_section_hessian: routes agree")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_external_lift_reads_back_as_a_germ(tmp_path, capsys, seed):
+    """Marson's loop: the germ external reports under results.lift is a
+    germ file. levi, phi and, on a rigid source, whose lift is rigid too,
+    rigid-check read it and exit 0, or phi and rigid-check refuse a lift
+    whose z-block is degenerate by name with exit 2."""
+    germ = random_germ(random.Random(700 + seed), nu=1, nprime=1, order=5)
+    rigid = make_germ(1, 1, germ.phi.at_zero(["s"], germ.phi.alphabet))
+    for source, commands in ((germ, ("levi", "phi")), (rigid, ("levi", "phi", "rigid-check"))):
+        path = drop(tmp_path, "g.json", germ_to_json(source))
+        lift = run_json(tmp_path, capsys, "external", path)["results"]["lift"]
+        lift_path = drop(tmp_path, "lift.json", lift)
+        for command in commands:
+            code = cli.run([command, lift_path, "--format", "json", "--check"])
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert command != "levi" and out == ""
+                assert err.startswith("precondition violated: z-block of the Levi form is degenerate")
+            else:
+                assert code == 0, err
+                assert json.loads(out)["input"] == {"nu": 2, "nprime": 0, "order": 5}
 
 
 # ---------------------------------------------------------------------------

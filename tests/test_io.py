@@ -109,6 +109,28 @@ def test_located_diagnostics():
     assert "duplicate of term 0" in str(err.value)
 
 
+def test_germ_phi_as_a_jet_object():
+    """phi may be the jet object reports write, at the germ's order; its
+    variables, when given, must be the germ alphabet's."""
+    germ = random_germ(random.Random(412), nu=1, nprime=1, order=5)
+    obj = dict(germ_to_json(germ), phi=jet_to_json(germ.phi))
+    assert germ_from_json(obj).phi == germ.phi
+    del obj["phi"]["variables"]
+    assert germ_from_json(obj).phi == germ.phi
+    assert germ_from_json(obj, order_override=4).phi == germ.phi.truncate(4)
+    refusals = [
+        (dict(obj["phi"], order=6), r"^phi: jet order 6 is not the germ order 5$"),
+        (dict(obj["phi"], order=True), r"^phi: jet order True is not the germ order 5$"),
+        ({"terms": obj["phi"]["terms"]}, r"^phi: jet order None is not the germ order 5$"),
+        (dict(obj["phi"], variables=["z1", "zb1", "s"]), r"^phi: variables must be \['z1', 'zb1', 's', 't1'\]$"),
+        (dict(obj["phi"], nu=1), r"^phi: unexpected keys \['nu'\]$"),
+        ({"order": 5, "terms": 7}, r"^phi: expected a list of term records$"),
+    ]
+    for phi, message in refusals:
+        with pytest.raises(ParseError, match=message):
+            germ_from_json(dict(obj, phi=phi))
+
+
 def test_germ_from_json_shape_errors():
     with pytest.raises(ParseError):
         germ_from_json([1, 2])

@@ -148,6 +148,19 @@ def test_routes_match_the_previous_elimination_and_determinant(germ):
                 assert_same_jet(entry, expected_entry)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(3, 6))
+@example(42, 2, 6)
+def test_graph_satisfies_the_reality_identity(seed, nu, order):
+    """rho(z, zb, rhob(zb, z, w)) = w exactly. complexify derives this
+    identity from the reality of sigma and the solver's certificate
+    instead of recomputing it, so the test keeps it checked."""
+    rho = complexify(random_central(random.Random(seed), nu=nu, order=order)).rho
+    big = rho.alphabet
+    (round_trip,) = compose_many([rho], {"wb": rho.conjugate()}, alphabet=big, order=order)
+    assert round_trip == Jet.variable(big, order, "w")
+
+
 def cubed_z1(jet):
     z1 = Jet.variable(jet.alphabet, jet.order, "z1")
     return jet + z1 * z1 * z1
