@@ -6,13 +6,13 @@ d phi / d t = 0 and is the unique such graph through 0. Restricting phi
 to the graph gives the core jet sigma(z, zb, s); moving the graph to
 {t = 0} is the straightening substitution t -> t + F.
 
-The graph is solved once per call. central_manifold composes sigma
-directly: the section Hessian (the phi and rigid-check commands) needs
-only sigma, and this is about half the work of a straightening.
-straighten composes phi(., t + F) and, given no manifold, builds no
-sigma (the normalize command). central_and_straightened, which serves
-the central command, straightens and reads sigma off the straightened
-phi as its slice at t = 0, since phi(., t + F) at t = 0 is phi(., F).
+The graph is solved once per call, by one of two functions.
+central_manifold composes sigma directly: the section Hessian (the phi
+and rigid-check commands) needs only sigma, and this is about half the
+work of a straightening. straighten composes phi(., t + F) and reads
+sigma off it as its slice at t = 0, since phi(., t + F) at t = 0 is
+phi(., F) (the central and normalize commands). Either returns the
+central manifold as the graph and the core germ sigma, validated once.
 
 For a straightened germ the difference R = phi - phi(.,0) has only
 monomials of t-degree at least two, and a parameter Morse lemma splits
@@ -53,21 +53,15 @@ from .solve import implicit_solve
 
 @dataclass(frozen=True)
 class CentralManifold:
-    germ: StructureGerm
     graph: tuple[Jet, ...]
-    sigma: Jet
-
-    def central_germ(self) -> StructureGerm:
-        """sigma repackaged as a germ with no t variables."""
-        return make_germ(self.germ.nu, 0, self.sigma)
+    core: StructureGerm
+    """sigma as a germ with no t variables."""
 
 
 def _critical_graph(germ: StructureGerm) -> tuple[Jet, ...]:
     """The critical graph t = F(z, zb, s), solved from d phi / d t = 0 over
     the central alphabet and certified real; F is reliable one order
-    below the germ. A germ without t variables has the empty graph."""
-    if not germ.nprime:
-        return ()
+    below the germ."""
     equations = [germ.phi.derive(name) for name in germ.t_names()]
     try:
         graph = implicit_solve(equations, germ.t_names(), target=standard_alphabet(germ.nu, 0))
@@ -84,46 +78,26 @@ def central_manifold(germ: StructureGerm) -> CentralManifold:
     """Critical graph t = F(z, zb, s) and the restriction sigma = phi(., F),
     composed directly: about half the work of a straightening."""
     if germ.nprime == 0:
-        return CentralManifold(germ, (), germ.phi)
-    order = germ.order
+        return CentralManifold((), germ)
     graph = _critical_graph(germ)
     on_graph = dict(zip(germ.t_names(), graph))
     central = standard_alphabet(germ.nu, 0)
-    (sigma,) = compose_many([germ.phi], on_graph, alphabet=central, order=order)
-    make_germ(germ.nu, 0, sigma)  # eager validation: real, flat at 0
-    return CentralManifold(germ, graph, sigma)
+    (sigma,) = compose_many([germ.phi], on_graph, alphabet=central, order=germ.order)
+    return CentralManifold(graph, make_germ(germ.nu, 0, sigma))
 
 
-def straighten(germ: StructureGerm, manifold: CentralManifold | None = None) -> StructureGerm:
-    """Move the critical graph to {t = 0} by the substitution t -> t + F.
+def straighten(germ: StructureGerm) -> tuple[CentralManifold, StructureGerm]:
+    """The central manifold and phi(., t + F), which moves the critical
+    graph to {t = 0}, from one solve.
 
-    The graph is the manifold's; without one it is solved here, and no
-    sigma is built.
+    The straightened phi over the germ alphabet at the germ order has
+    slice phi(., F) = sigma at t = 0: read off by at_t_zero, not composed
+    again. The slice of a validated germ is real and flat at 0, and its
+    order is the germ order, as for the direct composition.
     """
-    if manifold is None:
-        return _shifted(germ, _critical_graph(germ))
-    if manifold.germ is not germ and manifold.germ != germ:
-        raise PreconditionError("manifold was computed for a different germ")
-    return _shifted(germ, manifold.graph)
-
-
-def central_and_straightened(germ: StructureGerm) -> tuple[CentralManifold, StructureGerm]:
-    """central_manifold(germ) and straighten(germ) from one solve.
-
-    The straightened phi is phi(., t + F), so its slice at t = 0 is
-    phi(., F) = sigma: read off by at_t_zero, not composed again. The
-    slice of a validated germ is real and flat at 0, and its order is
-    the germ order, as for the direct composition.
-    """
+    if germ.nprime == 0:
+        return CentralManifold((), germ), germ
     graph = _critical_graph(germ)
-    flat = _shifted(germ, graph)
-    return CentralManifold(germ, graph, at_t_zero(flat.phi, germ.nu)), flat
-
-
-def _shifted(germ: StructureGerm, graph: tuple[Jet, ...]) -> StructureGerm:
-    """phi(., t + F) over the germ alphabet at the germ order."""
-    if not graph:
-        return germ
     order = germ.order
     full = germ.alphabet
     shift = {
@@ -131,7 +105,9 @@ def _shifted(germ: StructureGerm, graph: tuple[Jet, ...]) -> StructureGerm:
         for name, g in zip(germ.t_names(), graph)
     }
     (phi_new,) = compose_many([germ.phi], shift, alphabet=full, order=order)
-    return make_germ(germ.nu, germ.nprime, phi_new)
+    flat = make_germ(germ.nu, germ.nprime, phi_new)
+    core = StructureGerm(germ.nu, 0, at_t_zero(phi_new, germ.nu))
+    return CentralManifold(graph, core), flat
 
 
 def is_straightened(germ: StructureGerm) -> bool:

@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .central import central_and_straightened, is_straightened, morse_normalize, straighten
+from .central import is_straightened, morse_normalize, straighten
 from .equivalence import (
     equivalence_alphabet,
     lift_equivalence,
@@ -219,16 +219,16 @@ def cmd_levi(args: argparse.Namespace) -> Sections:
 
 def cmd_central(args: argparse.Namespace) -> Sections:
     germ = _parse_germ(args, args.file)
-    manifold, flat = central_and_straightened(germ)
+    manifold, flat = straighten(germ)
     results = {
         "graph": dict(zip(germ.t_names(), manifold.graph)),
-        "restricted_phi": manifold.sigma,
+        "restricted_phi": manifold.core.phi,
         "straightened_phi": flat.phi,
         "straightened": is_straightened(flat),
     }
     checks = {
         "gradient_vanishes_on_graph": held("residual is zero"),
-        "restriction_is_real": manifold.sigma.is_real(),
+        "restriction_is_real": manifold.core.phi.is_real(),
     } if args.check else None
     reliable = {"graph": germ.order - 1, "restricted_phi": germ.order, "straightened_phi": germ.order}
     return _germ_echo(germ), results, reliable, checks
@@ -236,7 +236,7 @@ def cmd_central(args: argparse.Namespace) -> Sections:
 
 def cmd_normalize(args: argparse.Namespace) -> Sections:
     germ = _parse_germ(args, args.file)
-    flat = straighten(germ)
+    _, flat = straighten(germ)
     form = morse_normalize(flat)
     results = {
         "base": form.base,

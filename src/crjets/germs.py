@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .alphabet import Alphabet
 from .errors import PreconditionError, certify
@@ -134,35 +134,21 @@ def defining_pullback(
     return compose_many([phi], assignment, alphabet=target, order=order)[0]
 
 
+@dataclass(frozen=True)
 class VectorField:
-    """First-order operator sum(coefficients[name] * d/d name).
+    """The first-order operator d/d var + s_coefficient * d/ds.
 
-    Coefficient jets share one alphabet and order. Applying the field to
-    a jet of order k yields order min(k - 1, coefficient order).
+    Applying the field to a jet of order k yields order
+    min(k - 1, s_coefficient order).
     """
 
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Mapping[str, Jet]):
-        items = dict(coefficients)
-        if not items:
-            raise PreconditionError("vector field with no components")
-        alphas = {jet.alphabet for jet in items.values()}
-        if len(alphas) > 1:
-            raise PreconditionError("vector field coefficients over mixed alphabets")
-        orders = {jet.order for jet in items.values()}
-        if len(orders) > 1:
-            raise PreconditionError("vector field coefficients of mixed orders")
-        self.coefficients = items
+    var: str
+    s_coefficient: Jet
 
     def apply(self, jet: Jet) -> Jet:
-        coeff_order = next(iter(self.coefficients.values())).order
-        out_order = min(jet.order - 1, coeff_order)
-        result = None
-        for name, coeff in self.coefficients.items():
-            term = coeff.truncate(out_order) * jet.derive(name).truncate(out_order)
-            result = term if result is None else result + term
-        return result
+        order = min(jet.order - 1, self.s_coefficient.order)
+        along_s = self.s_coefficient.truncate(order) * jet.derive("s").truncate(order)
+        return jet.derive(self.var).truncate(order) + along_s
 
 
 def frame(germ: StructureGerm) -> list[VectorField]:
@@ -176,14 +162,10 @@ def frame(germ: StructureGerm) -> list[VectorField]:
     alpha = germ.alphabet
     phi_s = germ.phi.derive("s")
     unit = (Jet.constant(alpha, order, 1) + phi_s * I).unit_inverse()
-    one = Jet.constant(alpha, order, 1)
-    fields = []
-    for name in germ.zb_names() + germ.t_names():
-        partial = germ.phi.derive(name)
-        fields.append(
-            VectorField({name: one, "s": partial * MINUS_I * unit})
-        )
-    return fields
+    return [
+        VectorField(name, germ.phi.derive(name) * MINUS_I * unit)
+        for name in germ.zb_names() + germ.t_names()
+    ]
 
 
 def is_solution(germ: StructureGerm, *jets: Jet) -> bool:

@@ -62,19 +62,19 @@ def external_lift(germ: StructureGerm) -> ExternalLift:
     (phi_lift,) = compose_many([germ.phi], absorb, alphabet=big, order=order)
     lifted = make_germ(nu + npr, 0, phi_lift)
 
-    # One composition over the slice for phi and the pulled first integrals;
-    # every lift variable that the slice leaves out maps to its namesake.
+    # Every lift variable that the slice leaves out maps to its namesake.
     back: dict[str, Jet] = {}
     for l in range(1, npr + 1):
         tvar = Jet.variable(full, order, f"t{l}")
         back[f"z{nu + l}"] = tvar * I
         back[f"zb{nu + l}"] = tvar * MINUS_I
-    on_slice, *pulled = compose_many(
-        [phi_lift, *first_integrals(lifted).values()], back, alphabet=full, order=order
-    )
+    (on_slice,) = compose_many([phi_lift], back, alphabet=full, order=order)
     certify(on_slice == germ.phi, "external_lift", "slice recovers phi",
             "re-substituting the slice did not recover phi")
 
+    # The rank reads linear parts only, so the integrals are pulled at order 1.
+    linear = [f.truncate(1) for f in first_integrals(lifted).values()]
+    pulled = compose_many(linear, back, alphabet=full, order=1)
     linear_rows = [
         [jet.coefficient({var: 1}) for var in full.names] for jet in pulled
     ]

@@ -357,7 +357,7 @@ def certified_section_hessian(germ: StructureGerm) -> SectionHessian:
     """Section Hessian of the germ's central germ, by both routes on one
     elimination. A mismatch is an arithmetic invariant violation, not a
     property of the germ, and raises."""
-    core = central_manifold(germ).central_germ() if germ.nprime else germ
+    core = central_manifold(germ).core
     ch = complexify(core)
     elim = conjugate_elimination(ch)
     by_determinant = phi_determinant(ch, elim)

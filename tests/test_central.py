@@ -20,7 +20,6 @@ from crjets import (
     straighten,
     t_hessian,
 )
-from crjets.central import central_and_straightened
 from crjets.errors import DegenerateFormError, PreconditionError
 from crjets.linalg import hermitian_signature
 
@@ -37,18 +36,18 @@ def germ_zzb_t2_st(order=6):
 def test_graph_and_restriction_known_case():
     germ = germ_zzb_t2_st()
     m = central_manifold(germ)
-    a = m.sigma.alphabet
+    a = m.core.phi.alphabet
     s = Jet.variable(a, germ.order, "s")
     z, zb = Jet.variable(a, germ.order, "z1"), Jet.variable(a, germ.order, "zb1")
     assert len(m.graph) == 1
     assert m.graph[0] == (s * Fraction(-1, 2)).truncate(germ.order - 1)
-    assert m.sigma == z * zb - s * s * Fraction(1, 4)
+    assert m.core.phi == z * zb - s * s * Fraction(1, 4)
 
 
 def test_straighten_kills_t_linear_terms():
     germ = germ_zzb_t2_st()
     assert not is_straightened(germ)
-    flat = straighten(germ)
+    _, flat = straighten(germ)
     assert is_straightened(flat)
     g = generators(flat.alphabet, flat.order)
     assert flat.phi == g["z1"] * g["zb1"] + g["t1"] ** 2 - g["s"] ** 2 * Fraction(1, 4)
@@ -59,8 +58,8 @@ def test_central_of_parameterless_germ_is_itself():
     g = generators(a, 5)
     germ = make_germ(1, 0, g["z1"] * g["zb1"])
     m = central_manifold(germ)
-    assert m.graph == () and m.sigma == germ.phi
-    assert straighten(germ) == germ
+    assert m.graph == () and m.core == germ
+    assert straighten(germ) == (m, germ)
 
 
 def test_degenerate_hessian_rejected():
@@ -105,7 +104,7 @@ def test_reconstruction_and_signature_on_random_germs():
     rng = random.Random(2024)
     for _ in range(6):
         germ = random_germ(rng, nu=1, nprime=2, order=5)
-        flat = straighten(germ)
+        _, flat = straighten(germ)
         form = morse_normalize(flat)
         assert form.reconstruct() == flat.phi
         h = [[GaussianRational(x) for x in row] for row in t_hessian(flat)]
@@ -118,7 +117,7 @@ def test_graph_gradient_residual_on_random_germs():
     rng = random.Random(77)
     for _ in range(6):
         germ = random_germ(rng, nu=1, nprime=1, order=5)
-        m = central_manifold(germ)
+        m, flat = straighten(germ)
         full = germ.alphabet
         assignment = {
             name: Jet.variable(full, germ.order - 1, name) for name in full.names
@@ -128,7 +127,6 @@ def test_graph_gradient_residual_on_random_germs():
         for name in germ.t_names():
             assert compose_many([germ.phi.derive(name)], assignment)[0].is_zero()
         # straightened germ has no t-linear part: gradient vanishes at t = 0
-        flat = straighten(germ, m)
         for name in flat.t_names():
             d = flat.phi.derive(name)
             for vec, _ in d.monomials():
@@ -142,13 +140,11 @@ def test_graph_gradient_residual_on_random_germs():
 @given(st.integers(0, 3), st.integers(1, 3), st.integers(2, 7), st.integers(0, 2**32))
 def test_sigma_read_off_the_straightened_germ_equals_the_composition(nu, nprime, order, seed):
     germ = sparse_real_germ(random.Random(seed), nu, nprime, order)
-    manifold, flat = central_and_straightened(germ)
-    direct = central_manifold(germ)
-    assert manifold.sigma == direct.sigma
-    assert manifold.sigma.alphabet == standard_alphabet(nu, 0)
-    assert manifold.sigma.order == order
-    assert manifold.graph == direct.graph
-    assert flat == straighten(germ, direct) == straighten(germ)
+    manifold, flat = straighten(germ)
+    assert manifold == central_manifold(germ)
+    assert manifold.core.alphabet == standard_alphabet(nu, 0)
+    assert manifold.core.order == order
+    assert is_straightened(flat)
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,5 +161,5 @@ def test_central_levi_is_the_schur_complement(nu, nprime, order, seed):
     c, d = [r[:nu] for r in bottom], [r[nu:] for r in bottom]
     correction = cmatmul(b, cmatmul(cmatinv(d), c))
     schur = [[(x[0] - y[0], x[1] - y[1]) for x, y in zip(ra, rc)] for ra, rc in zip(a, correction)]
-    central = levi_form(central_manifold(germ).central_germ()).matrix
+    central = levi_form(central_manifold(germ).core).matrix
     assert [[(v.real, v.imag) for v in row] for row in central] == schur

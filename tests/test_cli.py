@@ -12,9 +12,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crjets import Jet, central, cli, compose_many, make_germ, segre, solve
+from crjets import Jet, central, cli, compose_many, make_germ, marson, segre, solve
 from crjets.errors import InvariantError, recording
 from crjets.io import canonical_dumps
+from crjets.rationals import MINUS_I
 
 from germ_corpus import random_definite_germ, random_fiber_map, random_germ, random_height
 from json_oracle import germ_to_json, oracle_dumps, terms_to_json
@@ -591,6 +592,54 @@ def test_an_elimination_route_fault_fails_routes_agree(tmp_path, capsys, monkeyp
     for command in ("phi", "rigid-check"):
         argv = [command, drop(tmp_path, "g.json", CUBIC), "--check"]
         assert_caught_by(capsys, argv, "certified_section_hessian: routes agree")
+
+
+def test_a_lost_first_integral_fails_the_rank_certificate(tmp_path, capsys, monkeypatch):
+    """w dropped from the lifted first integrals leaves nu + nprime of
+    the nu + nprime + 1 independent linear parts."""
+    real = marson.first_integrals
+
+    def without_w(germ):
+        integrals = real(germ)
+        del integrals["w"]
+        return integrals
+
+    monkeypatch.setattr(marson, "first_integrals", without_w)
+    argv = ["external", drop(tmp_path, "g.json", TILTED), "--check"]
+    assert_caught_by(capsys, argv, "external_lift: first integrals have full rank")
+
+
+def test_a_doubled_chart_fails_slice_recovers_phi(tmp_path, capsys, monkeypatch):
+    """The chart absorbs t as (z - zb)(-i), twice Im z, so the slice
+    z = i t gives phi at 2t."""
+    monkeypatch.setattr(marson, "MINUS_HALF_I", MINUS_I)
+    argv = ["external", drop(tmp_path, "g.json", TILTED), "--check"]
+    assert_caught_by(capsys, argv, "external_lift: slice recovers phi")
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so that each call appends to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_central_solves_the_critical_graph_once(tmp_path, capsys, monkeypatch):
+    """central reports the graph, sigma and the straightened germ from one
+    straightening and one solve; normalize straightens the same way."""
+    solves = counting(monkeypatch, central, "implicit_solve")
+    straightenings = counting(monkeypatch, cli, "straighten")
+    path = drop(tmp_path, "g.json", TILTED)
+    assert cli.run(["central", path, "--check"]) == 0
+    assert (len(solves), len(straightenings)) == (1, 1)
+    assert cli.run(["normalize", path, "--check"]) == 0
+    assert len(straightenings) == 2
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -72,7 +72,8 @@ def test_mizohata_frame():
     assert len(fields) == 1
     w = first_integrals(germ)["w"]
     assert fields[0].apply(w).is_zero()
-    coeff_s = fields[0].coefficients["s"]
+    assert fields[0].var == "t1"
+    coeff_s = fields[0].s_coefficient
     assert coeff_s == g["t1"].truncate(4) * GaussianRational(0, -2)
 
 
