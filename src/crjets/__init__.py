@@ -55,6 +55,7 @@ from .germs import (
     frame,
     is_solution,
     levi_form,
+    levi_matrix,
     make_germ,
     standard_alphabet,
     t_hessian,
@@ -62,7 +63,6 @@ from .germs import (
 from .jets import Jet, compose_many, generators, jet_sqrt
 from .marson import (
     ExternalLift,
-    external_levi,
     external_lift,
     lift_levi_relation,
     predicted_external_levi,
@@ -121,7 +121,6 @@ __all__ = [
     "compose_many",
     "conjugate_elimination",
     "equivalence_alphabet",
-    "external_levi",
     "external_lift",
     "extract_multiplier",
     "first_integrals",
@@ -134,6 +133,7 @@ __all__ = [
     "is_straightened",
     "jet_sqrt",
     "levi_form",
+    "levi_matrix",
     "lift_equivalence",
     "lift_levi_relation",
     "make_equivalence",

@@ -115,24 +115,24 @@ class Alphabet:
                 f"exponent vector of length {len(exponents)} "
                 f"for an alphabet of {self.nvars} variables"
             )
+        return self.encode_dict(dict(zip(self.names, exponents)))
+
+    def encode_dict(self, exponents: Mapping[str, int]) -> int:
+        """Pack the exponents of the named variables, the others zero, in
+        time proportional to the mapping, not to the alphabet."""
         code = 0
         deg = 0
-        for e, shift in zip(exponents, self.shifts):
+        for name, e in exponents.items():
+            i = self.index.get(name)
+            if i is None:
+                raise PreconditionError(f"unknown variable {name!r}; alphabet has {self.names}")
             if e < 0 or e > self.max_exponent:
                 raise PreconditionError(
                     f"exponent {e} outside [0, {self.max_exponent}] for this alphabet"
                 )
-            code += e << shift
+            code += e << self.shifts[i]
             deg += e
         return code + (deg << self.deg_shift)
-
-    def encode_dict(self, exponents: Mapping[str, int]) -> int:
-        vec = [0] * self.nvars
-        for name, e in exponents.items():
-            if name not in self.index:
-                raise PreconditionError(f"unknown variable {name!r}; alphabet has {self.names}")
-            vec[self.index[name]] = e
-        return self.encode(vec)
 
     def decode(self, code: int) -> tuple[int, ...]:
         return tuple((code >> s) & self.mask for s in self.shifts)

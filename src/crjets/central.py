@@ -195,11 +195,9 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
     for tname in t_names:
         tvar = Jet.variable(full, order - 1, tname)
         slope = remainder.derive(tname)
-        reduced = full.subalphabet([n for n in full.names if n != tname])
-        critical = implicit_solve([slope], [tname], target=reduced)[0]
-        critical_full = critical.rename({}, full)
+        critical = implicit_solve([slope], [tname], target=full)[0]
 
-        at_critical = {tname: tvar + critical_full}
+        at_critical = {tname: tvar + critical}
         (shifted,) = compose_many([remainder], at_critical, alphabet=full, order=order)
         # remainder(t_l = c) is the t_l-free part of remainder(t_l + c).
         rest = shifted.at_zero([tname], full)
@@ -213,7 +211,7 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
                 "square completion left terms below quadratic t-degree; "
                 "the critical point was not critical")
 
-        linear = tvar - critical_full
+        linear = tvar - critical
         (factor,) = compose_many([quotient], {tname: linear}, alphabet=full, order=order - 2)
 
         c0 = factor.constant_term()

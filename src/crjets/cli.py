@@ -55,7 +55,7 @@ from .io import (
     map_from_json,
 )
 from .jets import Jet, compose_many
-from .marson import external_levi, external_lift, lift_levi_relation, predicted_external_levi
+from .marson import external_lift, lift_levi_relation, predicted_external_levi
 from .rationals import GaussianRational
 from .segre import (
     certified_section_hessian,
@@ -81,25 +81,12 @@ CHART_NOTE = (
 MIN_GERM_ORDER = 2
 
 
-class ParserExit(Exception):
-    """argparse finished the run itself (-h printed the help)."""
-
-    def __init__(self, status: int):
-        super().__init__(status)
-        self.status = status
-
-
 class CliParser(argparse.ArgumentParser):
-    """Reroute argparse failures into the parse-error exit code, and
-    argparse's own exits (-h) into a returned status."""
+    """Reroute argparse failures into the parse-error exit code; argparse's
+    own exits (-h) stay SystemExit, which run turns into a returned status."""
 
     def error(self, message: str):
         raise ParseError(message)
-
-    def exit(self, status: int = 0, message: str | None = None):
-        if message:
-            sys.stderr.write(message)
-        raise ParserExit(status)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +255,7 @@ def cmd_phi(args: argparse.Namespace) -> Sections:
 def cmd_external(args: argparse.Namespace) -> Sections:
     germ = _parse_germ(args, args.file)
     ext = external_lift(germ)
-    form = external_levi(ext)
+    form = levi_form(ext.lift)
     results = {
         "lift": {**_germ_echo(ext.lift), "phi": ext.lift.phi},
         "chart": [{"complex_variable": new, "absorbs": old} for new, old in ext.chart],
@@ -431,10 +418,11 @@ def build_parser() -> CliParser:
 
 def run(argv: Sequence[str]) -> int:
     try:
-        args = build_parser().parse_args(list(argv))
+        try:
+            args = build_parser().parse_args(list(argv))
+        except SystemExit as exc:
+            return exc.code
         report = payload(args)
-    except ParserExit as exc:
-        return exc.status
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,9 @@ s and t are real. The associated objects computed here:
   * first integrals z_1..z_nu and w = s + i*phi;
   * the canonical frame of vector fields annihilating the first
     integrals, with exact unit inversion of 1 + i*phi_s;
-  * the Levi matrix at the origin with exact inertia;
+  * the Levi matrix at the origin (levi_matrix, the one read of phi's
+    quadratic part) and, where a signature is reported, its exact
+    inertia (levi_form);
   * the characteristic covector and the real-basis decomposition of its
     imaginary part.
 """
@@ -175,9 +177,12 @@ def is_solution(germ: StructureGerm, *jets: Jet) -> bool:
     return all(field.apply(jet).is_zero() for jet in jets for field in fields)
 
 
+LeviMatrix = tuple[tuple[GaussianRational, ...], ...]
+
+
 @dataclass(frozen=True)
 class LeviForm:
-    matrix: tuple[tuple[GaussianRational, ...], ...]
+    matrix: LeviMatrix
     positive: int
     negative: int
     null: int
@@ -187,23 +192,15 @@ class LeviForm:
         return self.null == 0
 
     @property
-    def definite(self) -> bool:
-        return self.null == 0 and (self.positive == 0 or self.negative == 0)
-
-    @property
     def positive_definite(self) -> bool:
         return self.null == 0 and self.negative == 0
 
-    def rows(self) -> list[list[GaussianRational]]:
-        return [list(r) for r in self.matrix]
-
 
 def levi_form(germ: StructureGerm) -> LeviForm:
-    """Levi matrix of the quadratic part of phi at the origin, with its
-    exact inertia; the matrix is _levi_matrix's."""
-    m = _levi_matrix(germ)
-    pos, neg, null = hermitian_signature(m)
-    return LeviForm(tuple(tuple(row) for row in m), pos, neg, null)
+    """The Levi matrix with its exact inertia, for the reports that give a
+    signature; comparisons of Levi matrices read levi_matrix alone."""
+    m = levi_matrix(germ)
+    return LeviForm(m, *hermitian_signature(m))
 
 
 def t_hessian(germ: StructureGerm) -> list[list[Fraction]]:
@@ -213,12 +210,12 @@ def t_hessian(germ: StructureGerm) -> list[list[Fraction]]:
     if not germ.nprime:
         return []  # no t-block, and no reason to read the z-block of a wide germ
     nu = germ.nu
-    return [[x.real for x in row[nu:]] for row in _levi_matrix(germ)[nu:]]
+    return [[x.real for x in row[nu:]] for row in levi_matrix(germ)[nu:]]
 
 
-def _levi_matrix(germ: StructureGerm) -> list[list[GaussianRational]]:
+def levi_matrix(germ: StructureGerm) -> LeviMatrix:
     """The Levi matrix read from the degree-2 terms of phi, each code
-    decoded once.
+    decoded once; the one read of phi's quadratic part.
 
     Block layout, indices j,k over z variables and l,r over t variables:
     entry (j,k) is the z_j zb_k coefficient, entry (j, nu+r) the z_j t_r
@@ -250,7 +247,7 @@ def _levi_matrix(germ: StructureGerm) -> list[list[GaussianRational]]:
     certify(all(m[i][j] == m[j][i].conjugate() for i in range(size) for j in range(size)),
             "levi_matrix", "Levi matrix is Hermitian",
             "Levi matrix of a real jet failed to be Hermitian; coefficient extraction is corrupted")
-    return m
+    return tuple(tuple(row) for row in m)
 
 
 @dataclass(frozen=True)

@@ -132,11 +132,10 @@ class Jet:
             )
         return self.terms.get(code, ZERO)
 
-    def valuation(self) -> int | None:
-        """Lowest total degree carrying a nonzero term; None for the zero jet."""
-        if not self.terms:
-            return None
-        return self.alphabet.degree(min(self.terms))
+    def valuation(self) -> int:
+        """Lowest total degree carrying a nonzero term; a zero jet of order
+        m counts as m + 1."""
+        return self.order + 1 if not self.terms else self.alphabet.degree(min(self.terms))
 
     def support(self) -> set[str]:
         """Variables appearing with a positive exponent."""
@@ -204,10 +203,6 @@ class Jet:
         return Jet._raw(
             self.alphabet, order, {c: v for c, v in self.terms.items() if deg(c) <= order}
         )
-
-    def _known_valuation(self) -> int:
-        """Valuation, a zero jet counting as order + 1."""
-        return self.order + 1 if not self.terms else self.alphabet.degree(min(self.terms))
 
     def _check_alphabet(self, other: Jet) -> None:
         if self.alphabet != other.alphabet:
@@ -278,8 +273,8 @@ class Jet:
                 # The unknown part of each factor, times the other factor.
                 order = min(
                     max(order, other.order),
-                    order + other._known_valuation(),
-                    other.order + self._known_valuation(),
+                    order + other.valuation(),
+                    other.order + self.valuation(),
                 )
             terms = _kernels.mul_terms(self.terms, other.terms, self.alphabet.deg_shift, order)
             return Jet._raw(self.alphabet, order, terms)
@@ -753,7 +748,7 @@ def _reliable_order(outers: Sequence[Jet], assigned: Mapping[str, Jet],
     if n < cap:
         # An unknown outer term has degree >= N + 1, each of its variables
         # a substitute of valuation >= mu (>= 1 if unassigned).
-        mu = min((v._known_valuation() for v in assigned.values()), default=cap + 1)
+        mu = min((v.valuation() for v in assigned.values()), default=cap + 1)
         bound = min(cap, (n + 1) * (mu if len(assigned) == src.nvars else 1) - 1)
     # The unknown part of u_v, of valuation >= m_v + 1, moves f(u) by
     # d_v f(u) times it; a product of two such parts lies past 2 m_v + 1.

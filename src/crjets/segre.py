@@ -231,10 +231,6 @@ class SectionHessian:
     route: str
     order: int
 
-    @property
-    def nu(self) -> int:
-        return len(self.entries)
-
     def w_offenders(self) -> list[tuple[int, int, tuple[int, ...], GaussianRational]]:
         """Monomials with positive w-exponent, as (row, col, exponents, coeff)."""
         out = []
@@ -450,7 +446,6 @@ def ode_right_side(height: Jet) -> Jet:
     if not residual.is_zero():
         bad = residual.valuation()
         raise OdeUnsolvableError(
-            f"profile equation obstructed: residual starts at degree {bad}",
-            bad if bad is not None else -1,
+            f"profile equation obstructed: residual starts at degree {bad}", bad
         )
     return Jet.from_terms(u_alpha, half, {(k,): ck for k, ck in enumerate(coeffs, start=1)})

@@ -103,7 +103,7 @@ def implicit_solve(
         )
         for i, r in enumerate(residuals):
             low = r.valuation()
-            certify(low is None or low >= k, "implicit_solve", "sweep residual valuation",
+            certify(low >= k, "implicit_solve", "sweep residual valuation",
                     f"chord sweep {k}: residual of equation {i} has a term of "
                     f"degree {low}, below the swept degree {k}")
         for j in range(len(unknowns)):

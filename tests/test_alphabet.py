@@ -1,6 +1,9 @@
 """Alphabet's input checks and derived alphabets."""
 
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from crjets import Alphabet, Jet
 from crjets.errors import PreconditionError
@@ -45,6 +48,44 @@ def test_encode_dict_refuses_an_unknown_name():
         PreconditionError, match=r"^unknown variable 'w'; alphabet has \('x', 'y', 'z'\)$"
     ):
         XYZ.encode_dict({"x": 1, "w": 2})
+
+
+SMALL = Alphabet([f"v{i}" for i in range(6)], None)  # 6-bit fields
+WIDE = Alphabet([f"v{i}" for i in range(12)], None)  # 16-bit fields
+
+
+@st.composite
+def sparse_monomials(draw):
+    """An alphabet and a mapping of a few of its names to exponents in range."""
+    alpha = draw(st.sampled_from([SMALL, WIDE]))
+    names = draw(st.lists(st.sampled_from(alpha.names), max_size=4, unique=True))
+    exponent = st.integers(0, alpha.max_exponent)
+    return alpha, {name: draw(exponent) for name in names}
+
+
+@given(sparse_monomials())
+def test_encode_dict_packs_as_the_vector_does(case):
+    alpha, mono = case
+    vec = [mono.get(name, 0) for name in alpha.names]
+    assert alpha.encode_dict(mono) == alpha.encode(vec)
+    assert alpha.decode(alpha.encode_dict(mono)) == tuple(vec)
+
+
+@given(sparse_monomials(), st.data())
+def test_encode_dict_refuses_as_the_vector_does(case, data):
+    alpha, valid = case
+    name = data.draw(st.sampled_from(alpha.names))
+    bad = data.draw(st.sampled_from([-1, alpha.max_exponent + 1, 10**6]))
+    mono = {**valid, name: bad}
+    vec = [mono.get(n, 0) for n in alpha.names]
+    message = rf"^exponent {bad} outside \[0, {alpha.max_exponent}\] for this alphabet$"
+    with pytest.raises(PreconditionError, match=message):
+        alpha.encode_dict(mono)
+    with pytest.raises(PreconditionError, match=message):
+        alpha.encode(vec)
+    unknown = rf"^unknown variable 'w'; alphabet has {re.escape(str(alpha.names))}$"
+    with pytest.raises(PreconditionError, match=unknown):
+        alpha.encode_dict({**valid, "w": 1})
 
 
 def test_constructor_refuses_bad_names():

@@ -12,7 +12,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crjets import Jet, central, cli, compose_many, make_germ, marson, segre, solve
+from crjets import Jet, central, cli, compose_many, linalg, make_germ, marson, segre, solve
 from crjets.errors import InvariantError, recording
 from crjets.io import canonical_dumps
 from crjets.rationals import MINUS_I
@@ -640,6 +640,16 @@ def test_central_solves_the_critical_graph_once(tmp_path, capsys, monkeypatch):
     assert (len(solves), len(straightenings)) == (1, 1)
     assert cli.run(["normalize", path, "--check"]) == 0
     assert len(straightenings) == 2
+
+
+def test_external_computes_one_inertia(tmp_path, capsys, monkeypatch):
+    """external --check reports one signature, the lift's; the block
+    relation compares Levi matrices without diagonalizing either."""
+    diagonalizations = counting(monkeypatch, linalg, "symmetric_diagonalize")
+    path = drop(tmp_path, "g.json", TILTED)
+    report = run_json(tmp_path, capsys, "external", path, extra=("--check",))
+    assert report["checks"]["levi_blocks_match_prediction"] is True
+    assert len(diagonalizations) == 1
 
 
 @pytest.mark.parametrize("seed", range(3))
