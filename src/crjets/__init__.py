@@ -23,8 +23,6 @@ from .equivalence import (
     extract_multiplier,
     lift_equivalence,
     make_equivalence,
-    model_germ,
-    split_coefficients,
     verify_lift,
 )
 from .linalg import (
@@ -57,6 +55,7 @@ from .germs import (
     levi_form,
     levi_matrix,
     make_germ,
+    model_germ,
     standard_alphabet,
     t_hessian,
 )
@@ -148,7 +147,6 @@ __all__ = [
     "rational_sqrt",
     "revert_series",
     "rigid_phi_test",
-    "split_coefficients",
     "standard_alphabet",
     "straighten",
     "symmetric_diagonalize",

@@ -23,7 +23,8 @@ it as an exact finite sum of rational multiples of squares,
 with G_l jets vanishing at 0 with independent linear t-parts. The c_l
 are produced by the square-completion pipeline itself, not copied from
 the diagonalized Hessian, so comparing their signs against the Hessian
-inertia is a genuine cross-check.
+inertia is a genuine cross-check. The split is certified by composing
+the split normal form germs.model_germ(phi(.,0), c) at t_l = G_l.
 
 Order bookkeeping: the graph F, the Morse critical points and the maps
 G_l are reliable one order below the germ. Substituting them at the
@@ -45,7 +46,7 @@ from .errors import (
     SingularJacobianError,
     certify,
 )
-from .germs import StructureGerm, at_t_zero, make_germ, standard_alphabet, t_hessian
+from .germs import StructureGerm, at_t_zero, make_germ, model_germ, standard_alphabet, t_hessian
 from .jets import Jet, compose_many, jet_sqrt
 from .linalg import invert_matrix, symmetric_diagonalize
 from .solve import implicit_solve
@@ -150,15 +151,13 @@ class MorseNormalForm:
         return sum(1 for c in self.quad_coeffs if c > 0)
 
     def reconstruct(self) -> Jet:
-        """base + sum c_l * G_l^2 over the germ alphabet at full order."""
-        order = self.germ.order
-        full = self.germ.alphabet
-        t_names = self.germ.t_names()
-        t_vars = [Jet.variable(full, order, name) for name in t_names]
-        squares = sum((t * t * c for c, t in zip(self.quad_coeffs, t_vars)), Jet.zero(full, order))
-        at_maps = dict(zip(t_names, self.maps))
-        (pulled,) = compose_many([squares], at_maps, alphabet=full, order=order)
-        return self.base.rename({}, full) + pulled
+        """base + sum c_l * G_l^2 over the germ alphabet at full order: the
+        split normal form over base, composed at t_l = G_l."""
+        germ = self.germ
+        split = model_germ(StructureGerm(germ.nu, 0, self.base), self.quad_coeffs)
+        at_maps = dict(zip(germ.t_names(), self.maps))
+        (pulled,) = compose_many([split.phi], at_maps, alphabet=germ.alphabet, order=germ.order)
+        return pulled
 
 
 def morse_normalize(germ: StructureGerm) -> MorseNormalForm:

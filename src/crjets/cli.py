@@ -310,12 +310,17 @@ def cmd_lift(args: argparse.Namespace) -> Sections:
     source = _parse_germ(args, args.file)
     target = _parse_germ(args, args.file2)
     # certify split shape before any heavier work
-    source_core, target_core = split_core(source), split_core(target)
+    source_core, source_coeffs = split_core(source)
+    target_core, target_coeffs = split_core(target)
     z_maps, w_map = _parse_file(
         args.mapfile, map_from_json, equivalence_alphabet(source.nu), source.nu, args.order
     )
     eq = make_equivalence(source_core, target_core, z_maps, w_map)
-    lift = lift_equivalence(eq, source, target)
+    if source_coeffs != target_coeffs:
+        raise PreconditionError(
+            "quadratic coefficients differ between source and target; no split lift exists"
+        )
+    lift = lift_equivalence(eq, source_coeffs)
     verdict = verify_lift(lift)
     # the lift is certified whether or not --check asks for the report
     certify(verdict.ok, "lift", "lift verifies", "lift verification failed after construction")

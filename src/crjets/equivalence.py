@@ -10,13 +10,15 @@ hypersurface the defining defect
 vanishes on {v = sigma_1} and therefore divides exactly by v - sigma_1;
 the quotient lambda(z, zb, s, v) is the multiplier of the equivalence.
 
-For germs in split normal form sigma + sum_l c_l t_l^2 with matching
-quadratic coefficients on both sides, the same map lifts to the
-parameters by rescaling each t_l with the square root of the pulled-back
-multiplier. The multiplier's value at 0 must be a perfect rational
-square for the lift to stay inside exact arithmetic; otherwise the lift
-is refused rather than approximated. Verification of a lifted map
-recomputes everything from scratch so corrupted maps always fail.
+For germs in split normal form sigma + sum_l c_l t_l^2, which
+germs.model_germ builds and split_core reads back into its core and
+coefficients, the same map lifts to the parameters when both sides carry
+the same c_l: lift_equivalence takes the core map and those c_l, and
+rescales each t_l with the square root of the pulled-back multiplier.
+The multiplier's value at 0 must be a perfect rational square for the
+lift to stay inside exact arithmetic; otherwise the lift is refused
+rather than approximated. Verification of a lifted map recomputes
+everything from scratch so corrupted maps always fail.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .germs import (
     is_solution,
     levi_form,
     make_germ,
+    model_germ,
     standard_alphabet,
 )
 from .jets import Jet, compose_many, jet_sqrt
@@ -162,48 +165,21 @@ def extract_multiplier(eq: CentralEquivalence) -> Jet:
     return multiplier
 
 
-def model_germ(core: StructureGerm, coeffs: Sequence[Fraction]) -> StructureGerm:
-    """Split normal form: core sigma plus sum_l c_l t_l^2."""
-    npr = len(coeffs)
-    full = standard_alphabet(core.nu, npr)
-    phi = core.phi.rename({}, full)
-    for l, c in enumerate(coeffs, start=1):
-        if c == 0:
-            raise PreconditionError("normal-form quadratic coefficients must be nonzero")
-        tvar = Jet.variable(full, core.order, f"t{l}")
-        phi = phi + tvar * tvar * c
-    return make_germ(core.nu, npr, phi)
-
-
-def split_core(model: StructureGerm) -> StructureGerm:
-    """The core phi(z, zb, s, 0) of a germ in split normal form over it,
-    after split_coefficients has certified that shape."""
+def split_core(model: StructureGerm) -> tuple[StructureGerm, list[Fraction]]:
+    """The core sigma = phi(z, zb, s, 0) and the coefficients c_l of a
+    germ in split normal form sigma + sum_l c_l t_l^2: each c_l is read as
+    phi's t_l^2 coefficient, and the split is certified by rebuilding the
+    form with model_germ and comparing it with phi."""
     core = make_germ(model.nu, 0, at_t_zero(model.phi, model.nu))
-    split_coefficients(model, core)
-    return core
-
-
-def split_coefficients(model: StructureGerm, core: StructureGerm) -> list[Fraction]:
-    """Read the c_l off a split normal form and certify the decomposition."""
-    if model.nu != core.nu or core.nprime != 0:
-        raise PreconditionError("model and core dimensions do not match")
-    if model.order != core.order:
-        raise PreconditionError("model and core orders differ")
-    full = model.alphabet
-    diff = model.phi - core.phi.rename({}, full)
     coeffs: list[Fraction] = []
-    for l in range(1, model.nprime + 1):
-        c = diff.coefficient({f"t{l}": 2})
+    for name in model.t_names():
+        c = model.phi.coefficient({name: 2})
         if not c.is_real() or c.is_zero():
-            raise PreconditionError(f"quadratic coefficient of t{l} must be a nonzero rational")
+            raise PreconditionError(f"quadratic coefficient of {name} must be a nonzero rational")
         coeffs.append(c.real)
-        tvar = Jet.variable(full, model.order, f"t{l}")
-        diff = diff - tvar * tvar * c
-    if not diff.is_zero():
-        raise PreconditionError(
-            "germ is not in split normal form over the given core"
-        )
-    return coeffs
+    if model_germ(core, coeffs).phi != model.phi:
+        raise PreconditionError("germ is not in split normal form over the given core")
+    return core, coeffs
 
 
 @dataclass(frozen=True)
@@ -218,26 +194,16 @@ class LiftedEquivalence:
     multiplier: Jet
 
 
-def lift_equivalence(
-    eq: CentralEquivalence,
-    source_model: StructureGerm,
-    target_model: StructureGerm,
-) -> LiftedEquivalence:
-    """Extend a core equivalence to split normal forms over it.
+def lift_equivalence(eq: CentralEquivalence, coeffs: Sequence[Fraction]) -> LiftedEquivalence:
+    """Extend a core equivalence to the split normal forms
+    model_germ(eq.source, coeffs) and model_germ(eq.target, coeffs).
 
-    Requires identical quadratic coefficients on both sides, positive
-    definite core Levi forms, and a multiplier whose value at 0 is a
-    perfect rational square. The t directions are rescaled by the square
-    root of the pulled-back multiplier; everything else is the pullback
-    of the core map.
+    Both models carry the same quadratic coefficients by construction.
+    Requires positive definite core Levi forms and a multiplier whose
+    value at 0 is a perfect rational square. The t directions are rescaled
+    by the square root of the pulled-back multiplier; everything else is
+    the pullback of the core map.
     """
-    c_src = split_coefficients(source_model, eq.source)
-    c_tgt = split_coefficients(target_model, eq.target)
-    if c_src != c_tgt:
-        raise PreconditionError(
-            "quadratic coefficients differ between source and target; "
-            "no split lift exists"
-        )
     if not levi_form(eq.source).positive_definite:
         raise PreconditionError("source core Levi form must be positive definite")
     if not levi_form(eq.target).positive_definite:
@@ -254,6 +220,8 @@ def lift_equivalence(
             "square; the lift leaves exact arithmetic"
         )
 
+    source_model = model_germ(eq.source, coeffs)
+    target_model = model_germ(eq.target, coeffs)
     order = eq.order
     full = source_model.alphabet
     w1 = Jet.variable(full, order, "s") + source_model.phi * I
@@ -295,13 +263,14 @@ def verify_lift(lift: LiftedEquivalence) -> LiftVerification:
     """Recompute every certification of a lifted equivalence from scratch.
 
     Nothing is read from cached flags, so altered map data fails here.
+    The target is model_germ's split normal form, so its split shape is
+    not read back.
     """
     eq = lift.equivalence
     src = lift.source
     order = src.order
     full = src.alphabet
     nu = src.nu
-    split_coefficients(lift.target, eq.target)  # the target's split shape
 
     total = defining_pullback(lift.target.phi, lift.z_maps, lift.w_map, full, order, lift.t_maps)
     defining = lift.w_map.imag_part() == total

@@ -5,6 +5,9 @@ A germ is determined by a real jet phi in variables
 differential at 0. The z variables are complex (zb their conjugates),
 s and t are real. The associated objects computed here:
 
+  * the split normal form sigma + sum_l c_l t_l^2 over a core germ
+    sigma (model_germ), the germs that normalize certifies and that
+    lift lifts between;
   * first integrals z_1..z_nu and w = s + i*phi;
   * the canonical frame of vector fields annihilating the first
     integrals, with exact unit inversion of 1 + i*phi_s;
@@ -101,6 +104,21 @@ def at_t_zero(jet: Jet, nu: int) -> Jet:
     the order is kept and the slice is reliable."""
     central = standard_alphabet(nu, 0)
     return jet.at_zero([n for n in jet.alphabet.names if n not in central.index], central)
+
+
+def model_germ(core: StructureGerm, coeffs: Sequence[Fraction]) -> StructureGerm:
+    """The split normal form sigma + sum_l c_l t_l^2 over a core sigma, the
+    one builder of that form. Each square is the single term t_l^2 with
+    coefficient c_l, so no product is formed, and a core of order 1, which
+    cannot carry it, is refused."""
+    full = standard_alphabet(core.nu, len(coeffs))
+    squares = {}
+    for l, c in enumerate(coeffs, start=1):
+        if c == 0:
+            raise PreconditionError("normal-form quadratic coefficients must be nonzero")
+        squares[full.encode_dict({f"t{l}": 2})] = GaussianRational(c)
+    phi = core.phi.rename({}, full) + Jet(full, core.order, squares)
+    return make_germ(core.nu, len(coeffs), phi)
 
 
 def first_integrals(germ: StructureGerm) -> dict[str, Jet]:

@@ -36,7 +36,7 @@ from .germs import (
 )
 from .jets import Jet, compose_many
 from .linalg import rank
-from .rationals import HALF_I, I, MINUS_HALF_I, MINUS_I
+from .rationals import HALF_I, I, MINUS_HALF_I, MINUS_I, ZERO
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,12 @@ def external_lift(germ: StructureGerm) -> ExternalLift:
     certify(on_slice == germ.phi, "external_lift", "slice recovers phi",
             "re-substituting the slice did not recover phi")
 
-    # The rank reads linear parts only, so the integrals are pulled at order 1.
+    # The rank reads linear parts only, so the integrals are pulled at order 1,
+    # and only over the degree-1 codes they use: other columns are zero.
     linear = [f.truncate(1) for f in first_integrals(lifted).values()]
     pulled = compose_many(linear, back, alphabet=full, order=1)
-    linear_rows = [
-        [jet.coefficient({var: 1}) for var in full.names] for jet in pulled
-    ]
+    codes = {c for jet in pulled for c in jet.terms if full.degree(c) == 1}
+    linear_rows = [[jet.terms.get(c, ZERO) for c in codes] for jet in pulled]
     expected = nu + npr + 1
     got = rank(linear_rows)
     certify(got == expected, "external_lift", "first integrals have full rank",

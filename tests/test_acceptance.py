@@ -228,14 +228,14 @@ def test_criterion_8_equivalence_lift():
     ident = make_equivalence(core, core, (z1,), eta)
     mult = extract_multiplier(ident)
     assert mult == Jet.constant(mult.alphabet, mult.order, 1)
-    lift = lift_equivalence(ident, model, model)
+    lift = lift_equivalence(ident, [Fraction(1)])
     assert lift.t_maps[0] == Jet.variable(model.alphabet, 5, "t1")
     assert verify_lift(lift).ok
 
     scaling = make_equivalence(core, core, (z1 * 2,), eta * 4)
     mult = extract_multiplier(scaling)
     assert mult == Jet.constant(mult.alphabet, mult.order, 4)
-    lift = lift_equivalence(scaling, model, model)
+    lift = lift_equivalence(scaling, [Fraction(1)])
     assert lift.scale == 2
     assert lift.t_maps[0] == Jet.variable(model.alphabet, 5, "t1") * 2
     verdict = verify_lift(lift)

@@ -177,6 +177,40 @@ def test_lift_scaling(tmp_path, capsys):
     assert all(report["checks"].values())
 
 
+@pytest.mark.parametrize(
+    "source, target, message",
+    [
+        (
+            SPLIT_MODEL,
+            {
+                **SPLIT_MODEL,
+                "phi": [*SPLIT_MODEL["phi"][:2], {"monomial": {"t1": 2}, "coefficient": "2"}],
+            },
+            "quadratic coefficients differ between source and target; no split lift exists",
+        ),
+        (
+            {
+                **SPLIT_MODEL,
+                "phi": [*SPLIT_MODEL["phi"], {"monomial": {"s": 1, "t1": 2}, "coefficient": "1"}],
+            },
+            SPLIT_MODEL,
+            "germ is not in split normal form over the given core",
+        ),
+    ],
+    ids=["coefficients-differ", "not-split"],
+)
+def test_lift_refuses_models_without_a_split_lift(tmp_path, capsys, source, target, message):
+    files = [
+        drop(tmp_path, "src.json", source),
+        drop(tmp_path, "tgt.json", target),
+        drop(tmp_path, "map.json", SCALING_MAP),
+    ]
+    assert cli.run(["lift", *files, "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"precondition violated: {message}\n"
+
+
 def test_text_format(tmp_path, capsys):
     path = drop(tmp_path, "g.json", QUADRIC)
     assert cli.run(["levi", path]) == 0

@@ -1,9 +1,11 @@
 """Central equivalences, multiplier extraction, split normal-form lifts."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crjets import (
     GaussianRational,
@@ -17,11 +19,13 @@ from crjets import (
     make_equivalence,
     make_germ,
     model_germ,
-    split_coefficients,
     standard_alphabet,
     verify_lift,
 )
+from crjets.equivalence import split_core
 from crjets.errors import PreconditionError
+
+from germ_corpus import random_central
 
 K = 6
 
@@ -47,7 +51,7 @@ def test_identity_lifts_to_identity():
     mult = extract_multiplier(eq)
     assert mult == Jet.constant(mult.alphabet, mult.order, 1)
     model = model_germ(core, [Fraction(1)])
-    lift = lift_equivalence(eq, model, model)
+    lift = lift_equivalence(eq, [Fraction(1)])
     assert lift.scale == 1
     assert lift.t_maps[0] == Jet.variable(model.alphabet, K - 1, "t1")
     assert verify_lift(lift).ok
@@ -59,7 +63,7 @@ def test_quadric_scaling_lift():
     mult = extract_multiplier(eq)
     assert mult == Jet.constant(mult.alphabet, mult.order, 4)
     model = model_germ(core, [Fraction(1)])
-    lift = lift_equivalence(eq, model, model)
+    lift = lift_equivalence(eq, [Fraction(1)])
     assert lift.scale == 2
     t1 = Jet.variable(model.alphabet, K - 1, "t1")
     assert lift.t_maps[0] == t1 * 2
@@ -71,7 +75,7 @@ def test_multiplier_consistency_on_the_lift():
     core = quadric_core()
     eq = make_equivalence(core, core, *scaling_map(2, 4))
     model = model_germ(core, [Fraction(1)])
-    lift = lift_equivalence(eq, model, model)
+    lift = lift_equivalence(eq, [Fraction(1)])
     mult = extract_multiplier(eq)
 
     full = model.alphabet
@@ -94,8 +98,7 @@ def test_automorphism_changes_multiplier_but_lift_still_verifies():
     eq = make_equivalence(core, core, *scaling_map(6, 36))
     mult = extract_multiplier(eq)
     assert mult == Jet.constant(mult.alphabet, mult.order, 36)
-    model = model_germ(core, [Fraction(1)])
-    lift = lift_equivalence(eq, model, model)
+    lift = lift_equivalence(eq, [Fraction(1)])
     assert lift.scale == 6
     assert verify_lift(lift).ok
 
@@ -117,8 +120,9 @@ def test_nonconstant_multiplier():
     assert mult == 1 + s_m * 2
 
     model_src = model_germ(source, [Fraction(1)])
-    model_tgt = model_germ(target, [Fraction(1)])
-    lift = lift_equivalence(eq, model_src, model_tgt)
+    lift = lift_equivalence(eq, [Fraction(1)])
+    assert lift.source == model_src
+    assert lift.target == model_germ(target, [Fraction(1)])
     assert lift.scale == 1
     full = model_src.alphabet
     expected = Jet.variable(full, K - 1, "t1") * jet_sqrt(
@@ -132,7 +136,7 @@ def test_corrupted_lift_fails_verification():
     core = quadric_core()
     eq = make_equivalence(core, core, *scaling_map(2, 4))
     model = model_germ(core, [Fraction(1)])
-    lift = lift_equivalence(eq, model, model)
+    lift = lift_equivalence(eq, [Fraction(1)])
     t1 = Jet.variable(model.alphabet, K - 1, "t1")
     s = Jet.variable(model.alphabet, K - 1, "s")
     bad = dataclasses.replace(lift, t_maps=(t1 * 2 + s * s,))
@@ -144,25 +148,16 @@ def test_corrupted_lift_fails_verification():
 def test_non_square_multiplier_is_refused():
     core = quadric_core()
     eq = make_equivalence(core, core, *scaling_map(GaussianRational(1, 1), 2))
-    model = model_germ(core, [Fraction(1)])
     with pytest.raises(PreconditionError) as err:
-        lift_equivalence(eq, model, model)
+        lift_equivalence(eq, [Fraction(1)])
     assert "square" in str(err.value)
-
-
-def test_mismatched_coefficients_refused():
-    core = quadric_core()
-    eq = make_equivalence(core, core, *scaling_map(1, 1))
-    with pytest.raises(PreconditionError):
-        lift_equivalence(eq, model_germ(core, [Fraction(1)]), model_germ(core, [Fraction(2)]))
 
 
 def test_indefinite_core_refused():
     core = quadric_core(sign=-1)
     eq = make_equivalence(core, core, *scaling_map(1, 1))
-    model = model_germ(core, [Fraction(1)])
     with pytest.raises(PreconditionError):
-        lift_equivalence(eq, model, model)
+        lift_equivalence(eq, [Fraction(1)])
 
 
 def test_make_equivalence_rejects_non_maps():
@@ -173,13 +168,26 @@ def test_make_equivalence_rejects_non_maps():
         make_equivalence(core, core, *scaling_map(0, 1))  # not invertible
 
 
-def test_split_coefficients_round_trip():
+def test_split_core_round_trip():
     core = quadric_core()
     model = model_germ(core, [Fraction(3), Fraction(-1, 2)])
-    assert split_coefficients(model, core) == [Fraction(3), Fraction(-1, 2)]
+    assert split_core(model) == (core, [Fraction(3), Fraction(-1, 2)])
 
     a = model.alphabet
     g = generators(a, K)
     damaged = make_germ(1, 2, model.phi + g["t1"] ** 2 * g["s"])
     with pytest.raises(PreconditionError):
-        split_coefficients(damaged, core)
+        split_core(damaged)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.lists(
+        st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 5)), max_size=2
+    ),
+    st.integers(0, 2**32),
+)
+def test_split_core_reads_back_model_germ(nu, coeffs, seed):
+    core = random_central(random.Random(seed), nu=nu, order=4, degmax=3)
+    assert split_core(model_germ(core, coeffs)) == (core, coeffs)
