@@ -79,6 +79,9 @@ CHART_NOTE = (
 # section Hessian, the elimination that feeds it, at least 1, and the
 # Morse factors).
 MIN_GERM_ORDER = 2
+# The widest germ (nu + nprime) a command reads: the Levi report grows as
+# its square. Tests and the benchmark stay below 8.
+MAX_GERM_WIDTH = 64
 
 
 class CliParser(argparse.ArgumentParser):
@@ -149,9 +152,19 @@ def _parse_file(path: str, parse: Callable[..., Any], *args: Any) -> Any:
 
 
 def _parse_germ(args: argparse.Namespace, path: str) -> StructureGerm:
-    """Parse a germ file for args.command, refusing an order below
-    MIN_GERM_ORDER before any pipeline arithmetic."""
-    germ = _parse_file(path, germ_from_json, args.order)
+    """Parse a germ file for args.command, refusing nu + nprime above
+    MAX_GERM_WIDTH from the counts alone, before the alphabet is built,
+    and an order below MIN_GERM_ORDER before any pipeline arithmetic."""
+
+    def admitted(obj: Any) -> StructureGerm:
+        counts = (obj.get("nu"), obj.get("nprime")) if isinstance(obj, dict) else ()
+        width = sum(n for n in counts if type(n) is int and n > 0)
+        if width > MAX_GERM_WIDTH:
+            bound = f"nu + nprime at most {MAX_GERM_WIDTH}"
+            raise PreconditionError(f"{args.command} needs a germ with {bound}, got {width}")
+        return germ_from_json(obj, args.order)
+
+    germ = _parse_file(path, admitted)
     if germ.order < MIN_GERM_ORDER:
         raise PreconditionError(
             f"{args.command} needs a germ of order at least {MIN_GERM_ORDER}, "

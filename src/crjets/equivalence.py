@@ -5,10 +5,15 @@ g(z, w)), written in variables (z, eta), sending the hypersurface
 Im w = sigma_1(z, zb, Re w) into Im w = sigma_2(...). Off the source
 hypersurface the defining defect
 
-    Im g(z, s + iv) - sigma_2(f, conj f, Re g)
+    D(z, zb, s, v) = Im g(z, s + iv) - sigma_2(f, conj f, Re g)
 
-vanishes on {v = sigma_1} and therefore divides exactly by v - sigma_1;
-the quotient lambda(z, zb, s, v) is the multiplier of the equivalence.
+vanishes on {v = sigma_1}; its quotient lambda by v - sigma_1 is the
+multiplier of the equivalence. make_equivalence composes D once, at
+v + sigma_1: since sigma_1 is real and composition commutes with
+conjugation, composing the map at eta = s + i(v + sigma_1) gives D
+shifted in v. It accepts the map only when the v-free part, D on the
+source, is zero, so v divides E = D(v + sigma_1) exactly, and
+extract_multiplier returns lambda = (E / v)(v - sigma_1).
 
 For germs in split normal form sigma + sum_l c_l t_l^2, which
 germs.model_germ builds and split_core reads back into its core and
@@ -23,12 +28,12 @@ everything from scratch so corrupted maps always fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .alphabet import Alphabet
-from .errors import NotDivisibleError, PreconditionError, certify
+from .errors import PreconditionError, certify
 from .germs import (
     StructureGerm,
     at_t_zero,
@@ -72,14 +77,14 @@ def _pull_back_map(
 
 @dataclass(frozen=True)
 class CentralEquivalence:
+    """A validated core map; ``defect`` is D(v + sigma_1) over
+    multiplier_alphabet(nu) at the germ order, divisible by v."""
+
     source: StructureGerm
     target: StructureGerm
     z_maps: tuple[Jet, ...]
     w_map: Jet
-
-    @property
-    def nu(self) -> int:
-        return self.source.nu
+    defect: Jet
 
     @property
     def order(self) -> int:
@@ -92,11 +97,12 @@ def make_equivalence(
     z_maps: Sequence[Jet],
     w_map: Jet,
 ) -> CentralEquivalence:
-    """Validate map data against both cores and wrap it.
+    """Validate map data against both cores and wrap it with its defect.
 
     Checks: dimensions and orders agree, components vanish at 0, the
     joint linear part is invertible, and the defining identity holds
-    exactly on the source at the jet order.
+    exactly on the source at the jet order: the defect
+    D(z, zb, s, v + sigma_1), composed once, has no v-free term.
     """
     if source.nprime != 0 or target.nprime != 0:
         raise PreconditionError("equivalence endpoints must be core germs")
@@ -123,43 +129,27 @@ def make_equivalence(
     if rank(linear) != nu + 1:
         raise PreconditionError("map is not invertible at the origin")
 
-    central = standard_alphabet(nu, 0)
-    w1 = Jet.variable(central, order, "s") + source.phi * I
-    pulled_z, pulled_w = _pull_back_map(z_maps, w_map, w1, order)
-    rhs = defining_pullback(target.phi, pulled_z, pulled_w, central, order)
-    if pulled_w.imag_part() != rhs:
-        raise PreconditionError(
-            "map does not satisfy the defining identity at this order"
-        )
-    return CentralEquivalence(source, target, tuple(z_maps), w_map)
+    big = multiplier_alphabet(nu)
+    v = Jet.variable(big, order, "v") + source.phi.rename({}, big)
+    fz, gw = _pull_back_map(z_maps, w_map, Jet.variable(big, order, "s") + v * I, order)
+    defect = gw.imag_part() - defining_pullback(target.phi, fz, gw, big, order)
+    if not defect.at_zero(["v"], big).is_zero():
+        raise PreconditionError("map does not satisfy the defining identity at this order")
+    return CentralEquivalence(source, target, tuple(z_maps), w_map, defect)
 
 
 def extract_multiplier(eq: CentralEquivalence) -> Jet:
-    """The exact quotient of the defining defect by v - sigma_1.
+    """The exact quotient of the defining defect by v - sigma_1: the
+    validated defect D(v + sigma_1) divided by v, shifted back to v.
 
     Returned over multiplier_alphabet(nu) one order below the germs. For
     the identity map this is the constant 1; for a linear scaling
     (z, w) -> (cz, |c|^2 w) of the quadric it is the constant |c|^2.
     """
-    nu = eq.nu
-    order = eq.order
-    big = multiplier_alphabet(nu)
-    v = Jet.variable(big, order, "v")
-    fz, gw = _pull_back_map(
-        eq.z_maps, eq.w_map, Jet.variable(big, order, "s") + v * I, order
-    )
-    defect = gw.imag_part() - defining_pullback(eq.target.phi, fz, gw, big, order)
-
-    sigma1 = eq.source.phi.rename({}, big)
-    (shifted,) = compose_many([defect], {"v": v + sigma1}, alphabet=big, order=order)
-    try:
-        ratio = shifted.divide_by_coordinate("v")
-    except NotDivisibleError:
-        ratio = None
-    certify(ratio is not None, "extract_multiplier", "defect vanishes on the source",
-            "defect failed to vanish on the source hypersurface after the "
-            "identity was already validated")
-    (multiplier,) = compose_many([ratio], {"v": v - sigma1}, alphabet=big, order=order - 1)
+    big = eq.defect.alphabet
+    back = {"v": Jet.variable(big, eq.order, "v") - eq.source.phi.rename({}, big)}
+    quotient = eq.defect.divide_by_coordinate("v")
+    (multiplier,) = compose_many([quotient], back, alphabet=big, order=eq.order - 1)
     certify(multiplier.is_real(), "extract_multiplier", "multiplier is real",
             "multiplier of real defining data must be real")
     return multiplier
@@ -251,12 +241,7 @@ class LiftVerification:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.defining_identity
-            and self.components_are_solutions
-            and self.restricts_to_core_map
-            and self.t_maps_vanish_on_center
-        )
+        return all(astuple(self))
 
 
 def verify_lift(lift: LiftedEquivalence) -> LiftVerification:

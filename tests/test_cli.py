@@ -8,6 +8,7 @@ import json
 import os
 import random
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,6 +248,9 @@ def test_order_two_germs_certify(tmp_path, capsys):
         assert report["reliable_orders"] == {"base": 2, "square_maps": 1}
 
 
+GERM_COMMANDS = ("levi", "central", "normalize", "phi", "external", "rigid-check", "lift")
+
+
 @pytest.mark.parametrize("germ", [QUADRIC, TILTED, {**TILTED, "order": 1, "phi": []}])
 def test_germ_commands_refuse_order_one(tmp_path, capsys, germ):
     """Below order 2 a germ is phi = 0; every germ command refuses it before
@@ -254,7 +258,7 @@ def test_germ_commands_refuse_order_one(tmp_path, capsys, germ):
     path = drop(tmp_path, "g.json", germ)
     scaling = drop(tmp_path, "map.json", SCALING_MAP)
     order = () if germ["order"] == 1 else ("--order", "1")
-    for command in ("levi", "central", "normalize", "phi", "external", "rigid-check", "lift"):
+    for command in GERM_COMMANDS:
         files = (path, path, scaling) if command == "lift" else (path,)
         assert cli.run([command, *files, *order, "--check"]) == 2
         captured = capsys.readouterr()
@@ -262,6 +266,43 @@ def test_germ_commands_refuse_order_one(tmp_path, capsys, germ):
         assert captured.err == (
             f"precondition violated: {command} needs a germ of order at least 2, got order 1\n"
         )
+
+
+def test_wide_germs_are_refused_quickly_by_every_germ_command(tmp_path, capsys):
+    """A 50-byte germ of nu = 1000 would make levi print a 124 MB Levi
+    matrix; every germ command refuses it from its counts, naming the
+    bound, whether it is the source or the target of a lift."""
+    wide = drop(tmp_path, "wide.json", {"nu": 1000, "nprime": 0, "order": 2, "phi": []})
+    split = drop(tmp_path, "split.json", SPLIT_MODEL)
+    scaling = drop(tmp_path, "map.json", SCALING_MAP)
+    argvs = [[c, wide, split, scaling] if c == "lift" else [c, wide] for c in GERM_COMMANDS]
+    argvs.append(["lift", split, wide, scaling])
+    start = time.perf_counter()
+    for argv in argvs:
+        assert cli.run([*argv, "--format", "json", "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"precondition violated: {argv[0]} needs a germ with nu + nprime at most "
+            f"{cli.MAX_GERM_WIDTH}, got 1000\n"
+        )
+    assert time.perf_counter() - start < 2
+
+
+def test_the_germ_width_bound_has_headroom(tmp_path, capsys):
+    """The tests reach nu = 4 and nprime = 3 and the benchmark nu + nprime
+    = 3; the bound admits eight times the widest, and a nondegenerate germ
+    at the bound runs."""
+    assert cli.MAX_GERM_WIDTH >= 8 * (4 + 3)
+    half = cli.MAX_GERM_WIDTH // 2
+    squares = [{f"z{j}": 1, f"zb{j}": 1} for j in range(1, half + 1)]
+    squares += [{f"t{l}": 2} for l in range(1, half + 1)]
+    phi = [{"monomial": m, "coefficient": "1"} for m in squares]
+    germ = {"nu": half, "nprime": half, "order": 2, "phi": phi}
+    report = run_json(tmp_path, capsys, "levi", drop(tmp_path, "g.json", germ))
+    assert report["results"]["signature"] == {"positive": 2 * half, "negative": 0, "null": 0}
+    assert cli.run(["levi", drop(tmp_path, "g.json", {**germ, "nprime": half + 1})]) == 2
+    assert "got 65" in capsys.readouterr().err
 
 
 def test_order_past_the_packing_limit_is_named(tmp_path, capsys):

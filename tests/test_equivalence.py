@@ -22,6 +22,7 @@ from crjets import (
     standard_alphabet,
     verify_lift,
 )
+from crjets import equivalence
 from crjets.equivalence import split_core
 from crjets.errors import PreconditionError
 
@@ -130,6 +131,30 @@ def test_nonconstant_multiplier():
     )
     assert lift.t_maps[0] == expected
     assert verify_lift(lift).ok
+
+
+def test_extract_multiplier_divides_the_stored_defect(monkeypatch):
+    """make_equivalence composes the defect once, at v + sigma_1, and
+    refuses a v-free part; extract_multiplier divides the stored jet by v
+    and shifts it back with one composition and no defining pullback."""
+    a = standard_alphabet(1, 0)
+    g = generators(a, K)
+    source = make_germ(1, 0, g["z1"] * g["zb1"] * (1 + g["s"] * 2).unit_inverse())
+    ea = equivalence_alphabet(1)
+    eta = Jet.variable(ea, K, "eta")
+    eq = make_equivalence(source, quadric_core(), (Jet.variable(ea, K, "z1"),), eta + eta * eta)
+    assert eq.defect.alphabet.names == ("z1", "zb1", "s", "v")
+    assert eq.defect.order == K
+    assert eq.defect.at_zero(["v"], eq.defect.alphabet).is_zero()
+
+    calls = []
+    for name in ("compose_many", "defining_pullback"):
+        real = getattr(equivalence, name)
+        monkeypatch.setattr(equivalence, name, lambda *args, real=real, name=name, **kwargs: (
+            calls.append(name) or real(*args, **kwargs)))
+    mult = extract_multiplier(eq)
+    assert calls == ["compose_many"]
+    assert mult == 1 + Jet.variable(mult.alphabet, K - 1, "s") * 2
 
 
 def test_corrupted_lift_fails_verification():
