@@ -14,6 +14,14 @@ sigma off it as its slice at t = 0, since phi(., t + F) at t = 0 is
 phi(., F) (the central and normalize commands). Either returns the
 central manifold as the graph and the core germ sigma, validated once.
 
+The solver certifies its sweeps, not the top layer of the graph, so
+each function certifies the critical-point identity where it reads the
+graph. central_manifold composes the gradient at the graph and requires
+it to vanish. straighten needs no composition of its own for it: the
+t-linear part of phi(., t + F) is t * (d phi / d t)(., F) through the germ
+order, so "no t-linear term" is the gradient identity at the graph's
+order, read off the straightened germ it already composes.
+
 For a straightened germ the difference R = phi - phi(.,0) has only
 monomials of t-degree at least two, and a parameter Morse lemma splits
 it as an exact finite sum of rational multiples of squares,
@@ -59,13 +67,19 @@ class CentralManifold:
     """sigma as a germ with no t variables."""
 
 
+def _gradient(germ: StructureGerm) -> list[Jet]:
+    """d phi / d t_l for each t variable, one order below the germ."""
+    return [germ.phi.derive(name) for name in germ.t_names()]
+
+
 def _critical_graph(germ: StructureGerm) -> tuple[Jet, ...]:
     """The critical graph t = F(z, zb, s), solved from d phi / d t = 0 over
     the central alphabet and certified real; F is reliable one order
-    below the germ."""
-    equations = [germ.phi.derive(name) for name in germ.t_names()]
+    below the germ. Its top layer is certified by the caller."""
     try:
-        graph = implicit_solve(equations, germ.t_names(), target=standard_alphabet(germ.nu, 0))
+        graph = implicit_solve(
+            _gradient(germ), germ.t_names(), target=standard_alphabet(germ.nu, 0)
+        )
     except SingularJacobianError:
         raise DegenerateFormError(
             "t-Hessian at the origin is singular; the critical graph is not isolated"
@@ -77,13 +91,19 @@ def _critical_graph(germ: StructureGerm) -> tuple[Jet, ...]:
 
 def central_manifold(germ: StructureGerm) -> CentralManifold:
     """Critical graph t = F(z, zb, s) and the restriction sigma = phi(., F),
-    composed directly: about half the work of a straightening."""
+    composed directly: about half the work of a straightening. The
+    gradient is composed at the graph too, at the graph's order, and must
+    vanish exactly."""
     if germ.nprime == 0:
         return CentralManifold((), germ)
     graph = _critical_graph(germ)
     on_graph = dict(zip(germ.t_names(), graph))
     central = standard_alphabet(germ.nu, 0)
     (sigma,) = compose_many([germ.phi], on_graph, alphabet=central, order=germ.order)
+    gradient = compose_many(_gradient(germ), on_graph, alphabet=central)
+    certify(all(d.is_zero() for d in gradient), "central_manifold",
+            "gradient vanishes on the graph",
+            "d phi / d t does not vanish on the solved critical graph")
     return CentralManifold(graph, make_germ(germ.nu, 0, sigma))
 
 
@@ -95,6 +115,12 @@ def straighten(germ: StructureGerm) -> tuple[CentralManifold, StructureGerm]:
     slice phi(., F) = sigma at t = 0: read off by at_t_zero, not composed
     again. The slice of a validated germ is real and flat at 0, and its
     order is the germ order, as for the direct composition.
+
+    Its t-linear part is t * (d phi / d t)(., F) through the germ order,
+    so the straightened phi has no t-linear term exactly when the
+    gradient vanishes on the graph at the graph's order: that is
+    certified on the composition already made, with no product of its
+    own.
     """
     if germ.nprime == 0:
         return CentralManifold((), germ), germ
@@ -107,6 +133,8 @@ def straighten(germ: StructureGerm) -> tuple[CentralManifold, StructureGerm]:
     }
     (phi_new,) = compose_many([germ.phi], shift, alphabet=full, order=order)
     flat = make_germ(germ.nu, germ.nprime, phi_new)
+    certify(is_straightened(flat), "straighten", "straightened phi has no t-linear term",
+            "phi(., t + F) has a t-linear term: the gradient does not vanish on the graph")
     core = StructureGerm(germ.nu, 0, at_t_zero(phi_new, germ.nu))
     return CentralManifold(graph, core), flat
 
@@ -167,6 +195,11 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
     constant t-Hessian to be invertible. The returned maps G_l live over
     the germ alphabet one order down; reconstruct() must reproduce phi
     exactly, and this is verified before returning.
+
+    The solve of each critical point c needs no composition of its own:
+    remainder(t_l + c) has no t_l-linear term exactly when slope(c) = 0
+    at the order of c, one below the germ, so "completed square divides
+    by t^2" certifies that solve's top layer too.
     """
     order = germ.order
     full = germ.alphabet

@@ -12,11 +12,12 @@ them into the report. Five keys read that record and hold when every
 entry of their identity held: phi's routes_agree and
 independent_routes_agree and rigid-check's independent_routes_agree (the
 route comparison of certified_section_hessian), central's
-gradient_vanishes_on_graph (the solver's final composition, which in
-central solves the gradient for the critical graph) and normalize's
-reconstruction_is_exact. The other checks are computed under --check.
-A check that is False fails the run with exit 3, empty stdout and
-"invariant violated: <command> --check failed: <keys>" on stderr.
+gradient_vanishes_on_graph (straighten's certificate that the
+straightened phi has no t-linear term, which is the gradient identity on
+the critical graph) and normalize's reconstruction_is_exact. The other
+checks are computed under --check. A check that is False fails the run
+with exit 3, empty stdout and "invariant violated: <command> --check
+failed: <keys>" on stderr.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def cmd_central(args: argparse.Namespace) -> Sections:
         "straightened": is_straightened(flat),
     }
     checks = {
-        "gradient_vanishes_on_graph": held("residual is zero"),
+        "gradient_vanishes_on_graph": held("straightened phi has no t-linear term"),
         "restriction_is_real": manifold.core.phi.is_real(),
     } if args.check else None
     reliable = {"graph": germ.order - 1, "restricted_phi": germ.order, "straightened_phi": germ.order}

@@ -10,7 +10,7 @@ so complexify solves s - i sigma(z, zb, s) = wb for s = S(z, zb, wb)
 and takes the graph jet rho(z, zb, wb) = 2S - wb, the unique solution of
 F = 0 for w. Since sigma is real, rho satisfies the reality identity
 rho(z, zb, rhob(zb, z, w)) = w, where rhob is the conjugate jet;
-complexify's docstring derives it from the solver's certificate. The
+complexify's docstring derives it from the solver's certified sweeps. The
 sections obtained by freezing (zb, wb) form a family of holomorphic
 graphs. Differentiating a section twice and eliminating the
 frozen parameters through the first-order data produces, for
@@ -126,15 +126,34 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
     The outer jet of the solve is sigma itself, so no power of
     s = (w + wb)/2 is expanded: rho is the solution of
     F(z, zb, w, wb) = w - wb - 2i sigma(z, zb, (w + wb)/2) = 0 for w,
-    which is unique.
+    which is unique. The solve runs over the parameter alphabet
+    (z, zb, wb), and S is then renamed into the Segre alphabet, so no
+    term in w can enter rho.
+
+    complexify makes no composition of its own. The solver's sweeps
+    certify every layer of rho below the order N; the degree-N layer,
+    which the solver leaves to its caller, is checked where it is read:
+
+      * conjugate_elimination composes d rho/d z and rhob at order
+        N - 2, so their terms that come from rho's degree-N layer never
+        reach a result;
+      * phi_elimination reads that layer only through the second
+        z-derivatives of rho. At degree N - 2 it maps an error
+        e(z, zb, wb) of the layer to its second z-derivatives at
+        (z, L_zb, w), where (z, w, wp) -> (z, L_zb, w) is the invertible
+        linear part of the elimination;
+      * the determinant route never reads rho, so an error of z-degree
+        at least 2 fails certified_section_hessian's "routes agree",
+        and any other error leaves every report byte-identical.
 
     The reality identity rho(z, zb, rhob(zb, z, w)) = w needs no
-    certificate of its own, since certified premises imply it:
+    certificate of its own, since certified premises imply it below the
+    order N, which is more than the elimination reads:
 
       * make_germ refuses a sigma that is not real, so sigma(zb, z, s)
         is the conjugate of sigma(z, zb, s);
-      * the solver certifies S - i sigma(z, zb, S) = wb exactly, that is
-        F(z, zb, rho, wb) = 0 at its order;
+      * the sweeps certify S - i sigma(z, zb, S) = wb through degree
+        N - 1, that is F(z, zb, rho, wb) = 0 at that order;
       * conjugation is a ring homomorphism that swaps z with zb and wb
         with w, and it fixes sigma, so the conjugate of that identity is
         rhob - w + 2i sigma(z, zb, (rhob + w)/2) = 0, that is
@@ -161,8 +180,8 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
         - core.phi.rename({}, solving) * I
         - Jet.variable(solving, order, "wb")
     )
-    (half,) = implicit_solve([equation], ["s"], target=big)
-    rho = half * 2 - Jet.variable(big, order, "wb")
+    (half,) = implicit_solve([equation], ["s"])
+    rho = half.rename({}, big) * 2 - Jet.variable(big, order, "wb")
 
     certify(rho.coefficient({"wb": 1}) == as_gaussian(1), "complexify", "graph starts as wb",
             "graph jet must start as wb plus higher terms")
@@ -186,7 +205,11 @@ def conjugate_elimination(ch: ComplexifiedHypersurface) -> ConjugateElimination:
     premise is checked where it is used, by phi_determinant's "F vanishes
     at the elimination". The nu equations d rho/d z_j (z, ab, bb) = wp_j are
     composed at that bb and solved for ab alone, and wb is bb at the solved
-    ab. The solver certifies its equations. Everything is computed at
+    ab. The solver certifies its sweeps, not the top layer of its
+    solution, so the slope equations are composed at the solved ab and
+    must vanish exactly. That composition stays apart from wb's: bb
+    alone takes Horner's rule, and one call for both would share powers
+    instead, at more pairs. Everything is computed at
     order - 2, the order of the section Hessian that both routes compose
     from the elimination: compose_many truncates each substitute to the
     result order, so a degree-(order - 1) layer would never reach it. The
@@ -218,7 +241,12 @@ def conjugate_elimination(ch: ComplexifiedHypersurface) -> ConjugateElimination:
             "z-block of the Levi form is degenerate; the frozen parameters "
             "cannot be eliminated"
         ) from None
-    (wb,) = compose_many([bb], dict(zip(unknowns, solved)), alphabet=section, order=order)
+    at_solution = dict(zip(unknowns, solved))
+    residuals = compose_many(equations, at_solution, alphabet=section, order=order)
+    certify(all(r.is_zero() for r in residuals), "conjugate_elimination",
+            "slope equations vanish at the elimination",
+            "d rho/d z - wp does not vanish at the solved frozen parameters")
+    (wb,) = compose_many([bb], at_solution, alphabet=section, order=order)
     return ConjugateElimination(tuple(solved), wb)
 
 

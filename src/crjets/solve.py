@@ -8,9 +8,12 @@ residual has valuation at least k, and its degree-k part is J0 times the
 degree-k error of the guesses. Subtracting J0^{-1} times that part makes
 the guesses exact through degree k. The valuation is checked: a graded
 residual with a term below degree k raises InvariantError naming the
-sweep and the degree. After the last sweep one composition at the full
-order recomputes the residual, which must vanish identically; anything
-else is a bug, not noise, since all arithmetic is exact.
+sweep and the degree. Two more certificates close the solve without a
+product: the last correction solves J0 delta = r, and the last swept
+degree is the working order. No composition follows the sweeps. The one
+layer these premises leave unchecked, the degree-N layer of the last
+sweep's own composition, is certified by each caller where it reads the
+solution: revert_series composes its equation at the reversion.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .alphabet import Alphabet
 from .errors import PreconditionError, SingularJacobianError, certify
 from .jets import Jet, compose_many
 from .linalg import invert_matrix
+from .rationals import ZERO, GaussianRational
 
 
 def implicit_solve(
@@ -35,17 +39,31 @@ def implicit_solve(
     parameters x and the ``unknowns`` u. Each equation must vanish at the
     origin and the Jacobian dF/du at the origin must be invertible. The
     returned jets live over ``target`` (default: the parameter
-    subalphabet, in source order) and have zero constant term. They
-    satisfy the equations identically at the working order.
+    subalphabet, in source order) and have zero constant term.
 
     The working order N is the least equation order. Sweep k = 1 .. N
     composes the equations truncated to order k at the guesses truncated
     to order k and raises InvariantError if a residual has a term below
-    degree k; the degree-k residual, mapped through J0^{-1}, corrects the
-    guesses, which stay at order N. One
-    composition at order N then certifies the result: every residual
-    must be exactly zero, or InvariantError is raised. That is N + 1
-    compositions, N of them below full order.
+    degree k; the degree-k residual r, mapped through J0^{-1}, is the
+    correction delta of the guesses, which stay at order N. That is N
+    compositions, at orders 1 .. N, and no other.
+
+    The guesses then solve the equations at order N, by a valuation
+    argument over certified premises. Sweep N certifies that r has
+    valuation at least N, so delta is homogeneous of degree N. The
+    Jacobian dF/du along the guesses differs from J0 by terms of
+    valuation at least 1, and delta squared has valuation 2N, so
+
+        F(x, u - delta) = r - J0 delta   modulo degree N + 1.
+
+    Two certificates, neither of which multiplies jets, make the right
+    side zero: the last correction solves J0 delta = r, compared code by
+    code for every equation (a wrong J0^{-1} or a fault in the Jet
+    arithmetic that forms delta fails it), and the sweeps reach the
+    working order (a loop bound off by one fails it). What the premises
+    leave unchecked is r itself: a wrong degree-N layer in the last
+    sweep's composition moves the solution's degree-N layer and passes
+    both. Each caller certifies that layer where it reads the solution.
     """
     if not equations:
         raise PreconditionError("no equations")
@@ -106,30 +124,45 @@ def implicit_solve(
             certify(low >= k, "implicit_solve", "sweep residual valuation",
                     f"chord sweep {k}: residual of equation {i} has a term of "
                     f"degree {low}, below the swept degree {k}")
+        deltas = []
         for j in range(len(unknowns)):
             delta = Jet.zero(target, k)
             for i, r in enumerate(residuals):
                 c = j0_inv[j][i]
                 if not c.is_zero():
                     delta = delta + r * c
+            deltas.append(delta)
             # The sweep certificate shows delta homogeneous of degree k: a
             # polynomial, exact at the working order.
             guesses[j] = guesses[j] - Jet(target, work_order, delta.terms)
 
-    residuals = compose_many(
-        eqs, dict(zip(unknowns, guesses)), alphabet=target, order=work_order
-    )
-    certify(all(r.is_zero() for r in residuals), "implicit_solve", "residual is zero",
-            "chord iteration failed to reach an exactly zero residual; "
-            "this indicates corrupted coefficient arithmetic")
+    # The loop runs at least once: an order-0 system has J0 = 0, refused above.
+    certify(k == work_order, "implicit_solve", "sweeps reach the working order",
+            f"the last sweep reached degree {k}, not the working order {work_order}")
+    certify(all(_combination(row, deltas) == r.terms for row, r in zip(j0, residuals)),
+            "implicit_solve", "last correction solves J0 delta = r",
+            "the last correction does not solve J0 delta = r; "
+            "J0^{-1} or the arithmetic forming the correction is corrupted")
     return guesses
+
+
+def _combination(row: Sequence[GaussianRational], jets: Sequence[Jet]) -> dict:
+    """sum_j row[j] * jets[j] as a map from code to nonzero coefficient,
+    formed code by code from the terms, with no Jet arithmetic."""
+    out: dict = {}
+    for c, jet in zip(row, jets):
+        for code, v in jet.terms.items():
+            out[code] = out.get(code, ZERO) + c * v
+    return {code: v for code, v in out.items() if not v.is_zero()}
 
 
 def revert_series(f: Jet) -> Jet:
     """Compositional inverse of a one-variable jet with f(0)=0, f'(0) != 0.
 
     The result g lives over the same alphabet and letter and satisfies
-    g(f(x)) = x and f(g(x)) = x to the jet order.
+    g(f(x)) = x and f(g(x)) = x to the jet order. The solver leaves the
+    top layer of its last sweep to the caller, so the equation
+    f(g(x)) - x is composed at the solution and must vanish exactly.
     """
     alpha = f.alphabet
     if alpha.nvars != 1:
@@ -146,4 +179,7 @@ def revert_series(f: Jet) -> Jet:
     lifted = f.rename({}, pair)
     equation = lifted - Jet.variable(pair, f.order, out)
     sol = implicit_solve([equation], [name])[0]
+    (residual,) = compose_many([equation], {name: sol})
+    certify(residual.is_zero(), "revert_series", "series composed with its reversion is x",
+            "f(g(x)) - x is not zero at the jet order")
     return sol.rename({out: name}, alpha)

@@ -6,7 +6,8 @@ A run that a site catches exits 3 with empty stdout and stderr
 "invariant violated: <stage>: <identity>: ...". With the site off the
 fault is caught by another named site, refused with exit 2, escapes as a
 named exception, or passes with exit 0 and a wrong report: those last
-rows show where a site is the only guard.
+rows show where a site is the only guard. revert_series, which no
+command reaches, is audited on one library call instead.
 """
 
 import ast
@@ -16,7 +17,20 @@ from pathlib import Path
 
 import pytest
 
-from crjets import Jet, central, cli, equivalence, marson, segre, solve
+from crjets import (
+    Alphabet,
+    Jet,
+    central,
+    cli,
+    compose_many,
+    equivalence,
+    marson,
+    revert_series,
+    segre,
+    solve,
+)
+from crjets.errors import InvariantError
+from crjets.io import germ_from_json
 from crjets.rationals import MINUS_I, GaussianRational, I
 
 from test_cli import (
@@ -28,6 +42,7 @@ from test_cli import (
     conjugate_skipping_cubic_terms,
     drop,
 )
+from test_solve import one_sweep_short
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,6 +53,18 @@ NON_REAL = {
     "phi": [{"monomial": {"z1": 1, "zb1": 1}, "coefficient": {"re": "1", "im": "1"}}],
 }
 LIFT = (SPLIT_MODEL, SPLIT_MODEL, SCALING_MAP)
+# The critical graph is t1 = -s^3/2, of degree 3, the working order of
+# its solve: only the last sweep has a nonzero residual.
+LATE = {
+    "nu": 1,
+    "nprime": 1,
+    "order": 4,
+    "phi": [
+        {"monomial": {"z1": 1, "zb1": 1}, "coefficient": "1"},
+        {"monomial": {"t1": 2}, "coefficient": "1"},
+        {"monomial": {"s": 3, "t1": 1}, "coefficient": "1"},
+    ],
+}
 
 
 def certify_sites() -> list[tuple[str, str]]:
@@ -96,23 +123,22 @@ def doubled_jacobian_inverse(monkeypatch):
         [c * 2 for c in row] for row in real(a)])
 
 
-def perturbed_last_sweep(monkeypatch, degree=TILTED["order"] - 1):
-    """s^degree added to the residuals of the first composition at order
-    ``degree`` of each solve: its last sweep, when ``degree`` is the
-    working order, as for TILTED's critical graph. The valuation
-    certificate reads only the degrees below."""
-    seen = []
-
-    def fault(real, outers, assignment, *, alphabet, order):
-        residuals = real(outers, assignment, alphabet=alphabet, order=order)
-        if order == 1:
-            seen.clear()
-        if order != degree or seen:
-            return residuals
-        seen.append(order)
-        return [r + term(r, 1, *["s"] * degree) for r in residuals]
-
-    wrap(monkeypatch, solve, "compose_many", fault)
+def last_sweep_term(*names):
+    """The product of ``names`` added to the residuals of each sweep at
+    order len(names) over a target that has every name: the last sweep
+    of the solves whose working order is that degree. The valuation
+    certificate reads only the degrees below, and J0 delta = r holds for
+    the faulted r, so the solution's top layer moves and only its caller
+    can tell."""
+    def inject(monkeypatch):
+        def fault(real, outers, assignment, **kwargs):
+            residuals = real(outers, assignment, **kwargs)
+            target = kwargs.get("alphabet")
+            if kwargs.get("order") != len(names) or not set(names) <= set(target.names):
+                return residuals
+            return [r + term(r, 1, *names) for r in residuals]
+        wrap(monkeypatch, solve, "compose_many", fault)
+    return inject
 
 
 def non_real_critical_graph(monkeypatch):
@@ -224,8 +250,18 @@ AUDIT = [
     ("certified_section_hessian: routes agree", "phi", (CUBIC,), shifted_elimination_entry,
      PASSES),
     ("implicit_solve: sweep residual valuation", "central", (TILTED,), doubled_jacobian_inverse,
-     caught("implicit_solve: residual is zero")),
-    ("implicit_solve: residual is zero", "central", (TILTED,), perturbed_last_sweep, PASSES),
+     caught("implicit_solve: last correction solves J0 delta = r")),
+    ("implicit_solve: last correction solves J0 delta = r", "central", (LATE,),
+     doubled_jacobian_inverse, caught("straighten: straightened phi has no t-linear term")),
+    ("implicit_solve: sweeps reach the working order", "central", (LATE,), one_sweep_short,
+     caught("straighten: straightened phi has no t-linear term")),
+    ("straighten: straightened phi has no t-linear term", "central", (TILTED,),
+     last_sweep_term(*"s" * 5), PASSES),
+    # sigma = phi(., F) is stationary in F, so the report stays byte-identical.
+    ("central_manifold: gradient vanishes on the graph", "phi", (TILTED,),
+     last_sweep_term(*"s" * 5), PASSES),
+    ("conjugate_elimination: slope equations vanish at the elimination", "phi", (CUBIC,),
+     last_sweep_term("wp1", "wp1", "wp1", "w"), PASSES),
     ("critical_graph: critical graph is real", "central", (TILTED,), non_real_critical_graph,
      refused("phi must be a real jet")),
     ("morse_normalize: completed square divides by t^2", "normalize", (TILTED,),
@@ -329,22 +365,72 @@ def test_a_defect_fault_is_caught_without_a_second_defect(
     assert_outcome(capsys, argv, outcome)
 
 
+# Exponents of (z1, zb1, wb) in a degree-6 term added to the last sweep
+# of complexify's solve on CUBIC, a germ of order 6.
+TOP_LAYER_FAULTS = [(2, 0, 4), (3, 3, 0), (0, 0, 6), (1, 0, 5), (1, 1, 4), (0, 2, 4), (1, 5, 0)]
+
+
+@pytest.mark.parametrize("exponents", TOP_LAYER_FAULTS, ids=str)
+def test_complexify_top_layer_is_checked_where_it_is_read(
+    tmp_path, capsys, monkeypatch, exponents
+):
+    """complexify has no certificate of rho's degree-N layer. The
+    elimination route reads it through the second z-derivatives of rho,
+    which the determinant route never reads: a fault of z-degree 2 or
+    more fails "routes agree", and any other leaves the report
+    byte-identical."""
+    names = [n for n, e in zip(("z1", "zb1", "wb"), exponents) for _ in range(e)]
+    core = germ_from_json(CUBIC)
+    clean_rho = segre.complexify(core).rho
+    argv = argv_for(tmp_path, "phi", (CUBIC,))
+    assert cli.run(argv) == 0
+    clean = capsys.readouterr().out
+    last_sweep_term(*names)(monkeypatch)
+    assert segre.complexify(core).rho != clean_rho
+    if exponents[0] >= 2:
+        assert_caught_by(capsys, argv, "certified_section_hessian: routes agree")
+    else:
+        assert cli.run(argv) == 0
+        assert capsys.readouterr() == (clean, "")
+
+
+REVERSION = "revert_series: series composed with its reversion is x"
+T = Jet.variable(Alphabet(("t",), None), 7, "t")
+SERIES = T + T * T
+reversion_fault = last_sweep_term(*["out_t"] * T.order)
+
+
+def test_a_reversion_fault_is_caught_by_its_site(monkeypatch):
+    assert compose_many([SERIES], {"t": revert_series(SERIES)})[0] == T
+    reversion_fault(monkeypatch)
+    with pytest.raises(InvariantError, match=f"^{REVERSION}: "):
+        revert_series(SERIES)
+
+
+def test_a_reversion_fault_with_its_site_off(monkeypatch):
+    """The site is the reversion's only guard: off, a wrong series returns."""
+    reversion_fault(monkeypatch)
+    switch_off(monkeypatch, REVERSION)
+    assert compose_many([SERIES], {"t": revert_series(SERIES)})[0] != T
+
+
 def test_every_certify_site_has_an_audit_row():
     sites = [site for _, site in certify_sites()]
     assert len(sites) == len(set(sites)), sorted(sites)
-    assert sorted(sites) == sorted(ids)
+    assert sorted(sites) == sorted(ids + [REVERSION])
 
 
 def test_held_reads_only_certified_identities():
     """cli's record-backed keys read held(identity), which is vacuously
     true when no certificate of that identity ran, so each identity must
-    be the literal of some certify call."""
+    be the literal of exactly one certify call, the one site that the
+    key reads."""
     tree = ast.parse((ROOT / "src" / "crjets" / "cli.py").read_text())
     read = {
         ast.literal_eval(node.args[0])
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "held"
     }
-    certified = {site.split(": ", 1)[1] for _, site in certify_sites()}
+    certified = [site.split(": ", 1)[1] for _, site in certify_sites()]
     assert read
-    assert read <= certified, read - certified
+    assert {identity: certified.count(identity) for identity in read} == dict.fromkeys(read, 1)

@@ -1,6 +1,7 @@
 """Implicit solving and series reversion against closed-form oracles and
 the full-precision chord iteration of the test oracles."""
 
+import builtins
 import random
 from fractions import Fraction
 
@@ -236,7 +237,7 @@ def test_conjugate_elimination_system_matches_full_precision_chord(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the valuation check and the certifying composition
+# the sweep certificates
 # ---------------------------------------------------------------------------
 
 
@@ -264,10 +265,10 @@ def recording_compose(monkeypatch, corrupt_call=None, degree=None):
     return orders
 
 
-def test_sweeps_are_graded_and_one_composition_certifies(monkeypatch):
+def test_sweeps_are_graded_and_no_composition_follows(monkeypatch):
     orders = recording_compose(monkeypatch)
     implicit_solve([catalan_equation(5)], ["t"])
-    assert orders == [1, 2, 3, 4, 5, 5]
+    assert orders == [1, 2, 3, 4, 5]
 
 
 def test_term_below_the_swept_degree_is_an_invariant_error(monkeypatch):
@@ -276,8 +277,42 @@ def test_term_below_the_swept_degree_is_an_invariant_error(monkeypatch):
         implicit_solve([catalan_equation(5)], ["t"])
 
 
-def test_corrupted_certifying_residual_is_an_invariant_error(monkeypatch):
-    orders = recording_compose(monkeypatch, corrupt_call=6, degree=5)
-    with pytest.raises(InvariantError, match="exactly zero residual"):
+def test_corrupted_last_correction_is_an_invariant_error(monkeypatch):
+    """t = s^5 has a nonzero residual only at the last sweep, so a doubled
+    J0^{-1} passes every valuation certificate and fails J0 delta = r."""
+    orders = recording_compose(monkeypatch)
+    real = crjets.solve.invert_matrix
+    monkeypatch.setattr(
+        crjets.solve, "invert_matrix", lambda a: [[c * 2 for c in row] for row in real(a)]
+    )
+    s, t = Jet.variable(ST, 5, "s"), Jet.variable(ST, 5, "t")
+    with pytest.raises(InvariantError, match="last correction solves J0 delta = r"):
+        implicit_solve([t - s**5], ["t"])
+    assert orders == [1, 2, 3, 4, 5]
+
+
+def one_sweep_short(monkeypatch):
+    """The sweep loop, solve's one range with a start, ends one degree
+    below the working order."""
+    def short(*bounds):
+        if len(bounds) == 2:
+            bounds = (bounds[0], bounds[1] - 1)
+        return builtins.range(*bounds)
+    monkeypatch.setattr(crjets.solve, "range", short, raising=False)
+
+
+def test_a_sweep_loop_short_of_the_working_order_is_an_invariant_error(monkeypatch):
+    one_sweep_short(monkeypatch)
+    with pytest.raises(InvariantError, match="reached degree 4, not the working order 5"):
         implicit_solve([catalan_equation(5)], ["t"])
-    assert orders == [1, 2, 3, 4, 5, 5]
+
+
+def test_the_top_layer_of_the_last_sweep_is_left_to_the_caller(monkeypatch):
+    """A degree-5 term added to the last sweep's residual passes the
+    solver's certificates and moves only the solution's degree-5 layer:
+    the caller's composition at the solution is what sees it."""
+    clean = implicit_solve([catalan_equation(5)], ["t"])[0]
+    recording_compose(monkeypatch, corrupt_call=5, degree=5)
+    (moved,) = implicit_solve([catalan_equation(5)], ["t"])
+    assert moved.truncate(4) == clean.truncate(4)
+    assert moved != clean
