@@ -140,12 +140,13 @@ def straighten(germ: StructureGerm) -> tuple[CentralManifold, StructureGerm]:
 
 
 def is_straightened(germ: StructureGerm) -> bool:
-    """True when no monomial of phi has total t-degree exactly one."""
-    t_set = set(germ.t_names())
-    names = germ.alphabet.names
-    for vec, _ in germ.phi.monomials():
-        tdeg = sum(e for name, e in zip(names, vec) if name in t_set)
-        if tdeg == 1:
+    """True when no monomial of phi has total t-degree exactly one, read
+    from the t fields of each code."""
+    alpha = germ.alphabet
+    mask = alpha.mask
+    shifts = [alpha.shifts[alpha.index[name]] for name in germ.t_names()]
+    for code in germ.phi.terms:
+        if sum((code >> s) & mask for s in shifts) == 1:
             return False
     return True
 

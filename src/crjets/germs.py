@@ -89,11 +89,14 @@ def make_germ(nu: int, nprime: int, phi: Jet) -> StructureGerm:
         raise PreconditionError("phi must be a real jet")
     if not phi.constant_term().is_zero():
         raise PreconditionError("phi must vanish at the origin")
-    for name in expected.names:
-        if not phi.coefficient({name: 1}).is_zero():
-            raise PreconditionError(
-                f"phi must have vanishing differential at 0; linear term in {name!r}"
-            )
+    # A degree-1 code is one variable's unit field; variable 0 owns the
+    # highest field, so the largest such code names the first variable.
+    linear = [c for c in phi.terms if expected.degree(c) == 1]
+    if linear:
+        name = expected.names[expected.decode(max(linear)).index(1)]
+        raise PreconditionError(
+            f"phi must have vanishing differential at 0; linear term in {name!r}"
+        )
     return StructureGerm(nu, nprime, phi)
 
 

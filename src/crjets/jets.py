@@ -33,12 +33,20 @@ under the involution, real_part and imag_part are (f + conj f) / 2 and
 zero by rename, and compose_many substitutes monomials the same way.
 Jet.at_zero is the one restriction, to slices through the origin;
 compose_many substitutes only jets without constant term.
+
+Products go through the kernel (_kernels). Scaling, derivatives and sums
+go through the coefficient-map functions of rationals (scaled, multiple,
+merged), which take only the gcds that can be nontrivial: a scalar is
+classified once per jet, a unit takes no gcd, a scalar on an axis two
+gcds with its own numerator and denominator, an exponent e >= 2 one gcd
+with e, and a sum over equal denominators normalizes over that
+denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _kernels
 from .alphabet import Alphabet
@@ -49,7 +57,16 @@ from .errors import (
     OrderMismatchError,
     PreconditionError,
 )
-from .rationals import HALF, MINUS_HALF_I, ZERO, GaussianRational, as_gaussian
+from .rationals import (
+    HALF,
+    MINUS_HALF_I,
+    ZERO,
+    GaussianRational,
+    as_gaussian,
+    merged,
+    multiple,
+    scaled,
+)
 
 Scalar = int | Fraction | GaussianRational
 
@@ -223,7 +240,8 @@ class Jet:
 
     def __add__(self, other: object) -> Jet:
         if isinstance(other, Jet):
-            return self._merge(other, GaussianRational.__add__)
+            self._check_compatible(other)
+            return Jet._raw(self.alphabet, self.order, merged(self.terms, other.terms))
         if isinstance(other, (int, Fraction, GaussianRational)):
             v = as_gaussian(other)
             if v.is_zero():
@@ -244,23 +262,11 @@ class Jet:
 
     def __sub__(self, other: object) -> Jet:
         if isinstance(other, Jet):
-            return self._merge(other, GaussianRational.__sub__)
+            self._check_compatible(other)
+            return Jet._raw(self.alphabet, self.order, merged(self.terms, other.terms, True))
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self + (-as_gaussian(other))
         return NotImplemented
-
-    def _merge(self, other: Jet, op: Callable[..., GaussianRational]) -> Jet:
-        """Combine coefficients code by code with ``op``, GaussianRational's
-        __add__ or __sub__, dropping the codes whose result is zero."""
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for code, coeff in other.terms.items():
-            s = op(terms.get(code, ZERO), coeff)
-            if s.is_zero():
-                terms.pop(code, None)
-            else:
-                terms[code] = s
-        return Jet._raw(self.alphabet, self.order, terms)
 
     def __rsub__(self, other: object) -> Jet:
         return (-self) + other
@@ -279,12 +285,7 @@ class Jet:
             terms = _kernels.mul_terms(self.terms, other.terms, self.alphabet.deg_shift, order)
             return Jet._raw(self.alphabet, order, terms)
         if isinstance(other, (int, Fraction, GaussianRational)):
-            v = as_gaussian(other)
-            if v.is_zero():
-                return Jet._raw(self.alphabet, self.order, {})
-            return Jet._raw(
-                self.alphabet, self.order, {c: coeff * v for c, coeff in self.terms.items()}
-            )
+            return Jet._raw(self.alphabet, self.order, scaled(self.terms, as_gaussian(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -315,7 +316,7 @@ class Jet:
         for code, coeff in self.terms.items():
             e = (code >> shift) & mask
             if e:
-                terms[code - step] = coeff * e
+                terms[code - step] = multiple(coeff, e)
         return Jet._raw(self.alphabet, self.order - 1, terms)
 
     def divide_by_coordinate(self, name: str) -> Jet:
@@ -399,20 +400,25 @@ class Jet:
     # ------------------------------------------------------------------
 
     def unit_inverse(self) -> Jet:
-        """Geometric-series inverse; requires a nonzero constant term."""
+        """Inverse of this jet a, whose constant term c must be nonzero,
+        by doubling.
+
+        y = 1/c is the inverse through degree 0. If y is the inverse
+        through degree k, e = a*y - 1 has valuation at least k + 1, and
+        y - y*e is the inverse through degree 2k + 1, since
+        a*(y - y*e) - 1 = e - (1 + e)*e = -e^2. So the steps run at
+        orders 1, 3, 7, ..., the last one capped at the jet's order.
+        """
         c = self.constant_term()
         if c.is_zero():
             raise NonUnitConstantError("inverse of a jet with zero constant term")
-        cinv = c.inverse()
-        n = (self - c) * (-cinv)  # valuation >= 1
-        acc = Jet.constant(self.alphabet, self.order, 1)
-        power = acc
-        for _ in range(self.order):
-            power = power * n
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * cinv
+        alpha = self.alphabet
+        y = Jet._raw(alpha, 0, {0: c.inverse()})
+        while y.order < self.order:
+            y = Jet._raw(alpha, min(2 * y.order + 1, self.order), y.terms)
+            e = self.truncate(y.order) * y - 1
+            y = y - y * e
+        return y
 
     # ------------------------------------------------------------------
     # variable plumbing

@@ -7,15 +7,36 @@ why this class exists instead of a pair of fractions.Fraction.
 
 Instances are immutable by convention: no method mutates self, and the
 slots are written only during construction.
+
+The map functions below (scaled, multiple, merged) do the coefficient
+arithmetic of jets outside the product kernel. They take only the gcds
+that can be nontrivial for normalized operands, by three content
+formulas; a term (a + b*i)/D has D > 0 and gcd(a, b, D) = 1:
+
+  * multiple: for an integer e >= 2, the content of (e*a, e*b, D) is
+    gcd(e, D), since gcd(a, b, D) = 1; e = 1 keeps the coefficient;
+  * scaled, on an axis: for v = r/delta with gcd(r, delta) = 1, the
+    content of (r*a, r*b, D*delta) is gcd(r, D) * gcd(a, b, delta).
+    A prime dividing r does not divide delta, and it divides at most
+    one of gcd(a, b) and D, so its power in the content is its power in
+    gcd(r, D); a prime dividing delta likewise contributes its power in
+    gcd(a, b, delta), and no other prime divides r*a, r*b and D*delta.
+    For v = r*i/delta the term is first multiplied by i,
+    (a, b) -> (-b, a), which keeps it normalized. v = +-1 and v = +-i
+    take no gcd at all; off the axes each term is the full product,
+    normalized;
+  * merged, equal denominators: (a + a')/D and (b + b')/D are
+    normalized over D, not over D*D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Union
+from typing import Mapping, TypeVar, Union
 
 ScalarLike = Union[int, Fraction, "GaussianRational"]
+K = TypeVar("K")
 
 
 class GaussianRational:
@@ -201,6 +222,98 @@ def as_gaussian(x: ScalarLike) -> GaussianRational:
     if g is NotImplemented:
         raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
     return g
+
+
+_new = object.__new__
+
+
+def _wrap(a: int, b: int, d: int) -> GaussianRational:
+    # from_normalized without the classmethod dispatch.
+    x = _new(GaussianRational)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
+
+
+def multiple(c: GaussianRational, e: int) -> GaussianRational:
+    """e * c for an integer e >= 1, by the content gcd(e, d)."""
+    if e == 1:
+        return c
+    g = gcd(e, c.d)
+    if g > 1:
+        e //= g
+        return _wrap(c.a * e, c.b * e, c.d // g)
+    return _wrap(c.a * e, c.b * e, c.d)
+
+
+def scaled(values: Mapping[K, GaussianRational], v: GaussianRational) -> dict[K, GaussianRational]:
+    """{k: c * v} over ``values``; v is classified once, and a zero v
+    gives {}. See the module docstring for the gcds each class takes."""
+    r, s, delta = v.a, v.b, v.d
+    if not r and not s:
+        return {}
+    if delta == 1:
+        parts = (r, s)
+        if parts == (1, 0):
+            return dict(values)
+        if parts == (-1, 0):
+            return {k: _wrap(-c.a, -c.b, c.d) for k, c in values.items()}
+        if parts == (0, 1):
+            return {k: _wrap(-c.b, c.a, c.d) for k, c in values.items()}
+        if parts == (0, -1):
+            return {k: _wrap(c.b, -c.a, c.d) for k, c in values.items()}
+    if r and s:
+        out = {}
+        for k, c in values.items():
+            a, b, d = c.a * r - c.b * s, c.a * s + c.b * r, c.d * delta
+            g = gcd(a, b, d)
+            out[k] = _wrap(a // g, b // g, d // g) if g > 1 else _wrap(a, b, d)
+        return out
+    imaginary = not r
+    factor = s if imaginary else r
+    sign_only = factor == 1 or factor == -1
+    out = {}
+    for k, c in values.items():
+        a, b, d = (-c.b, c.a, c.d) if imaginary else (c.a, c.b, c.d)
+        f = factor
+        if not sign_only:
+            g = gcd(factor, d)
+            if g > 1:
+                f //= g
+                d //= g
+        if delta > 1:
+            h = gcd(delta, a, b)
+            if h > 1:
+                out[k] = _wrap(f * (a // h), f * (b // h), d * (delta // h))
+                continue
+        out[k] = _wrap(f * a, f * b, d * delta)
+    return out
+
+
+def merged(
+    values: Mapping[K, GaussianRational], other: Mapping[K, GaussianRational], negate: bool = False
+) -> dict[K, GaussianRational]:
+    """values + other (values - other if ``negate``) key by key, the keys
+    whose sum is zero dropped."""
+    out = dict(values)
+    for k, y in other.items():
+        ya, yb, yd = (-y.a, -y.b, y.d) if negate else (y.a, y.b, y.d)
+        x = out.get(k)
+        if x is None:
+            out[k] = _wrap(ya, yb, yd) if negate else y
+            continue
+        xd = x.d
+        if xd == yd:
+            a, b, d = x.a + ya, x.b + yb, xd
+        else:
+            a, b, d = x.a * yd + ya * xd, x.b * yd + yb * xd, xd * yd
+        if not a and not b:
+            del out[k]
+            continue
+        g = gcd(a, b, d)
+        out[k] = _wrap(a // g, b // g, d // g) if g > 1 else _wrap(a, b, d)
+    return out
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

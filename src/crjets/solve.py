@@ -24,7 +24,7 @@ from .alphabet import Alphabet
 from .errors import PreconditionError, SingularJacobianError, certify
 from .jets import Jet, compose_many
 from .linalg import invert_matrix
-from .rationals import ZERO, GaussianRational
+from .rationals import GaussianRational, merged, scaled
 
 
 def implicit_solve(
@@ -148,12 +148,12 @@ def implicit_solve(
 
 def _combination(row: Sequence[GaussianRational], jets: Sequence[Jet]) -> dict:
     """sum_j row[j] * jets[j] as a map from code to nonzero coefficient,
-    formed code by code from the terms, with no Jet arithmetic."""
+    formed from the terms by the coefficient-map functions, with no Jet
+    arithmetic."""
     out: dict = {}
     for c, jet in zip(row, jets):
-        for code, v in jet.terms.items():
-            out[code] = out.get(code, ZERO) + c * v
-    return {code: v for code, v in out.items() if not v.is_zero()}
+        out = merged(out, scaled(jet.terms, c))
+    return out
 
 
 def revert_series(f: Jet) -> Jet:

@@ -140,6 +140,20 @@ def cinv(a: Coef) -> Coef:
     return (a[0] / norm, -a[1] / norm)
 
 
+def pinverse(p: Poly, order: int) -> Poly:
+    """1/p to ``order`` by the geometric series: p = c (1 - n) with n of
+    valuation >= 1, so 1/p = c^-1 (1 + n + ... + n^order)."""
+    const = (0,) * _width(p)
+    c_inv = cinv(p[const])
+    n = pscale({m: v for m, v in p.items() if m != const}, (-c_inv[0], -c_inv[1]))
+    acc: Poly = {const: ONE}
+    power: Poly = {const: ONE}
+    for _ in range(order):
+        power = pmul(power, n, order)
+        acc = padd(acc, power)
+    return pscale(acc, c_inv)
+
+
 def cmatinv(m: list[list[Coef]]) -> list[list[Coef]]:
     """Gauss-Jordan inverse; ZeroDivisionError when m is singular."""
     n = len(m)

@@ -53,6 +53,31 @@ def test_straighten_kills_t_linear_terms():
     assert flat.phi == g["z1"] * g["zb1"] + g["t1"] ** 2 - g["s"] ** 2 * Fraction(1, 4)
 
 
+@pytest.mark.parametrize("nu, nprime", [(1, 1), (1, 3), (2, 2), (5, 2)])
+def test_straightened_reads_the_t_fields(nu, nprime):
+    """is_straightened against the t-degree of each decoded monomial, on
+    6-bit and (nu = 5) 16-bit fields; t1*t2 and s*t1 have t-degree 2 and 1."""
+    rng = random.Random(31 * nu + nprime)
+    a = standard_alphabet(nu, nprime)
+    t_set = {f"t{l}" for l in range(1, nprime + 1)}
+
+    def reference(germ):
+        return all(
+            sum(e for n, e in zip(a.names, vec) if n in t_set) != 1
+            for vec, _ in germ.phi.monomials()
+        )
+
+    g = generators(a, 4)
+    for phi in (g["z1"] * g["zb1"] + g["t1"] * g[f"t{nprime}"], g["z1"] * g["zb1"] + g["s"] * g["t1"]):
+        germ = make_germ(nu, nprime, phi)
+        assert is_straightened(germ) == reference(germ)
+    for _ in range(10):
+        germ = sparse_real_germ(rng, nu, nprime, 4, count=8)
+        assert is_straightened(germ) == reference(germ)
+        flat = straighten(germ)[1]
+        assert is_straightened(flat) and reference(flat)
+
+
 def test_central_of_parameterless_germ_is_itself():
     a = standard_alphabet(1, 0)
     g = generators(a, 5)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crjets import (
+    Alphabet,
     GaussianRational,
     Jet,
     characteristic_covector,
@@ -48,6 +49,30 @@ def test_make_germ_validates():
         make_germ(1, 0, g["z1"] * g["z1"])  # not real
     with pytest.raises(PreconditionError):
         make_germ(1, 0, g["z1"] * g["zb1"] + 1)  # constant
+
+
+def test_linear_term_check_reads_the_terms(monkeypatch):
+    """make_germ finds linear terms by their codes, not by one packed code
+    per alphabet variable, and names the first one in alphabet order."""
+    a = standard_alphabet(40, 3)
+    g = generators(a, 3)
+    phi = g["z1"] * g["zb1"] + g["t2"] * g["s"]
+    two_linear = g["z1"] * g["zb1"] + g["t3"] + g["s"]
+    calls = []
+    original = Alphabet.encode_dict
+
+    def counted(self, exponents):
+        calls.append(exponents)
+        return original(self, exponents)
+
+    monkeypatch.setattr(Alphabet, "encode_dict", counted)
+    assert make_germ(40, 3, phi).phi is phi
+    with pytest.raises(
+        PreconditionError,
+        match=r"^phi must have vanishing differential at 0; linear term in 's'$",
+    ):
+        make_germ(40, 3, two_linear)
+    assert calls == []
 
 
 def test_frame_annihilates_first_integrals_on_the_quadric():

@@ -25,6 +25,7 @@ from oracles import (
     pcompose,
     pconj,
     pderive,
+    pinverse,
     pmul,
     point_args,
     poly_to_jet,
@@ -107,12 +108,6 @@ def test_truncate_only_lowers():
     assert x.truncate(2).order == 2
     with pytest.raises(PreconditionError):
         x.truncate(5)
-
-
-@given(polys(), polys())
-def test_addition_matches_oracle(p, q):
-    jp, jq = poly_to_jet(p, XY, 5), poly_to_jet(q, XY, 5)
-    assert jet_to_poly(jp + jq) == padd(p, q)
 
 
 @st.composite
@@ -276,12 +271,127 @@ def test_ring_properties(p, q, r):
     assert a * b == b * a
 
 
-@given(polys())
-def test_derive_matches_oracle(p):
+# Scalars of every class Jet * v tells apart: units, integers, real and
+# imaginary rationals (parts of 1000 bits included) and off-axis values.
+I_COEF = (Fraction(0), Fraction(1))
+big_ints = st.one_of(st.integers(-30, 30), st.integers(BIG, 4 * BIG), st.integers(-4 * BIG, -BIG))
+axis_parts = st.one_of(fracs, big_fracs, big_ints.map(Fraction))
+scalar_values = st.one_of(
+    st.sampled_from([ONE, MINUS_ONE, I_COEF, (Fraction(0), Fraction(-1))]),
+    big_ints.map(lambda n: (Fraction(n), Fraction(0))),
+    axis_parts.map(lambda q: (q, Fraction(0))),
+    axis_parts.map(lambda q: (Fraction(0), q)),
+    wide_coefs.filter(lambda c: c[0] and c[1]),
+)
+# (2 + 4i)/3 and 1/2: a common factor with 2 in the numerators, and with
+# 3 or 6 in the denominator.
+SHARED = {(0, 0): (Fraction(2, 3), Fraction(4, 3)), (1, 0): HALF, (2, 1): (Fraction(3, 2), Fraction(0)), (0, 2): HUGE}
+
+
+@given(polys(coefficients=wide_coefs), scalar_values, st.booleans())
+# gcd(r, D) > 1: 2 against the denominators 2 and 3 * 2
+@example(SHARED, (Fraction(2), Fraction(0)), False)
+@example(SHARED, (Fraction(0), Fraction(6)), False)
+# gcd(a, b, delta) > 1: 1/2 and -i/2 against the numerators 2 + 4i
+@example(SHARED, HALF, False)
+@example(SHARED, MINUS_HALF_I, False)
+# both at once, and an int and a Fraction scalar
+@example(SHARED, (Fraction(-9, 4), Fraction(0)), True)
+@example(SHARED, (Fraction(0), Fraction(3 * BIG, 2)), False)
+@example(SHARED, (Fraction(2, 3), Fraction(-1, 2)), False)
+@settings(max_examples=80, deadline=None)
+def test_scaling_matches_oracle(p, v, plain):
+    """Jet * v for every class of v, as a GaussianRational or, on the real
+    axis, as the int or Fraction it is."""
     jp = poly_to_jet(p, XY, 5)
-    d = jp.derive("x")
+    scalar = GaussianRational(*v)
+    if plain and not v[1]:
+        scalar = v[0].numerator if v[0].denominator == 1 else v[0]
+    got = jp * scalar
+    assert got.order == 5
+    assert jet_to_poly(got) == pscale(p, v)
+    assert_normalized(got.terms)
+    assert got == scalar * jp
+
+
+# Denominators that share factors with the exponents 2..5.
+shared_denominators = st.sampled_from([1, 2, 3, 4, 5, 6, 12, 60, 120, 3 * BIG, 5 * BIG + 10])
+derive_parts = st.builds(
+    Fraction, st.one_of(st.integers(-50, 50), st.integers(BIG, 4 * BIG)), shared_denominators
+)
+
+
+@st.composite
+def derivatives(draw):
+    """(alphabet, variable index, p) with exponents up to 5 in that variable."""
+    alphabet = draw(st.sampled_from([XY, WIDE]))
+    index = draw(st.integers(0, alphabet.nvars - 1))
+    p = draw(polys(5, alphabet.nvars, coefficients=st.tuples(derive_parts, derive_parts)))
+    for e in draw(st.lists(st.integers(1, 5), max_size=5)):
+        exps = [0] * alphabet.nvars
+        exps[index] = e
+        p[tuple(exps)] = draw(st.tuples(derive_parts, derive_parts))
+    return alphabet, index, {m: c for m, c in p.items() if c != ZERO}
+
+
+@given(derivatives())
+# e = 2..5 on the denominators 2, 3, 4, 5 and 6: each shares a factor with e
+@example((XY, 0, {(1, 0): HALF, (2, 0): HALF, (3, 2): (Fraction(1, 3), Fraction(2, 3)), (4, 0): (Fraction(0), Fraction(3, 4)), (5, 0): (Fraction(1, 5), Fraction(7, 6))}))
+@settings(max_examples=60, deadline=None)
+def test_derive_matches_oracle(case):
+    """derive at exponents 1..5 against the oracle, in lowest terms; an
+    exponent of 1 keeps the coefficient object."""
+    alphabet, index, p = case
+    jp = poly_to_jet(p, alphabet, 5)
+    name = alphabet.names[index]
+    d = jp.derive(name)
     assert d.order == 4
-    assert jet_to_poly(d) == ptruncate(pderive(p, 0), 4)
+    assert jet_to_poly(d) == ptruncate(pderive(p, index), 4)
+    assert_normalized(d.terms)
+    shift = alphabet.shifts[index]
+    for code, c in jp.terms.items():
+        if (code >> shift) & alphabet.mask == 1:
+            assert d.terms[code - (1 << shift) - (1 << alphabet.deg_shift)] is c
+
+
+@st.composite
+def summands(draw):
+    """(p, q) over XY: q's terms on p's monomials repeat p's coefficient,
+    negate it, share its denominator or are arbitrary; more terms follow."""
+    p = draw(polys(coefficients=wide_coefs))
+    q = {}
+    for m, c in p.items():
+        kind = draw(st.sampled_from(("same", "negated", "denominator", "any", "none")))
+        if kind == "same":
+            q[m] = c
+        elif kind == "negated":
+            q[m] = (-c[0], -c[1])
+        elif kind == "denominator":
+            d = GaussianRational(*c).d
+            q[m] = (Fraction(draw(big_ints), d), Fraction(draw(big_ints), d))
+        elif kind == "any":
+            q[m] = draw(wide_coefs)
+    q.update(draw(polys(coefficients=wide_coefs)))
+    return p, {m: c for m, c in q.items() if c != ZERO}
+
+
+@given(summands())
+# equal denominators 6: (1 + 5i)/6 + (1 - 5i)/6 = 1/3, and a sum that cancels
+@example(({(0, 0): (Fraction(1, 6), Fraction(5, 6)), (1, 0): HUGE}, {(0, 0): (Fraction(1, 6), Fraction(-5, 6)), (1, 0): (-HUGE[0], -HUGE[1])}))
+# unequal denominators: 1/6 + 1/3 = 1/2
+@example(({(0, 1): (Fraction(1, 6), Fraction(0))}, {(0, 1): (Fraction(1, 3), Fraction(0))}))
+@settings(max_examples=80, deadline=None)
+def test_addition_matches_oracle(case):
+    """+ and - against the oracle, in lowest terms, on equal and unequal
+    denominators and on sums that cancel."""
+    p, q = case
+    jp, jq = poly_to_jet(p, XY, 5), poly_to_jet(q, XY, 5)
+    total, difference = jp + jq, jp - jq
+    assert jet_to_poly(total) == padd(p, q)
+    assert jet_to_poly(difference) == padd(p, pscale(q, MINUS_ONE))
+    assert_normalized(total.terms)
+    assert_normalized(difference.terms)
+    assert (jp - jp).terms == {}
 
 
 def test_divide_by_coordinate():
@@ -614,6 +724,29 @@ def test_jet_sqrt_squares_back():
     assert r.constant_term() == GaussianRational(1)
     with pytest.raises(NonUnitConstantError):
         jet_sqrt(a * 4)  # constant 4 is a unit but not 1; no silent rescale
+
+
+@st.composite
+def units(draw):
+    """(alphabet, order, p) with a nonzero constant term."""
+    alphabet = draw(st.sampled_from([XY, WIDE]))
+    order = draw(st.integers(0, 6))
+    p = draw(polys(min(order, 5), alphabet.nvars, min_degree=1, coefficients=wide_coefs))
+    p[(0,) * alphabet.nvars] = draw(wide_coefs.filter(lambda c: c != ZERO))
+    return alphabet, order, p
+
+
+@given(units())
+# order 6 takes the steps to orders 1, 3 and 6
+@example((XY, 6, {(0, 0): (Fraction(2), Fraction(-1)), (1, 0): ONE, (1, 1): HUGE, (0, 3): (Fraction(0), Fraction(1, 3))}))
+@example((XY, 2, {(0, 0): ONE, (0, 1): ONE}))
+@settings(max_examples=40, deadline=None)
+def test_unit_inverse_matches_the_geometric_series(case):
+    alphabet, order, p = case
+    inv = poly_to_jet(p, alphabet, order).unit_inverse()
+    assert inv.order == order
+    assert jet_to_poly(inv) == pinverse(p, order)
+    assert_normalized(inv.terms)
 
 
 def test_geometric_series_identity():

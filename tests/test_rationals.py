@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crjets import GaussianRational, I, rational_sqrt
-from crjets.rationals import as_gaussian
+from crjets.rationals import as_gaussian, merged, multiple, scaled
+
+from oracles import assert_normalized
 
 
 def gr(re, im=0):
@@ -110,3 +112,77 @@ def test_parse_rejects_garbage():
     for text in ("not a number", "1/2", "3"):
         with pytest.raises(TypeError):
             GaussianRational(text)
+
+
+BIG = 1 << 1000
+# Parts with a numerator or a denominator of at least 1000 bits, and parts
+# whose denominators share the factors 2, 3 and 5.
+wide_parts = st.one_of(
+    fracs,
+    st.builds(Fraction, st.integers(-4 * BIG, 4 * BIG), st.sampled_from([1, 2, 6, 30, 3 * BIG])),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(BIG, 4 * BIG)),
+)
+wide_scalars = st.builds(GaussianRational, wide_parts, wide_parts)
+axis_scalars = st.one_of(
+    st.sampled_from([GaussianRational(1), GaussianRational(-1), I, -I]),
+    st.builds(GaussianRational, wide_parts),
+    st.builds(lambda q: GaussianRational(0, q), wide_parts),
+)
+maps = st.dictionaries(st.integers(0, 20), wide_scalars.filter(bool), max_size=8)
+
+
+def exact(c):
+    return c.real, c.imag
+
+
+def product(x, v):
+    return (x.real * v.real - x.imag * v.imag, x.real * v.imag + x.imag * v.real)
+
+
+@given(maps, st.one_of(axis_scalars, wide_scalars))
+@example({0: gr(Fraction(2, 3), Fraction(4, 3)), 1: gr(Fraction(1, 2))}, gr(Fraction(1, 2)))
+@example({0: gr(Fraction(2, 3), Fraction(4, 3)), 1: gr(Fraction(1, 2))}, gr(0, 6))
+@example({0: gr(4, 2), 1: gr(Fraction(1, 6))}, gr(Fraction(-3, 2)))
+@settings(max_examples=80, deadline=None)
+def test_scaled_is_the_product_in_lowest_terms(values, v):
+    got = scaled(values, v)
+    want = {k: product(c, v) for k, c in values.items() if not v.is_zero()}
+    assert {k: exact(c) for k, c in got.items()} == want
+    assert_normalized(got)
+
+
+@given(wide_scalars.filter(bool), st.one_of(st.integers(1, 6), st.integers(BIG, 2 * BIG)))
+@example(gr(Fraction(1, 6), Fraction(5, 6)), 3)
+@example(gr(Fraction(1, 3 * BIG)), 2 * BIG)
+def test_multiple_is_the_product_in_lowest_terms(c, e):
+    got = multiple(c, e)
+    assert exact(got) == (e * c.real, e * c.imag)
+    assert_normalized({0: got})
+    assert multiple(c, 1) is c
+
+
+@given(maps, maps, st.booleans(), st.data())
+@example({0: gr(Fraction(1, 6), Fraction(5, 6))}, {0: gr(Fraction(1, 6), Fraction(-5, 6))}, False, None)
+@example({0: gr(Fraction(1, 6))}, {0: gr(Fraction(1, 6))}, True, None)
+@settings(max_examples=80, deadline=None)
+def test_merged_is_the_sum_in_lowest_terms(values, other, negate, data):
+    # Some keys of other repeat, negate or share the denominator of values'.
+    if data is not None:
+        for k, c in values.items():
+            kind = data.draw(st.sampled_from(("same", "negated", "denominator", "keep")))
+            if kind == "same":
+                other[k] = c
+            elif kind == "negated":
+                other[k] = -c
+            elif kind == "denominator":
+                n = data.draw(st.integers(-4 * BIG, 4 * BIG))
+                if n:
+                    other[k] = GaussianRational(Fraction(n, c.d), Fraction(1, c.d))
+    got = merged(values, other, negate)
+    sign = -1 if negate else 1
+    want = {k: exact(c) for k, c in values.items()}
+    for k, c in other.items():
+        re, im = want.get(k, (Fraction(0), Fraction(0)))
+        want[k] = (re + sign * c.real, im + sign * c.imag)
+    assert {k: exact(c) for k, c in got.items()} == {k: c for k, c in want.items() if any(c)}
+    assert_normalized(got)
