@@ -41,6 +41,14 @@ classified once per jet, a unit takes no gcd, a scalar on an axis two
 gcds with its own numerator and denominator, an exponent e >= 2 one gcd
 with e, and a sum over equal denominators normalizes over that
 denominator.
+
+Jet.unit_inverse and jet_sqrt solve a * y = 1 and y * y = a degree by
+degree (Knuth, TAOCP Vol. 2, 4.7). The degree-k layer of either equation
+is y_k times a unit plus products of layers below k, so y_k is exact
+once they are. The operands are split once into unpacked homogeneous
+layers; the product of a degree-j and a degree-(k - j) layer goes
+through _kernels.mul_into at cap k, where all its pairs land, and each
+layer is normalized once by finish. That costs the pairs of one product.
 """
 
 from __future__ import annotations
@@ -401,24 +409,17 @@ class Jet:
 
     def unit_inverse(self) -> Jet:
         """Inverse of this jet a, whose constant term c must be nonzero,
-        by doubling.
-
-        y = 1/c is the inverse through degree 0. If y is the inverse
-        through degree k, e = a*y - 1 has valuation at least k + 1, and
-        y - y*e is the inverse through degree 2k + 1, since
-        a*(y - y*e) - 1 = e - (1 + e)*e = -e^2. So the steps run at
-        orders 1, 3, 7, ..., the last one capped at the jet's order.
-        """
+        degree by degree: the degree-k layer of a * y = 1 reads
+        c y_k + sum_{j=1..k} a_j y_{k-j} = 0, so y_0 = 1/c and y_k is the
+        sum of the b_j y_{k-j} with b = -(a - c)/c. The pairs are those of
+        the one product b * y (module docstring)."""
         c = self.constant_term()
         if c.is_zero():
             raise NonUnitConstantError("inverse of a jet with zero constant term")
-        alpha = self.alphabet
-        y = Jet._raw(alpha, 0, {0: c.inverse()})
-        while y.order < self.order:
-            y = Jet._raw(alpha, min(2 * y.order + 1, self.order), y.terms)
-            e = self.truncate(y.order) * y - 1
-            y = y - y * e
-        return y
+        inv = c.inverse()
+        b = _layers(scaled(self.terms, -inv), self.alphabet.deg_shift, self.order)
+        return _by_degree(self.alphabet, self.order, inv,
+                          lambda k, y: [(b[j], y[k - j]) for j in range(1, k + 1)])
 
     # ------------------------------------------------------------------
     # variable plumbing
@@ -768,7 +769,13 @@ def _reliable_order(outers: Sequence[Jet], assigned: Mapping[str, Jet],
 
 
 def jet_sqrt(a: Jet) -> Jet:
-    """Square root of a jet with constant term exactly 1 (the +1 branch).
+    """Square root of a jet with constant term exactly 1 (the +1 branch),
+    degree by degree: the degree-k layer of y * y = a gives y_0 = 1 and
+
+        y_k = (a_k - 2 sum_{0<j<k-j} y_j y_{k-j} - [k even] y_{k/2}^2) / 2.
+
+    Each unordered pair of layers is one product, so the pairs are at
+    most those of y * y (module docstring).
 
     Callers holding a jet with constant c^2 must rescale explicitly;
     silent rescaling would hide a branch choice.
@@ -777,11 +784,38 @@ def jet_sqrt(a: Jet) -> Jet:
         raise NonUnitConstantError(
             f"jet_sqrt needs constant term 1, got {a.constant_term()}"
         )
-    y = Jet.constant(a.alphabet, a.order, 1)
-    half = Fraction(1, 2)
-    for k in range(1, a.order + 1):
-        r = a - y * y
-        if r.is_zero():
-            break
-        y = y + r.homogeneous_part(k) * half
-    return y
+    layers = _layers(a.terms, a.alphabet.deg_shift, a.order)
+
+    def pairs(k: int, y: list) -> list:
+        # -y_j y_{k-j} for j < k - j and -y_j^2 / 2 for j = k - j.
+        return [([(c, -p, -q, d if 2 * j < k else 2 * d) for c, p, q, d in y[j]], y[k - j])
+                for j in range(1, k // 2 + 1)]
+
+    return _by_degree(a.alphabet, a.order, a.terms[0], pairs,
+                      lambda k: {c: [p, q, 2 * d] for c, p, q, d in layers[k]})
+
+
+def _layers(terms: dict, deg_shift: int, order: int) -> list[list]:
+    """The homogeneous layers 0..order of a coefficient map, unpacked."""
+    layers: list[list] = [[] for _ in range(order + 1)]
+    for term in _kernels.unpack(terms):
+        layers[term[0] >> deg_shift].append(term)
+    return layers
+
+
+def _by_degree(alphabet: Alphabet, order: int, y0: GaussianRational, pairs, seed=None) -> Jet:
+    """The jet with nonzero constant term y0 whose degree-k layer,
+    k = 1..order, is seed(k), a raw accumulator if given, plus the
+    products of the unpacked layer pairs pairs(k, y), y the layers below
+    k: each pair lands in degree k."""
+    terms = {0: y0}
+    y = [[(0, y0.a, y0.b, y0.d)]]
+    for k in range(1, order + 1):
+        acc = seed(k) if seed else {}
+        for left, right in pairs(k, y):
+            if left and right:
+                _fused(acc, left, right, alphabet.deg_shift, k)
+        layer = _kernels.finish(acc)
+        terms.update(layer)
+        y.append(_kernels.unpack(layer))
+    return Jet._raw(alphabet, order, terms)

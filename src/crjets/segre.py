@@ -29,12 +29,13 @@ truncates every substitute to the result order, so a higher layer would
 be computed and thrown away. Two independent constructions of the matrix
 start from that elimination:
 
-  * the determinant route substitutes the elimination into sigma and
-    its derivatives and scales them into F and its derivatives. On the
-    elimination the section has w_z = wp, so F_zi = -wp_i F_w, and the
-    bordered determinant over F_w^3 of the classical formula reduces to
-    implicit differentiation of F, divided by F_w once. The substituted F
-    must vanish exactly, which certifies that the elimination lies on
+  * the determinant route substitutes the elimination into sigma,
+    sigma_s and the numerators K_ij = F_zizj + wp_i F_zjw + wp_j F_ziw
+    + wp_i wp_j F_ww, folded from sigma's derivatives over (z, zb, s, wp).
+    On the elimination the section has w_z = wp, so F_zi = -wp_i F_w, and
+    the bordered determinant over F_w^3 of the classical formula reduces
+    to implicit differentiation of F: H_ij = -K_ij / F_w. The substituted
+    F must vanish exactly, which certifies that the elimination lies on
     the incidence relation;
   * the elimination route substitutes it into the plain second
     derivative of the graph.
@@ -291,22 +292,22 @@ def phi_determinant(ch: ComplexifiedHypersurface, elim: ConjugateElimination) ->
     """Section Hessian by implicit differentiation of the defining function
     F = w - wb - 2i sigma(z, zb, (w + wb)/2).
 
-    sigma and its derivatives sigma_s, sigma_ss, sigma_zis and sigma_zizj
-    (i <= j) are substituted at zb = E.zb, s = (w + E.wb)/2 in one
-    composition and scaled into F and its derivatives:
-
-        F = w - E.wb - 2i sigma,   F_w = 1 - i sigma_s,
-        F_ww = -(i/2) sigma_ss,    F_ziw = -i sigma_zis,
-        F_zizj = -2i sigma_zizj.
-
     F vanishes on the graph w = rho(z, zb, wb) identically in (z, zb, wb).
     Differentiating twice in z and setting the frozen parameters to the
-    elimination, where rho = w and rho_zi = wp_i, gives
+    elimination E, where rho = w and rho_zi = wp_i, gives
 
-        H_ij = -(F_zizj + wp_i F_zjw + wp_j F_ziw + wp_i wp_j F_ww) / F_w,
+        H_ij = -K_ij(E) / F_w(E),
+        K_ij = F_zizj + wp_i F_zjw + wp_j F_ziw + wp_i wp_j F_ww,
 
-    with the products formed over the section alphabet, which equals
-    forming them first because composition is a ring homomorphism. The
+    with F_w = 1 - i sigma_s, F_ww = -(i/2) sigma_ss, F_ziw = -i sigma_zis
+    and F_zizj = -2i sigma_zizj. Each K_ij is formed over (z, zb, s, wp)
+    at the Hessian's order and composed with sigma and sigma_s at
+    zb = E.zb, s = (w + E.wb)/2 in one call. The assignment leaves wp out,
+    so the composition, a ring homomorphism, maps it to its namesake: the
+    entries equal those of composing the F derivatives first and forming
+    K_ij after, and the kernel's cap at the Hessian's order drops each
+    layer of sigma_zs and sigma_ss that a wp factor pushes past that
+    order, which the second way composes and then truncates. The
     elimination lies on the incidence relation, so the substituted F must
     be exactly zero: InvariantError is raised if it is not. The route
     reads the core sigma, never the graph jet, so the only ingredient it
@@ -316,42 +317,33 @@ def phi_determinant(ch: ComplexifiedHypersurface, elim: ConjugateElimination) ->
     nu = ch.nu
     order = ch.order - 2
     section = section_parameter_alphabet(nu)
-    sigma = ch.core.phi
+    wp_names = [f"wp{j}" for j in range(1, nu + 1)]
+    sigma = ch.core.phi.rename({}, Alphabet(ch.core.phi.alphabet.names + tuple(wp_names), None))
     d_s = sigma.derive("s")
     d_z = [sigma.derive(f"z{j}") for j in range(1, nu + 1)]
-    pairs = _upper_pairs(nu)
+    f_zw = [d.derive("s") * MINUS_I for d in d_z]
+    f_ww = d_s.derive("s") * MINUS_HALF_I
     # w and wp at the elimination's order, the Hessian's but at least 1,
     # so that w + E.wb adds equal orders and both exist where the Hessian
     # has order 0; a product with wp is truncated to the Hessian's order.
     w = Jet.variable(section, elim.wb.order, "w")
-    wp = [Jet.variable(section, elim.wb.order, f"wp{j}") for j in range(1, nu + 1)]
+    wp = [Jet.variable(sigma.alphabet, elim.wb.order, name) for name in wp_names]
+    numerators = [
+        d_z[i].derive(f"z{j + 1}") * MINUS_TWO_I
+        + (wp[i] * f_zw[j] + wp[j] * f_zw[i] + wp[i] * wp[j] * f_ww).truncate(order)
+        for i, j in _upper_pairs(nu)
+    ]
     at_elimination = {f"zb{j}": zb for j, zb in enumerate(elim.zb, start=1)}
     at_elimination["s"] = (w + elim.wb) * HALF
-    s, s_s, s_ss, *rest = compose_many(
-        [sigma, d_s, d_s.derive("s")]
-        + [d.derive("s") for d in d_z]
-        + [d_z[i].derive(f"z{j + 1}") for i, j in pairs],
-        at_elimination,
-        alphabet=section,
-        order=order,
+    s, s_s, *folded = compose_many(
+        [sigma, d_s, *numerators], at_elimination, alphabet=section, order=order
     )
     f = (w - elim.wb).truncate(order) - s * TWO_I
     certify(f.is_zero(), "phi_determinant", "F vanishes at the elimination",
             "defining-function identity failed: F does not vanish at the "
             "eliminated frozen parameters")
-    f_w = 1 - s_s * I
-    f_ww = s_ss * MINUS_HALF_I
-    f_zw = [d * MINUS_I for d in rest[:nu]]
-    f_zz = [d * MINUS_TWO_I for d in rest[nu:]]
-    minus_inv_w = -f_w.unit_inverse()
-    values = [
-        (
-            f_zij
-            + (wp[i] * f_zw[j] + wp[j] * f_zw[i] + wp[i] * wp[j] * f_ww).truncate(order)
-        )
-        * minus_inv_w
-        for (i, j), f_zij in zip(pairs, f_zz)
-    ]
+    minus_inv_w = -(1 - s_s * I).unit_inverse()
+    values = [k * minus_inv_w for k in folded]
     return _section_hessian(nu, values, "determinant", order)
 
 

@@ -154,6 +154,17 @@ def pinverse(p: Poly, order: int) -> Poly:
     return pscale(acc, c_inv)
 
 
+def psqrt(p: Poly, order: int) -> Poly:
+    """The square root with constant term 1 of p, whose constant term is
+    1, to ``order``: for k = 1 .. order, y += (p - y*y)_k / 2, each from a
+    full square."""
+    y: Poly = {(0,) * _width(p): ONE}
+    for k in range(1, order + 1):
+        r = padd(p, pscale(pmul(y, y, order), (Fraction(-1), Fraction(0))))
+        y = padd(y, pscale({m: c for m, c in r.items() if sum(m) == k}, (Fraction(1, 2), Fraction(0))))
+    return y
+
+
 def cmatinv(m: list[list[Coef]]) -> list[list[Coef]]:
     """Gauss-Jordan inverse; ZeroDivisionError when m is singular."""
     n = len(m)

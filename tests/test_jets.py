@@ -28,6 +28,7 @@ from oracles import (
     pinverse,
     pmul,
     point_args,
+    psqrt,
     poly_to_jet,
     prename,
     pscale,
@@ -727,26 +728,45 @@ def test_jet_sqrt_squares_back():
 
 
 @st.composite
-def units(draw):
-    """(alphabet, order, p) with a nonzero constant term."""
+def units(draw, constant=None):
+    """(alphabet, order, p) with order 0..7 and a nonzero constant term,
+    ``constant`` when given."""
     alphabet = draw(st.sampled_from([XY, WIDE]))
-    order = draw(st.integers(0, 6))
-    p = draw(polys(min(order, 5), alphabet.nvars, min_degree=1, coefficients=wide_coefs))
-    p[(0,) * alphabet.nvars] = draw(wide_coefs.filter(lambda c: c != ZERO))
+    order = draw(st.integers(0, 7))
+    p = draw(polys(order, alphabet.nvars, min_degree=1, coefficients=wide_coefs))
+    p[(0,) * alphabet.nvars] = constant or draw(wide_coefs.filter(lambda c: c != ZERO))
     return alphabet, order, p
 
 
+def assert_layered(got, order, expected):
+    """The series result has the input's order, equals the oracle and
+    stores every coefficient normalized: no zero term, so no zero layer."""
+    assert got.order == order
+    assert jet_to_poly(got) == expected
+    assert_normalized(got.terms)
+
+
 @given(units())
-# order 6 takes the steps to orders 1, 3 and 6
+# every layer of a reaches y_6, the j = k term of each convolution included
 @example((XY, 6, {(0, 0): (Fraction(2), Fraction(-1)), (1, 0): ONE, (1, 1): HUGE, (0, 3): (Fraction(0), Fraction(1, 3))}))
 @example((XY, 2, {(0, 0): ONE, (0, 1): ONE}))
+# the layers of 1/(1 + x^2) at odd degrees are zero and stored as nothing
+@example((WIDE, 7, {(0,) * WIDE.nvars: ONE, wide_monomial(3, 3): ONE}))
 @settings(max_examples=40, deadline=None)
 def test_unit_inverse_matches_the_geometric_series(case):
     alphabet, order, p = case
-    inv = poly_to_jet(p, alphabet, order).unit_inverse()
-    assert inv.order == order
-    assert jet_to_poly(inv) == pinverse(p, order)
-    assert_normalized(inv.terms)
+    assert_layered(poly_to_jet(p, alphabet, order).unit_inverse(), order, pinverse(p, order))
+
+
+@given(units(ONE))
+# sqrt(1 + x) = 1 + x/2 - x^2/8 + x^3/16 - 5x^4/128 + ...: y_2 is the
+# middle square alone, y_3 the symmetric pair y_1 y_2 counted twice
+@example((XY, 5, {(0, 0): ONE, (1, 0): ONE}))
+@example((WIDE, 7, {(0,) * WIDE.nvars: ONE, wide_monomial(0): HUGE, wide_monomial(1, 11): MINUS_HALF_I}))
+@settings(max_examples=40, deadline=None)
+def test_jet_sqrt_matches_the_degreewise_correction(case):
+    alphabet, order, p = case
+    assert_layered(jet_sqrt(poly_to_jet(p, alphabet, order)), order, psqrt(p, order))
 
 
 def test_geometric_series_identity():
