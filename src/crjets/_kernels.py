@@ -3,7 +3,7 @@
     unpack(T) -> list             code-sorted (code, a, b, d) tuples of T
     mul_into(acc, A, B, bcodes, deg_shift, cap)
     finish(acc) -> dict
-    finish_unpacked(acc) -> list  unpack(finish(acc)), no coefficient objects
+    finish_unpacked(acc) -> list  the raw nonzero sums, code-sorted, unreduced
     mul_terms(A, B, deg_shift, cap) -> dict
 
 Coefficient maps send packed monomial codes to GaussianRational values.
@@ -24,12 +24,15 @@ common case, the product is scaled up to it and no gcd is taken.
 ``finish`` normalizes each accumulated monomial once and drops exact
 zeros. Several products may accumulate into one ``acc`` before it is
 finished, which is how ``jets.compose_many`` sums its P_b * U^b.
-``finish_unpacked`` returns what ``unpack(finish(acc))`` does, the
-normalized nonzero terms as a code-sorted tuple list, without building a
-GaussianRational: ``compose_many`` keeps its intermediate operands in
-that form, the powers U^b shared by several outers and the Horner
-partial sums of one outer, since each is an operand of further products
-and never a result.
+``finish_unpacked`` keeps each nonzero raw sum as it is, drops exact
+zeros and sorts by code, and takes no gcd: its terms are exact but not
+reduced, (a + b*i)/d with a positive d that may share a factor with a
+and b. ``compose_many`` keeps its intermediate operands in that form,
+the powers U^b shared by several outers and the Horner partial sums of
+one outer, since each is only an operand of further products and never
+a result; reducing them would pay a gcd per term that removes a few
+bits of a few hundred. Results are canonical: every result monomial
+passes through ``finish`` once.
 
 ``mul_terms`` is unpack + mul_into + finish on two coefficient maps; the
 result contains every product monomial of degree <= cap, exactly, with
@@ -86,14 +89,7 @@ def finish(acc: dict) -> dict:
 
 
 def finish_unpacked(acc: dict) -> list[tuple[int, int, int, int]]:
-    # Accumulated denominators are positive, so the gcd alone normalizes.
-    out = []
-    for c, (x, y, z) in acc.items():
-        if x or y:
-            g = gcd(x, y, z)
-            out.append((c, x // g, y // g, z // g) if g > 1 else (c, x, y, z))
-    out.sort()
-    return out
+    return sorted([(c, x, y, z) for c, (x, y, z) in acc.items() if x or y])
 
 
 def mul_terms(A: dict, B: dict, deg_shift: int, cap: int) -> dict:

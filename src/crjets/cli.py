@@ -135,12 +135,23 @@ def _text_block(key: str, value: Any, depth: int, lines: list[str]) -> None:
 
 
 def render_report(payload: dict[str, Any], fmt: str) -> str:
-    if fmt == "json":
-        return canonical_dumps(payload)
-    lines: list[str] = []
-    for key, value in payload.items():
-        _text_block(key, value, 0, lines)
-    return "\n".join(lines) + "\n"
+    """The report text. Python writes no integer of more than
+    sys.get_int_max_str_digits() decimal digits, so a result that grew
+    past that limit from inputs under it is a precondition violation of
+    the command, not a crash."""
+    try:
+        if fmt == "json":
+            return canonical_dumps(payload)
+        lines: list[str] = []
+        for key, value in payload.items():
+            _text_block(key, value, 0, lines)
+        return "\n".join(lines) + "\n"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(
+            f"{payload['command']} has a result with an integer of more than "
+            f"{limit} decimal digits, the limit for writing one"
+        ) from None
 
 
 def _parse_file(path: str, parse: Callable[..., Any], *args: Any) -> Any:
@@ -441,7 +452,7 @@ def run(argv: Sequence[str]) -> int:
             args = build_parser().parse_args(list(argv))
         except SystemExit as exc:
             return exc.code
-        report = payload(args)
+        text = render_report(payload(args), args.format)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -451,7 +462,7 @@ def run(argv: Sequence[str]) -> int:
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(render_report(report, args.format))
+    sys.stdout.write(text)
     return 0
 
 

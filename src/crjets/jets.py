@@ -177,14 +177,6 @@ class Jet:
         for code in sorted(self.terms):
             yield decode(code), self.terms[code]
 
-    def homogeneous_part(self, degree: int) -> Jet:
-        deg = self.alphabet.degree
-        return Jet._raw(
-            self.alphabet,
-            self.order,
-            {c: v for c, v in self.terms.items() if deg(c) == degree},
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Jet):
             return NotImplemented
@@ -526,8 +518,9 @@ def compose_many(
     accumulator, seeded with P_0, and normalized once per output
     monomial at the end. Every product is one fused product with the
     shorter operand as the kernel's outer loop, and an intermediate
-    operand is kept in the kernel's unpacked form
-    (_kernels.finish_unpacked), since it is never a result.
+    operand is kept in the kernel's unpacked form, exact but not reduced
+    (_kernels.finish_unpacked), since it is never a result: only the
+    results are normalized.
 
     One outer is evaluated by Horner's rule, nested over the grouped
     variables with the last one outermost: for that variable, with
@@ -707,10 +700,10 @@ def _horner(acc: dict, polys: dict, k: int, cap: int,
     sum over the other variables for the groups whose v-exponent is e,
     acc = R_top, then acc = R_e + U * acc for e = top - 1, ..., 0. Each
     step is one fused product into a fresh accumulator seeded with R_e,
-    reduced once; the last step goes into acc. It is a module function,
-    not a closure in compose_many: a recursive closure refers to itself,
-    and that cycle would keep each call's substitutes alive until the
-    cyclic garbage collector runs.
+    kept as raw unreduced sums; the last step goes into acc. It is a
+    module function, not a closure in compose_many: a recursive closure
+    refers to itself, and that cycle would keep each call's substitutes
+    alive until the cyclic garbage collector runs.
     """
     for k in range(k, 0, -1):
         shift = grouped[k - 1]

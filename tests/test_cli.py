@@ -462,6 +462,30 @@ def test_exit_one_on_coefficient_past_the_digit_limit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error")
 
 
+# A germ with one 2,501-digit coefficient, under the parse limit of 4,300
+# digits, whose results need integers past it.
+OVERSIZE_RESULTS = dict(
+    TILTED,
+    order=5,
+    phi=[
+        {"monomial": {"z1": 1, "zb1": 1}, "coefficient": "1"},
+        {"monomial": {"t1": 2}, "coefficient": "1"},
+        {"monomial": {"z1": 1, "zb1": 1, "t1": 1}, "coefficient": str(10**2500 + 7)},
+    ],
+)
+
+
+@pytest.mark.parametrize("command", ["central", "normalize", "phi"])
+def test_exit_two_on_a_result_past_the_digit_limit(tmp_path, capsys, command):
+    path = drop(tmp_path, "big.json", OVERSIZE_RESULTS)
+    for flags in ((), ("--format", "json")):
+        assert cli.run([command, path, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("precondition violated: " + command)
+        assert "4300 decimal digits" in err
+
+
 def test_exit_one_on_usage_errors(capsys):
     assert cli.run([]) == 1
     assert cli.run(["no-such-command", "x.json"]) == 1

@@ -21,7 +21,9 @@ that the README's two commands leave out:
   split_core and verify_lift, and with the scaling map z1 -> 2 z1,
   eta -> 4 eta its multiplier 4 gives the real and imaginary parts of
   the lift nontrivial data; rigid-check reads the same germ;
-* phi at order 1 refuses the README's quadric with exit code 2.
+* phi at order 1 refuses the README's quadric with exit code 2;
+* phi on OVERSIZE, whose one coefficient has 2,501 digits, under the
+  parse limit, exits 2 when a result needs an integer past the limit.
 """
 
 import json
@@ -78,6 +80,13 @@ HEIGHT = {"order": 8, "h": [term("1/2", x=2), term("1", x=4), term("-1/3", x=6)]
 
 SPLIT = {"nu": 1, "nprime": 1, "order": 4, "phi": [term("1", z1=1, zb1=1), term("1", t1=2)]}
 
+OVERSIZE = {
+    "nu": 1,
+    "nprime": 1,
+    "order": 5,
+    "phi": [term("1", z1=1, zb1=1), term("1", t1=2), term(str(10**2500 + 7), z1=1, zb1=1, t1=1)],
+}
+
 IDENTITY = {"order": 4, "z": [[term("1", z1=1)]], "w": [term("1", eta=1)]}
 
 SCALING = {"order": 4, "z": [[term("2", z1=1)]], "w": [term("4", eta=1)]}
@@ -98,6 +107,7 @@ RUNS = [
     ("lift", (SPLIT, SPLIT, SCALING), ("--check",), 0),
     ("rigid-check", (SPLIT,), ("--check",), 0),
     ("phi", (QUADRIC,), ("--order", "1"), 2),
+    ("phi", (OVERSIZE,), ("--format", "json"), 2),
 ]
 
 

@@ -216,7 +216,7 @@ def test_mul_into_accumulates_raw_products(case):
     got = crjets._kernels.finish(acc)
     assert jet_to_poly(Jet(alphabet, cap, got)) == padd(padd(seed, pmul(p, q, cap)), pmul(r, s, cap))
     assert_normalized(got)
-    assert crjets._kernels.finish_unpacked(acc) == crjets._kernels.unpack(got)
+    assert_raw_form_of(crjets._kernels.finish_unpacked(acc), got)
 
 
 def test_unpack_sorts_by_code():
@@ -252,15 +252,24 @@ def raw_accumulators(draw):
     return acc
 
 
+def assert_raw_form_of(raw, finished):
+    """raw is code-sorted, free of zeros, and holds finished's monomials,
+    each an exact but possibly unreduced (code, a, b, d) with d > 0."""
+    assert [t[0] for t in raw] == sorted(finished)
+    for c, a, b, d in raw:
+        assert d > 0
+        assert GaussianRational.normalize(a, b, d) == finished[c]
+
+
 @given(raw_accumulators())
 @example({9: [3 * 2**1001, 6, 9], 2: [0, 0, 7], 5: [4, -8, 12], 1: [-(2**1100), 2**1099, 2**1050]})
 def test_finish_unpacked_is_unpack_of_finish(acc):
-    """The kernel form of a finished accumulator: code-sorted, reduced by
-    the gcd of numerators and denominator, zeros dropped."""
+    """The kernel form of an accumulator has finish's values: code-sorted,
+    zeros dropped, each term equal as a rational to finish's, left
+    unreduced."""
     got = crjets._kernels.finish_unpacked(acc)
-    assert got == crjets._kernels.unpack(crjets._kernels.finish(acc))
+    assert_raw_form_of(got, crjets._kernels.finish(acc))
     assert [t[0] for t in got] == sorted(c for c, (a, b, _) in acc.items() if a or b)
-    assert_normalized({c: GaussianRational.from_normalized(a, b, d) for c, a, b, d in got})
 
 
 @given(polys(), polys(), polys())
@@ -457,24 +466,24 @@ U_ARG = {X: ONE, (1, 1): (Fraction(-1, 2), Fraction(1))}
 
 
 @st.composite
-def substitutes(draw, order):
+def substitutes(draw, order, coefficients=coefs):
     """A substitute over XY: a coefficient-1 monomial, a monomial with
     another coefficient, or a polynomial without constant term."""
     kind = draw(st.sampled_from(("monomial", "scaled", "poly")))
     if kind in ("monomial", "scaled"):
         degree = draw(st.integers(1, order + 1))
         i = draw(st.integers(0, degree))
-        coef = ONE if kind == "monomial" else draw(coefs.filter(lambda c: c != ZERO))
+        coef = ONE if kind == "monomial" else draw(coefficients.filter(lambda c: c != ZERO))
         return {(i, degree - i): coef}
-    return draw(polys(order, 2, min_degree=1))
+    return draw(polys(order, 2, min_degree=1, coefficients=coefficients))
 
 
 @st.composite
-def compositions(draw):
+def compositions(draw, coefficients=coefs):
     """(outers over XYU, substitutes over XY for x, y, u, order, cap)."""
     order = draw(st.integers(1, 5))
-    args = [draw(substitutes(order)) for _ in XYU.names]
-    outers = draw(st.lists(polys(order, 3), min_size=1, max_size=3))
+    args = [draw(substitutes(order, coefficients)) for _ in XYU.names]
+    outers = draw(st.lists(polys(order, 3, coefficients=coefficients), min_size=1, max_size=3))
     cap = draw(st.one_of(st.none(), st.integers(0, order)))
     return outers, args, order, cap
 
@@ -498,7 +507,23 @@ def compositions(draw):
 @example(([{}, {(1, 0, 1): ONE}], [{X: ONE}, {Y: ONE}, U_ARG], 3, None))
 @settings(max_examples=80, deadline=None)
 def test_compose_many_matches_oracle(case):
-    outer_polys, args, order, cap = case
+    assert_composes_as_the_oracle(*case)
+
+
+@given(compositions(wide_coefs))
+# one outer, by Horner's rule: the partial sums of u = x/2 + y/2 hold
+# 2/4 on x*y unreduced, and HUGE's parts share factors with them
+@example(([{(0, 0, 3): HUGE, (1, 0, 1): TWO, (0, 0, 2): TWO}], [{X: ONE}, {Y: ONE}, {X: HALF, Y: HALF}], 4, None))
+# several outers sharing the unreduced powers u^2 and u^3
+@example(([{(0, 0, 2): TWO}, {(0, 0, 3): HUGE, (0, 1, 1): ONE}], [{X: ONE}, {Y: ONE}, {X: HALF, Y: HUGE}], 4, None))
+@settings(max_examples=40, deadline=None)
+def test_compose_many_matches_oracle_on_wide_coefficients(case):
+    """Intermediate powers and partial sums stay unreduced inside
+    compose_many; the results are still exact and normalized."""
+    assert_composes_as_the_oracle(*case)
+
+
+def assert_composes_as_the_oracle(outer_polys, args, order, cap):
     outers = [poly_to_jet(p, XYU, order) for p in outer_polys]
     subs = [poly_to_jet(a, XY, order) for a in args]
     got = compose_many(outers, dict(zip(XYU.names, subs)), alphabet=XY, order=cap)
@@ -614,7 +639,7 @@ def test_one_outer_is_evaluated_by_horners_rule(monkeypatch):
     monkeypatch.setattr(crjets._kernels, "finish_unpacked", finish_unpacked)
     (got,) = compose_many([outer], {"x": tx, "y": ty, "u": arg})
     # u^3 y + u^2 x + x = x + u (u (u y + x)): the partial sums y, u y + x
-    # and u (u y + x) are each reduced once, each of the three Horner steps
+    # and u (u y + x) are each finished once, each of the three Horner steps
     # is one fused product, and the last one goes into the result; no
     # power of u is built
     assert calls == ["finish_unpacked", "mul_into"] * 3
@@ -848,11 +873,10 @@ def test_monomials_come_out_graded():
     assert degs == sorted(degs)
 
 
-def test_valuation_and_homogeneous_part():
+def test_valuation():
     x, y = Jet.variable(XY, 5, "x"), Jet.variable(XY, 5, "y")
     f = x * y + x * x * x
     assert f.valuation() == 2
-    assert f.homogeneous_part(2) == x * y
     assert Jet.zero(XY, 5).valuation() == 6
 
 

@@ -3,9 +3,12 @@ exact at its reliable order, so terms of G past N cannot move it.
 
 Each case takes G and G' = G plus the real part of random terms of
 degrees N + 1 .. N + K, at order N + K, and compares what phi (the
-section Hessian entries), normalize (the square maps) and lift (the t
-components) report for both, the second truncated to the first's
-reliable order.
+section Hessian entries), central (the critical graph, the restricted
+and the straightened phi), normalize (the base and the square maps),
+external (the lift) and lift (the t components) report for both, the
+second truncated to the first's reliable order, which is checked to be
+the one the command reports. ode's right side is compared the same way
+on a height and its extension by even terms.
 """
 
 import random
@@ -17,11 +20,13 @@ from crjets import (
     Jet,
     compose_many,
     equivalence_alphabet,
+    external_lift,
     implicit_solve,
     lift_equivalence,
     make_equivalence,
     make_germ,
     morse_normalize,
+    ode_right_side,
     standard_alphabet,
     straighten,
 )
@@ -30,7 +35,14 @@ from crjets.errors import DegenerateFormError
 from crjets.germs import defining_pullback
 from crjets.segre import certified_section_hessian
 
-from germ_corpus import rand_fraction, rand_scalar, random_central, random_definite_germ, random_germ
+from germ_corpus import (
+    rand_fraction,
+    rand_scalar,
+    random_central,
+    random_definite_germ,
+    random_germ,
+    random_height,
+)
 
 
 def extended(germ, rng, k, count=4):
@@ -92,12 +104,57 @@ def test_low_order_section_hessian_entries_are_honest(seed, nu, order):
 
 
 @pytest.mark.parametrize("seed", CASES)
-def test_square_maps_are_honest(seed):
+def test_central_reports_are_honest(seed):
+    """central's graph at N - 1, and its restricted and straightened phi
+    at N."""
     rng, nu, nprime, n, k = case(seed)
     germ = random_germ(rng, nu, max(nprime, 1), n)
-    maps = [morse_normalize(straighten(g)[1]).maps for g in (germ, extended(germ, rng, k))]
-    assert maps[0][0].order == n - 1
-    assert_honest(*maps)
+    reports = []
+    for g in (germ, extended(germ, rng, k)):
+        manifold, flat = straighten(g)
+        reports.append((manifold.graph, (manifold.core.phi, flat.phi)))
+    (graph, phis), (high_graph, high_phis) = reports
+    assert [j.order for j in graph] == [n - 1] * len(graph)
+    assert [j.order for j in phis] == [n, n]
+    assert_honest(graph, high_graph)
+    assert_honest(phis, high_phis)
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_square_maps_are_honest(seed):
+    """normalize's square maps at N - 1 and its base at N."""
+    rng, nu, nprime, n, k = case(seed)
+    germ = random_germ(rng, nu, max(nprime, 1), n)
+    forms = [morse_normalize(straighten(g)[1]) for g in (germ, extended(germ, rng, k))]
+    assert forms[0].maps[0].order == n - 1
+    assert forms[0].base.order == n
+    assert_honest(*(form.maps for form in forms))
+    assert_honest(*((form.base,) for form in forms))
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_external_lift_is_honest(seed):
+    rng, nu, nprime, n, k = case(seed)
+    germ = random_germ(rng, nu, nprime, n)
+    lifts = [external_lift(g).lift.phi for g in (germ, extended(germ, rng, k))]
+    assert lifts[0].order == n
+    assert_honest(*([lift] for lift in lifts))
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_ode_right_side_is_honest(seed):
+    """A height of order N = 4..9 and its extension by real even terms of
+    degrees N + 1 .. N + 4: the right side, at order N // 2, is forced by
+    the height's terms through degree N. Odd terms would obstruct the
+    profile equation, so none is added."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    height = random_height(rng, n)
+    extra = {(d,): rand_fraction(rng, nonzero=True) for d in range(n + 1, n + 5) if d % 2 == 0}
+    high = Jet(height.alphabet, n + 4, height.terms) + Jet.from_terms(height.alphabet, n + 4, extra)
+    sides = [ode_right_side(h) for h in (height, high)]
+    assert sides[0].order == n // 2
+    assert_honest(*([side] for side in sides))
 
 
 def source_core(target, z_maps, w_map):
