@@ -20,6 +20,14 @@ to run rather than guess.
 One method, ``remap``, moves monomial codes from one set of variables to
 another: it serves renaming, conjugation (a renaming by the involution)
 and monomial substitution alike.
+
+The package's fixed alphabets are shared. germs.standard_alphabet and the
+segre and equivalence factories keep one alphabet per count (an
+``lru_cache`` of INTERN_SIZE entries), and the one-letter alphabets of a
+height (x) and of its profile (u) are module constants. Equality still
+compares names and conjugation, but between shared alphabets its identity
+test decides. No alphabet is changed after construction, which sharing
+relies on.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .errors import PreconditionError
 SMALL_VAR_BITS = 6
 WIDE_VAR_BITS = 16
 SMALL_LIMIT = 9  # max variables for the 64-bit packing
+INTERN_SIZE = 64  # alphabets an interning factory keeps
 
 
 class Alphabet:

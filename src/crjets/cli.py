@@ -44,8 +44,8 @@ from .germs import (
     characteristic_covector,
     first_integrals,
     frame,
+    _t_block,
     levi_form,
-    t_hessian,
 )
 from .io import (
     canonical_dumps,
@@ -210,7 +210,7 @@ def cmd_levi(args: argparse.Namespace) -> Sections:
         "levi_matrix": form.matrix,
         "signature": _signature(form),
         "nondegenerate": form.nondegenerate,
-        "t_hessian": t_hessian(germ),
+        "t_hessian": _t_block(form.matrix, germ.nu),
         "covector_holomorphic": cov.holomorphic,
         "covector_imaginary_part": cov.imaginary_real_basis,
     }

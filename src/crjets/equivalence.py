@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .alphabet import Alphabet
+from .alphabet import INTERN_SIZE, Alphabet
 from .errors import PreconditionError, certify
 from .germs import (
     StructureGerm,
@@ -40,7 +41,6 @@ from .germs import (
     defining_pullback,
     is_solution,
     levi_form,
-    make_germ,
     model_germ,
     standard_alphabet,
 )
@@ -49,11 +49,13 @@ from .linalg import rank
 from .rationals import I, rational_sqrt
 
 
+@lru_cache(maxsize=INTERN_SIZE)
 def equivalence_alphabet(nu: int) -> Alphabet:
     """(z_1..z_nu, eta): the holomorphic arguments of a core map."""
     return Alphabet(tuple(f"z{j}" for j in range(1, nu + 1)) + ("eta",), None)
 
 
+@lru_cache(maxsize=INTERN_SIZE)
 def multiplier_alphabet(nu: int) -> Alphabet:
     """(z, zb, s, v) with real s, v: where the multiplier lives."""
     names = (
@@ -159,8 +161,12 @@ def split_core(model: StructureGerm) -> tuple[StructureGerm, list[Fraction]]:
     """The core sigma = phi(z, zb, s, 0) and the coefficients c_l of a
     germ in split normal form sigma + sum_l c_l t_l^2: each c_l is read as
     phi's t_l^2 coefficient, and the split is certified by rebuilding the
-    form with model_germ and comparing it with phi."""
-    core = make_germ(model.nu, 0, at_t_zero(model.phi, model.nu))
+    form with model_germ and comparing it with phi.
+
+    The core is built without make_germ: the t = 0 slice of a validated
+    germ drops terms only, so it stays real, zero at the origin and free
+    of linear terms."""
+    core = StructureGerm(model.nu, 0, at_t_zero(model.phi, model.nu))
     coeffs: list[Fraction] = []
     for name in model.t_names():
         c = model.phi.coefficient({name: 2})

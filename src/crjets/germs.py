@@ -16,20 +16,33 @@ s and t are real. The associated objects computed here:
     inertia (levi_form);
   * the characteristic covector and the real-basis decomposition of its
     imaginary part.
+
+make_germ validates a phi: its alphabet, reality, vanishing at the
+origin and vanishing differential. It runs where a phi comes from outside
+or from a composition: io.germ_from_json, central.straighten,
+central.central_manifold and marson.external_lift. A germ whose phi is
+built from a validated one by renaming, slicing at t = 0 or adding real
+t_l^2 terms is wrapped in StructureGerm directly, as model_germ,
+equivalence.split_core and straighten's core are: those steps keep all
+four properties. standard_alphabet returns one shared alphabet per count
+(see the alphabet module), so for a jet built over it make_germ's
+alphabet comparison is an identity test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .alphabet import Alphabet
+from .alphabet import INTERN_SIZE, Alphabet
 from .errors import PreconditionError, certify
 from .jets import Jet, compose_many
 from .linalg import hermitian_signature
 from .rationals import ZERO, GaussianRational, I, MINUS_I
 
+@lru_cache(maxsize=INTERN_SIZE)
 def standard_alphabet(nu: int, nprime: int) -> Alphabet:
     """Variables (z_1..z_nu, zb_1..zb_nu, s, t_1..t_nprime), z conjugate to zb.
 
@@ -113,7 +126,11 @@ def model_germ(core: StructureGerm, coeffs: Sequence[Fraction]) -> StructureGerm
     """The split normal form sigma + sum_l c_l t_l^2 over a core sigma, the
     one builder of that form. Each square is the single term t_l^2 with
     coefficient c_l, so no product is formed, and a core of order 1, which
-    cannot carry it, is refused."""
+    cannot carry it, is refused.
+
+    The germ is built without make_germ: renaming the validated core into
+    the larger standard alphabet keeps it real, zero at the origin and
+    free of linear terms, and real t_l^2 terms break none of the three."""
     full = standard_alphabet(core.nu, len(coeffs))
     squares = {}
     for l, c in enumerate(coeffs, start=1):
@@ -121,7 +138,7 @@ def model_germ(core: StructureGerm, coeffs: Sequence[Fraction]) -> StructureGerm
             raise PreconditionError("normal-form quadratic coefficients must be nonzero")
         squares[full.encode_dict({f"t{l}": 2})] = GaussianRational(c)
     phi = core.phi.rename({}, full) + Jet(full, core.order, squares)
-    return make_germ(core.nu, len(coeffs), phi)
+    return StructureGerm(core.nu, len(coeffs), phi)
 
 
 def first_integrals(germ: StructureGerm) -> dict[str, Jet]:
@@ -230,8 +247,12 @@ def t_hessian(germ: StructureGerm) -> list[list[Fraction]]:
     since its entries (l, r) and (r, l) are one coefficient."""
     if not germ.nprime:
         return []  # no t-block, and no reason to read the z-block of a wide germ
-    nu = germ.nu
-    return [[x.real for x in row[nu:]] for row in levi_matrix(germ)[nu:]]
+    return _t_block(levi_matrix(germ), germ.nu)
+
+
+def _t_block(matrix: LeviMatrix, nu: int) -> list[list[Fraction]]:
+    """The t-block of a Levi matrix read already, as rational numbers."""
+    return [[x.real for x in row[nu:]] for row in matrix[nu:]]
 
 
 def levi_matrix(germ: StructureGerm) -> LeviMatrix:

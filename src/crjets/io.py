@@ -25,6 +25,9 @@ from .germs import StructureGerm, make_germ, standard_alphabet
 from .jets import Jet
 from .rationals import GaussianRational
 
+# The one variable of a height jet h(x), shared by every parsed height.
+HEIGHT_ALPHABET = Alphabet(("x",), None)
+
 
 def fraction_to_text(x: Fraction) -> str:
     return _ratio_text(x.numerator, x.denominator)
@@ -114,50 +117,67 @@ def _ratio_from_json(value: Any) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+_RECORD_KEYS = frozenset(("monomial", "coefficient"))
+
+
 def terms_from_json(
     records: Any, alphabet: Alphabet, order: int, label: str
 ) -> Jet:
-    """Build a jet from term records, with located diagnostics."""
+    """Build a jet from term records, with located diagnostics.
+
+    Each monomial is read in one pass that checks every name and exponent
+    and sums the code and the degree. A field can overflow only if the
+    degree passes the field width, which needs an order above the packing
+    limit; only then is the monomial packed again by encode_dict, whose
+    check refuses an exponent the field cannot hold.
+    """
     if not isinstance(records, list):
         raise ParseError(f"{label}: expected a list of term records")
+    index = alphabet.index
+    shifts = alphabet.shifts
     seen: dict[int, int] = {}
     data: dict[int, GaussianRational] = {}
     for k, record in enumerate(records):
-        where = f"{label} term {k}"
         if not isinstance(record, dict):
-            raise ParseError(f"{where}: expected an object")
-        extra = set(record) - {"monomial", "coefficient"}
-        if extra:
-            raise ParseError(f"{where}: unexpected keys {sorted(extra)}")
+            raise ParseError(f"{label} term {k}: expected an object")
+        if not record.keys() <= _RECORD_KEYS:
+            extra = set(record) - _RECORD_KEYS
+            raise ParseError(f"{label} term {k}: unexpected keys {sorted(extra)}")
         mono = record.get("monomial", {})
         if not isinstance(mono, dict):
-            raise ParseError(f"{where}: monomial must map variables to exponents")
-        exponents: dict[str, int] = {}
+            raise ParseError(f"{label} term {k}: monomial must map variables to exponents")
+        code = degree = 0
         for name, e in mono.items():
-            if name not in alphabet.index:
+            i = index.get(name)
+            if i is None:
                 raise ParseError(
-                    f"{where}: unknown variable {name!r}; expected one of {list(alphabet.names)}"
+                    f"{label} term {k}: unknown variable {name!r}; "
+                    f"expected one of {list(alphabet.names)}"
                 )
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ParseError(f"{where}: exponent of {name!r} must be a nonnegative integer")
-            if e:
-                exponents[name] = e
-        degree = sum(exponents.values())
+                raise ParseError(
+                    f"{label} term {k}: exponent of {name!r} must be a nonnegative integer"
+                )
+            code += e << shifts[i]
+            degree += e
         if degree > order:
             raise ParseError(
-                f"{where}: total degree {degree} exceeds the order {order}"
+                f"{label} term {k}: total degree {degree} exceeds the order {order}"
             )
         try:
             coeff = scalar_from_json(record.get("coefficient", "0"))
         except ParseError as exc:
-            raise ParseError(f"{where}: {exc}") from None
-        try:
-            code = alphabet.encode_dict(exponents)
-        except PreconditionError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+            raise ParseError(f"{label} term {k}: {exc}") from None
+        if degree > alphabet.max_exponent:
+            try:
+                code = alphabet.encode_dict(mono)
+            except PreconditionError as exc:
+                raise ParseError(f"{label} term {k}: {exc}") from None
+        else:
+            code += degree << alphabet.deg_shift
         if code in seen:
             raise ParseError(
-                f"{where}: duplicate of term {seen[code]} with the same monomial"
+                f"{label} term {k}: duplicate of term {seen[code]} with the same monomial"
             )
         seen[code] = k
         if not coeff.is_zero():
@@ -244,8 +264,7 @@ def height_from_json(obj: Any, order_override: int | None = None) -> Jet:
     if not isinstance(obj, dict):
         raise ParseError("height file must be a JSON object")
     order = _require_count(obj, "order", minimum=2)
-    alphabet = Alphabet(("x",), None)
-    h = terms_from_json(obj.get("h"), alphabet, order, "h")
+    h = terms_from_json(obj.get("h"), HEIGHT_ALPHABET, order, "h")
     return _override_order(h, order_override, 2, " for a height jet")
 
 

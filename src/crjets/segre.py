@@ -54,8 +54,9 @@ order, and reports say so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .alphabet import Alphabet
+from .alphabet import INTERN_SIZE, Alphabet
 from .central import central_manifold
 from .errors import (
     DegenerateFormError,
@@ -70,8 +71,11 @@ from .solve import implicit_solve
 
 TWO_I = GaussianRational(0, 2)
 MINUS_TWO_I = GaussianRational(0, -2)
+# The one variable u of the profile equation's right side.
+PROFILE_ALPHABET = Alphabet(("u",), None)
 
 
+@lru_cache(maxsize=INTERN_SIZE)
 def segre_alphabet(nu: int) -> Alphabet:
     """(z_1..z_nu, zb_1..zb_nu, w, wb) with z/zb and w/wb conjugate pairs."""
     names = (
@@ -84,6 +88,7 @@ def segre_alphabet(nu: int) -> Alphabet:
     return Alphabet(names, conj)
 
 
+@lru_cache(maxsize=INTERN_SIZE)
 def elimination_alphabet(nu: int) -> Alphabet:
     """(z, w, wp, ab): holomorphic variables plus stand-ins ab for the
     frozen conjugate parameters zb. Carries no conjugation on purpose."""
@@ -96,6 +101,7 @@ def elimination_alphabet(nu: int) -> Alphabet:
     return Alphabet(names, None)
 
 
+@lru_cache(maxsize=INTERN_SIZE)
 def section_parameter_alphabet(nu: int) -> Alphabet:
     """(z_1..z_nu, w, wp_1..wp_nu): where the section functions live."""
     names = [f"z{j}" for j in range(1, nu + 1)] + ["w"] + [
@@ -449,7 +455,6 @@ def ode_right_side(height: Jet) -> Jet:
     lhs, inner = ode_sides(height)
 
     half = order // 2
-    u_alpha = Alphabet(("u",), None)
     coeffs: list[GaussianRational] = []
     powers = [Jet.constant(alpha, order, 1)]
     for _ in range(half):
@@ -468,4 +473,4 @@ def ode_right_side(height: Jet) -> Jet:
         raise OdeUnsolvableError(
             f"profile equation obstructed: residual starts at degree {bad}", bad
         )
-    return Jet.from_terms(u_alpha, half, {(k,): ck for k, ck in enumerate(coeffs, start=1)})
+    return Jet.from_terms(PROFILE_ALPHABET, half, {(k,): ck for k, ck in enumerate(coeffs, start=1)})

@@ -417,3 +417,58 @@ def previous_characteristic_covector(germ):
     for l in range(1, germ.nprime + 1):
         imag[f"dt{l}"] = (c * phi.derive(f"t{l}") * I).imag_part()
     return CharacteristicCovector(holo, imag)
+
+
+# Term-record parsing as it was before each record was read in one pass:
+# the exponents are collected into a dict of nonzero entries, summed for
+# the degree and packed by Alphabet.encode_dict, whose own checks refuse
+# an exponent past the field width.
+
+
+def previous_terms_from_json(records, alphabet, order, label):
+    """io.terms_from_json record by record, with every check in its order."""
+    from crjets import Jet
+    from crjets.errors import ParseError, PreconditionError
+    from crjets.io import scalar_from_json
+
+    if not isinstance(records, list):
+        raise ParseError(f"{label}: expected a list of term records")
+    seen = {}
+    data = {}
+    for k, record in enumerate(records):
+        where = f"{label} term {k}"
+        if not isinstance(record, dict):
+            raise ParseError(f"{where}: expected an object")
+        extra = set(record) - {"monomial", "coefficient"}
+        if extra:
+            raise ParseError(f"{where}: unexpected keys {sorted(extra)}")
+        mono = record.get("monomial", {})
+        if not isinstance(mono, dict):
+            raise ParseError(f"{where}: monomial must map variables to exponents")
+        exponents = {}
+        for name, e in mono.items():
+            if name not in alphabet.index:
+                raise ParseError(
+                    f"{where}: unknown variable {name!r}; expected one of {list(alphabet.names)}"
+                )
+            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+                raise ParseError(f"{where}: exponent of {name!r} must be a nonnegative integer")
+            if e:
+                exponents[name] = e
+        degree = sum(exponents.values())
+        if degree > order:
+            raise ParseError(f"{where}: total degree {degree} exceeds the order {order}")
+        try:
+            coeff = scalar_from_json(record.get("coefficient", "0"))
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+        try:
+            code = alphabet.encode_dict(exponents)
+        except PreconditionError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+        if code in seen:
+            raise ParseError(f"{where}: duplicate of term {seen[code]} with the same monomial")
+        seen[code] = k
+        if not coeff.is_zero():
+            data[code] = coeff
+    return Jet(alphabet, order, data)

@@ -1,12 +1,20 @@
-"""Alphabet's input checks and derived alphabets."""
+"""Alphabet's input checks, derived alphabets and the interned fixed alphabets."""
 
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from crjets import Alphabet, Jet
+from crjets import Alphabet, Jet, equivalence_alphabet, ode_right_side, standard_alphabet
+from crjets.equivalence import multiplier_alphabet
 from crjets.errors import PreconditionError
+from crjets.io import HEIGHT_ALPHABET, height_from_json
+from crjets.segre import (
+    PROFILE_ALPHABET,
+    elimination_alphabet,
+    section_parameter_alphabet,
+    segre_alphabet,
+)
 
 XYZ = Alphabet(("x", "y", "z"), None)
 ZZB = Alphabet(("z", "zb", "t"), {"z": "zb"})
@@ -101,3 +109,41 @@ def test_constructor_refuses_bad_conjugations():
     # z -> zb and zb -> t: conjugating twice does not return to z
     with pytest.raises(PreconditionError, match="^conjugation is not an involution at 'z'$"):
         Alphabet(("z", "zb", "t"), {"z": "zb", "zb": "t"})
+
+
+# The fixed alphabets are interned: one object per count, so that the
+# alphabet comparisons of make_germ, at_zero and compose_many are
+# identity tests.
+INTERNED = [
+    (standard_alphabet, (2, 1), (1, 1)),
+    (standard_alphabet, (0, 0), (0, 1)),
+    (segre_alphabet, (2,), (1,)),
+    (elimination_alphabet, (2,), (1,)),
+    (section_parameter_alphabet, (2,), (1,)),
+    (equivalence_alphabet, (2,), (1,)),
+    (multiplier_alphabet, (2,), (1,)),
+]
+
+
+@pytest.mark.parametrize("factory, counts, other", INTERNED)
+def test_alphabet_factories_return_one_object_per_count(factory, counts, other):
+    shared = factory(*counts)
+    assert factory(*counts) is shared
+    assert factory(*other) is not shared and factory(*other) != shared
+    # equality keeps its meaning for alphabets built apart
+    assert Alphabet(shared.names, shared.conj_map) == shared
+
+
+def test_refused_counts_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(PreconditionError, match="negative count of complex variables"):
+            standard_alphabet(-1, 0)
+        with pytest.raises(PreconditionError, match="negative count of real parameters"):
+            standard_alphabet(0, -1)
+
+
+def test_one_letter_alphabets_are_shared():
+    first = height_from_json({"order": 4, "h": [{"monomial": {"x": 2}, "coefficient": "1"}]})
+    second = height_from_json({"order": 6, "h": [{"monomial": {"x": 2}, "coefficient": "3"}]})
+    assert first.alphabet is second.alphabet is HEIGHT_ALPHABET
+    assert ode_right_side(first).alphabet is ode_right_side(second).alphabet is PROFILE_ALPHABET

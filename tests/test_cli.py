@@ -9,13 +9,15 @@ import os
 import random
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crjets import Jet, central, cli, compose_many, linalg, make_germ, marson, segre
+from crjets import Jet, central, cli, compose_many, germs, linalg, make_germ, marson, segre
 from crjets.errors import InvariantError, recording
-from crjets.io import canonical_dumps
+from crjets.germs import levi_matrix, t_hessian
+from crjets.io import canonical_dumps, fraction_to_text
 from crjets.rationals import MINUS_I
 
 from germ_corpus import random_definite_germ, random_fiber_map, random_germ, random_height
@@ -86,6 +88,24 @@ def test_levi_quadric(tmp_path, capsys):
     assert res["signature"] == {"positive": 1, "negative": 0, "null": 0}
     assert res["nondegenerate"] is True
     assert report["checks"]["frame_annihilates_first_integrals"] is True
+
+
+@pytest.mark.parametrize("nu, nprime", [(1, 0), (1, 2), (2, 1), (0, 1)])
+def test_levi_reads_the_levi_matrix_once(tmp_path, capsys, monkeypatch, nu, nprime):
+    """The report's t_hessian is the t-block of the Levi matrix already read
+    for levi_matrix, equal to germs.t_hessian."""
+    germ = random_germ(random.Random(10 * nu + nprime), nu, nprime, 4)
+    path = drop(tmp_path, "g.json", germ_to_json(germ))
+    reads = []
+
+    def counted(g):
+        reads.append(g)
+        return levi_matrix(g)
+
+    monkeypatch.setattr(germs, "levi_matrix", counted)
+    res = run_json(tmp_path, capsys, "levi", path)["results"]
+    assert len(reads) == 1
+    assert res["t_hessian"] == [[fraction_to_text(x) for x in row] for row in t_hessian(germ)]
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):
@@ -901,3 +921,24 @@ def test_fuzzed_runs_keep_the_exit_code_contract(invocation):
                 pytest.fail(f"cli.run raised {exc!r}")
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def test_ode_is_covariant_through_the_cli(tmp_path, capsys):
+    """crjets ode on h, h(lam x) and c h: the same right side psi for the
+    first two, and u -> c psi(u / c) for the third."""
+    h = random_height(random.Random(41), 12)
+    lam, c = Fraction(-3, 2), Fraction(2, 3)
+    heights = {
+        "h": h,
+        "scaled": Jet.from_terms(h.alphabet, h.order, {(k,): v * lam ** k for (k,), v in h.monomials()}),
+        "multiple": h * c,
+    }
+    sides = {}
+    for name, jet in heights.items():
+        path = drop(tmp_path, f"{name}.json", {"order": jet.order, "h": terms_to_json(jet)})
+        sides[name] = run_json(tmp_path, capsys, "ode", path, extra=("--check",))["results"]["right_side"]
+    assert sides["scaled"] == sides["h"]
+    psi = {record["monomial"]["u"]: Fraction(record["coefficient"]) for record in sides["h"]["terms"]}
+    assert {
+        record["monomial"]["u"]: Fraction(record["coefficient"]) for record in sides["multiple"]["terms"]
+    } == {k: v * c ** (1 - k) for k, v in psi.items()}

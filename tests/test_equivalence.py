@@ -26,7 +26,7 @@ from crjets import equivalence
 from crjets.equivalence import split_core
 from crjets.errors import PreconditionError
 
-from germ_corpus import random_central
+from germ_corpus import random_central, random_definite_germ, sparse_real_germ
 
 K = 6
 
@@ -216,3 +216,31 @@ def test_split_core_round_trip():
 def test_split_core_reads_back_model_germ(nu, coeffs, seed):
     core = random_central(random.Random(seed), nu=nu, order=4, degmax=3)
     assert split_core(model_germ(core, coeffs)) == (core, coeffs)
+
+
+CORE_KINDS = {
+    "central": lambda rng, nu, order: random_central(rng, nu=nu, order=order, degmax=3),
+    "definite": lambda rng, nu, order: random_definite_germ(rng, nu, 0, order, degmax=3),
+    "sparse": lambda rng, nu, order: sparse_real_germ(rng, nu, 0, order),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(CORE_KINDS)),
+    st.integers(0, 2),
+    st.integers(2, 5),
+    st.lists(
+        st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 5)), max_size=3
+    ),
+    st.integers(0, 2**32),
+)
+def test_germs_built_without_make_germ_pass_it(kind, nu, order, coeffs, seed):
+    """model_germ and split_core wrap their phi without make_germ, on the
+    premise that a validated core stays real and flat; make_germ accepts
+    every germ they build."""
+    core = CORE_KINDS[kind](random.Random(seed), nu, order)
+    model = model_germ(core, coeffs)
+    read, _ = split_core(model)
+    for germ in (model, read):
+        assert make_germ(germ.nu, germ.nprime, germ.phi) == germ

@@ -1,4 +1,5 @@
-"""JSON serialization: round trips, located diagnostics, order overrides."""
+"""JSON serialization: round trips, located diagnostics, order overrides,
+and term-record parsing against the record-by-record oracle."""
 
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crjets import Alphabet, GaussianRational, Jet, make_germ, generators, standard_alphabet
-from crjets.errors import ParseError
+from crjets.errors import CRJetsError, ParseError
 from crjets.io import (
     canonical_dumps,
     fraction_to_text,
@@ -21,6 +22,7 @@ from crjets.io import (
 
 from germ_corpus import random_germ
 from json_oracle import germ_to_json, jet_to_json, oracle_dumps, scalar_to_json, stdlib_canonical
+from oracles import previous_terms_from_json
 
 import random
 
@@ -406,3 +408,89 @@ def test_literal_fast_path_matches_the_fraction_route():
 )
 def test_literal_fast_path_matches_the_fraction_route_on_drawn_literals(literal):
     assert_literal_agrees(literal)
+
+
+# terms_from_json against the record-by-record parser it replaced
+# (oracles.previous_terms_from_json): the same jet or the same error text
+# on well-formed and malformed records. Order 40 over 6-bit fields
+# lets a degree pass the field width (30) without passing the order.
+PARSE_ALPHABETS = [standard_alphabet(1, 0), standard_alphabet(1, 1), standard_alphabet(4, 2)]
+GOOD_COEFFICIENTS = ["1", "-2/3", "0", 5, {"re": "1/2", "im": "-3"}, {"im": "2"}]
+BAD_COEFFICIENTS = [0.5, "x", "1/0", True, None, {"re": "1", "q": "2"}, [1]]
+BAD_EXPONENTS = [-1, True, "2", 1.5, None]
+
+
+def terms_outcome(parse, records, alphabet, order):
+    """The jet, or the error's class and text; an order past the packing
+    limit that no record refuses is refused by the Jet itself."""
+    try:
+        return parse(records, alphabet, order, "phi")
+    except CRJetsError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def term_record(draw, names):
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([[], "term", 3, None]))
+    mono = {}
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(names + ["q"]) if draw(st.booleans()) else st.sampled_from(names))
+        if draw(st.integers(0, 14)) == 0:
+            mono[name] = draw(st.sampled_from(BAD_EXPONENTS))
+        else:
+            mono[name] = draw(st.integers(0, 36))
+    record = {}
+    if draw(st.integers(0, 9)):
+        record["monomial"] = mono if draw(st.integers(0, 19)) else [mono]
+    if draw(st.integers(0, 9)):
+        pool = GOOD_COEFFICIENTS + BAD_COEFFICIENTS if draw(st.integers(0, 5)) == 0 else GOOD_COEFFICIENTS
+        record["coefficient"] = draw(st.sampled_from(pool))
+    if draw(st.integers(0, 14)) == 0:
+        record["extra"] = 1
+    return record
+
+
+@st.composite
+def term_records(draw):
+    alphabet = draw(st.sampled_from(PARSE_ALPHABETS))
+    order = draw(st.sampled_from([1, 4, 12, 40]))
+    records = draw(st.lists(term_record(list(alphabet.names)), max_size=6))
+    if draw(st.integers(0, 29)) == 0:
+        records = {"terms": records}
+    return records, alphabet, order
+
+
+@settings(max_examples=400, deadline=None)
+@given(term_records())
+def test_terms_from_json_matches_the_record_by_record_parser(case):
+    records, alphabet, order = case
+    assert terms_outcome(terms_from_json, records, alphabet, order) == terms_outcome(
+        previous_terms_from_json, records, alphabet, order
+    )
+
+
+def test_terms_from_json_past_the_field_width():
+    """nu = 1 at order 40: z1^35 fits the order but not a 6-bit field, and
+    z1^20 zb1^15 has degree 35 with every exponent in range."""
+    alphabet = standard_alphabet(1, 0)
+    wide = [{"monomial": {"z1": 35}, "coefficient": "1"}]
+    spread = [{"monomial": {"z1": 20, "zb1": 15}, "coefficient": "1"},
+              {"monomial": {"zb1": 15, "z1": 20}, "coefficient": "2"}]
+    for records in (wide, spread, spread[:1]):
+        assert terms_outcome(terms_from_json, records, alphabet, 40) == terms_outcome(
+            previous_terms_from_json, records, alphabet, 40
+        )
+    assert terms_outcome(terms_from_json, wide, alphabet, 40) == (
+        "ParseError: phi term 0: exponent 35 outside [0, 30] for this alphabet"
+    )
+    assert terms_outcome(terms_from_json, spread, alphabet, 40) == (
+        "ParseError: phi term 1: duplicate of term 0 with the same monomial"
+    )
+    assert terms_outcome(terms_from_json, spread[:1], alphabet, 40) == (
+        "PreconditionError: order 40 exceeds 30, the packing limit for this alphabet"
+    )
+    wide_fields = standard_alphabet(4, 2)  # 16-bit fields: order 40 packs
+    jet = terms_from_json(spread[:1] + wide, wide_fields, 40, "phi")
+    assert jet.coefficient({"z1": 20, "zb1": 15}) == GaussianRational(1)
+    assert jet.coefficient({"z1": 35}) == GaussianRational(1)

@@ -2,10 +2,11 @@
 exact at its reliable order, so terms of G past N cannot move it.
 
 Each case takes G and G' = G plus the real part of random terms of
-degrees N + 1 .. N + K, at order N + K, and compares what phi (the
-section Hessian entries), central (the critical graph, the restricted
-and the straightened phi), normalize (the base and the square maps),
-external (the lift) and lift (the t components) report for both, the
+degrees N + 1 .. N + K, at order N + K, and compares what levi (the
+characteristic covector), phi (the section Hessian entries), central
+(the critical graph, the restricted and the straightened phi), normalize
+(the base and the square maps), external (the lift) and lift (the t
+components) report for both, the
 second truncated to the first's reliable order, which is checked to be
 the one the command reports. ode's right side is compared the same way
 on a height and its extension by even terms.
@@ -18,6 +19,7 @@ import pytest
 from crjets import (
     I,
     Jet,
+    characteristic_covector,
     compose_many,
     equivalence_alphabet,
     external_lift,
@@ -80,6 +82,20 @@ def assert_phi_honest(germ, high):
 
 
 CASES = range(40)
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_levi_covector_is_honest(seed):
+    """levi's covector at N - 1: its holomorphic coefficients and those of
+    its imaginary part in the real basis."""
+    rng, nu, nprime, n, k = case(seed)
+    germ = random_germ(rng, nu, nprime, n)
+    low, high = (
+        [*cov.holomorphic.values(), *cov.imaginary_real_basis.values()]
+        for cov in map(characteristic_covector, (germ, extended(germ, rng, k)))
+    )
+    assert [j.order for j in low] == [n - 1] * len(low)
+    assert_honest(low, high)
 
 
 @pytest.mark.parametrize("seed", CASES)

@@ -337,3 +337,25 @@ def test_section_satisfies_the_profile_equation():
             order=order - 2,
         )[0] * GaussianRational(0, Fraction(1, 2)) - sprime * Fraction(1, 2)
         assert lhs == rhs
+
+
+def rescaled(jet, factor):
+    """sum_k a_k factor^k x^k from sum_k a_k x^k: the jet at factor * x."""
+    return Jet.from_terms(jet.alphabet, jet.order, {
+        (k,): coeff * factor ** k for (k,), coeff in jet.monomials()
+    })
+
+
+NONZERO_RATIONALS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([8, 12, 16]), NONZERO_RATIONALS, NONZERO_RATIONALS)
+def test_profile_equation_is_covariant(seed, order, lam, c):
+    """If x^2 h'' = psi(x h'), the chain rule gives the same psi for
+    h(lam x), and u -> c psi(u / c), whose u^k coefficient is
+    c^(1 - k) psi_k, for c h."""
+    h = random_height(random.Random(seed), order)
+    psi = ode_right_side(h)
+    assert ode_right_side(rescaled(h, lam)) == psi
+    assert ode_right_side(h * c) == rescaled(psi, 1 / c) * c
