@@ -153,9 +153,9 @@ class Alphabet:
         """Sum ``e * image`` over ``(shift, image)`` pairs, ``e`` the exponent
         in this alphabet's field at ``shift`` and ``image`` a target code,
         degree field included. Unpaired variables drop out. A field carries
-        only if the total degree passes the target's max_order, and a carry
-        only raises the degree field: keeping results whose degree field is
-        at most a valid order never keeps a code that carried.
+        only if the total degree passes the target's max_exponent, and a
+        carry only raises the degree field: keeping results whose degree
+        field is at most a valid order never keeps a code that carried.
         """
         mask = self.mask
         out = 0
@@ -182,6 +182,10 @@ class Alphabet:
             return Alphabet(keep, conj)
         return Alphabet(keep, None)
 
-    def max_order(self) -> int:
-        """Largest jet order whose monomial codes stay within the fields."""
-        return self.max_exponent
+    def check_order(self, order: int) -> None:
+        """Refuse a jet order past max_exponent, the packing limit: the
+        largest order whose monomial codes stay within the fields."""
+        if order > self.max_exponent:
+            raise PreconditionError(
+                f"order {order} exceeds {self.max_exponent}, the packing limit for this alphabet"
+            )

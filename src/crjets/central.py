@@ -12,7 +12,14 @@ and rigid-check commands) needs only sigma, and this is about half the
 work of a straightening. straighten composes phi(., t + F) and reads
 sigma off it as its slice at t = 0, since phi(., t + F) at t = 0 is
 phi(., F) (the central and normalize commands). Either returns the
-central manifold as the graph and the core germ sigma, validated once.
+central manifold as the graph and the core germ sigma.
+
+Neither validates the germs it builds. phi was validated where it was
+read or built (io.germ_from_json, germs.make_germ), the critical graph
+is certified real ("critical graph is real"), and compose_many
+substitutes only jets of zero constant term. So sigma and phi(., t + F)
+are real and vanish at the origin, and phi's zero linear part leaves
+them none: a term of degree d >= 2 of phi goes to terms of degree >= d.
 
 The solver certifies its sweeps, not the top layer of the graph, so
 each function certifies the critical-point identity where it reads the
@@ -54,7 +61,7 @@ from .errors import (
     SingularJacobianError,
     certify,
 )
-from .germs import StructureGerm, at_t_zero, make_germ, model_germ, standard_alphabet, t_hessian
+from .germs import StructureGerm, at_t_zero, model_germ, standard_alphabet, t_hessian
 from .jets import Jet, compose_many, jet_sqrt
 from .linalg import invert_matrix, symmetric_diagonalize
 from .solve import implicit_solve
@@ -93,7 +100,9 @@ def central_manifold(germ: StructureGerm) -> CentralManifold:
     """Critical graph t = F(z, zb, s) and the restriction sigma = phi(., F),
     composed directly: about half the work of a straightening. The
     gradient is composed at the graph too, at the graph's order, and must
-    vanish exactly."""
+    vanish exactly. sigma is real and flat at 0 because phi is and the
+    graph is real with zero constant term (see the module docstring), so
+    the core is wrapped without validation."""
     if germ.nprime == 0:
         return CentralManifold((), germ)
     graph = _critical_graph(germ)
@@ -104,7 +113,7 @@ def central_manifold(germ: StructureGerm) -> CentralManifold:
     certify(all(d.is_zero() for d in gradient), "central_manifold",
             "gradient vanishes on the graph",
             "d phi / d t does not vanish on the solved critical graph")
-    return CentralManifold(graph, make_germ(germ.nu, 0, sigma))
+    return CentralManifold(graph, StructureGerm(germ.nu, 0, sigma))
 
 
 def straighten(germ: StructureGerm) -> tuple[CentralManifold, StructureGerm]:
@@ -113,8 +122,11 @@ def straighten(germ: StructureGerm) -> tuple[CentralManifold, StructureGerm]:
 
     The straightened phi over the germ alphabet at the germ order has
     slice phi(., F) = sigma at t = 0: read off by at_t_zero, not composed
-    again. The slice of a validated germ is real and flat at 0, and its
-    order is the germ order, as for the direct composition.
+    again. phi(., t + F) is real and flat at 0, since phi is and t + F is
+    a real substitution of zero constant term (see the module docstring),
+    so both germs are wrapped without validation. The slice of such a
+    germ is too, and its order is the germ order, as for the direct
+    composition.
 
     Its t-linear part is t * (d phi / d t)(., F) through the germ order,
     so the straightened phi has no t-linear term exactly when the
@@ -132,7 +144,7 @@ def straighten(germ: StructureGerm) -> tuple[CentralManifold, StructureGerm]:
         for name, g in zip(germ.t_names(), graph)
     }
     (phi_new,) = compose_many([germ.phi], shift, alphabet=full, order=order)
-    flat = make_germ(germ.nu, germ.nprime, phi_new)
+    flat = StructureGerm(germ.nu, germ.nprime, phi_new)
     certify(is_straightened(flat), "straighten", "straightened phi has no t-linear term",
             "phi(., t + F) has a t-linear term: the gradient does not vanish on the graph")
     core = StructureGerm(germ.nu, 0, at_t_zero(phi_new, germ.nu))

@@ -18,14 +18,17 @@ s and t are real. The associated objects computed here:
     imaginary part.
 
 make_germ validates a phi: its alphabet, reality, vanishing at the
-origin and vanishing differential. It runs where a phi comes from outside
-or from a composition: io.germ_from_json, central.straighten,
-central.central_manifold and marson.external_lift. A germ whose phi is
-built from a validated one by renaming, slicing at t = 0 or adding real
-t_l^2 terms is wrapped in StructureGerm directly, as model_germ,
-equivalence.split_core and straighten's core are: those steps keep all
-four properties. standard_alphabet returns one shared alphabet per count
-(see the alphabet module), so for a jet built over it make_germ's
+origin and vanishing differential. In the package it runs only where a
+phi comes from outside, in io.germ_from_json, and it stays public for
+library callers. Every germ built from a validated one is wrapped in
+StructureGerm directly, since its construction keeps all four
+properties: renaming, slicing at t = 0 and adding real t_l^2 terms
+(model_germ, equivalence.split_core, straighten's core), and real
+substitutions of zero constant term, which compose_many enforces
+(central.central_manifold and central.straighten at a critical graph
+certified real, marson.external_lift at the real chart
+(z - zb) * (-i/2)). standard_alphabet returns one shared alphabet per
+count (see the alphabet module), so for a jet built over it make_germ's
 alphabet comparison is an identity test.
 """
 

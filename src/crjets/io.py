@@ -20,7 +20,7 @@ from math import gcd
 from typing import Any
 
 from .alphabet import Alphabet
-from .errors import ParseError, PreconditionError
+from .errors import ParseError
 from .germs import StructureGerm, make_germ, standard_alphabet
 from .jets import Jet
 from .rationals import GaussianRational
@@ -125,12 +125,14 @@ def terms_from_json(
 ) -> Jet:
     """Build a jet from term records, with located diagnostics.
 
-    Each monomial is read in one pass that checks every name and exponent
-    and sums the code and the degree. A field can overflow only if the
-    degree passes the field width, which needs an order above the packing
-    limit; only then is the monomial packed again by encode_dict, whose
-    check refuses an exponent the field cannot hold.
+    An order past the alphabet's packing limit is refused first, by
+    Alphabet.check_order as the Jet constructor does, before any record
+    is read. Each monomial is then read in one pass that checks every
+    name and exponent and sums the code and the degree. A degree within
+    the order is within the field width, so every exponent fits its field
+    and the code is complete once the degree field is added.
     """
+    alphabet.check_order(order)
     if not isinstance(records, list):
         raise ParseError(f"{label}: expected a list of term records")
     index = alphabet.index
@@ -168,13 +170,7 @@ def terms_from_json(
             coeff = scalar_from_json(record.get("coefficient", "0"))
         except ParseError as exc:
             raise ParseError(f"{label} term {k}: {exc}") from None
-        if degree > alphabet.max_exponent:
-            try:
-                code = alphabet.encode_dict(mono)
-            except PreconditionError as exc:
-                raise ParseError(f"{label} term {k}: {exc}") from None
-        else:
-            code += degree << alphabet.deg_shift
+        code += degree << alphabet.deg_shift
         if code in seen:
             raise ParseError(
                 f"{label} term {k}: duplicate of term {seen[code]} with the same monomial"
@@ -280,6 +276,9 @@ def load_json(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError:  # int() refuses a bare integer past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{path} has a JSON integer of more than {limit} decimal digits") from None
     except RecursionError:
         raise ParseError(f"{path} nests JSON values too deeply to parse") from None
 

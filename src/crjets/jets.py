@@ -85,10 +85,7 @@ class Jet:
     def __init__(self, alphabet: Alphabet, order: int, terms: Mapping[int, GaussianRational]):
         if order < 0:
             raise PreconditionError("jet order must be nonnegative")
-        if order > alphabet.max_order():
-            raise PreconditionError(
-                f"order {order} exceeds {alphabet.max_order()}, the packing limit for this alphabet"
-            )
+        alphabet.check_order(order)
         clean = {}
         for code, coeff in terms.items():
             if alphabet.degree(code) > order:
@@ -430,7 +427,7 @@ class Jet:
             new_code = remap(code, images)
             prev = terms.get(new_code)
             terms[new_code] = coeff if prev is None else prev + coeff
-        # The constructor refuses an order above target.max_order(), the
+        # The constructor refuses an order above target.max_exponent, the
         # bound under which no exponent overflows a narrower target field.
         return Jet(target, self.order, terms)
 
@@ -572,9 +569,7 @@ def compose_many(
         result_order = order
         if order > least:
             result_order = _reliable_order(outers, assignment, support, order)
-    if result_order > target.max_order():
-        raise PreconditionError(f"order {result_order} exceeds {target.max_order()}, "
-                                "the packing limit for this alphabet")
+    target.check_order(result_order)
 
     mask = src.mask
     deg_shift = target.deg_shift

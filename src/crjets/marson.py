@@ -12,6 +12,12 @@ independent first integrals. Both facts are certified here by exact
 computation: the re-substitution z_{nu+l} -> i t_l recovers phi, and
 the pulled-back first integrals have full-rank linear parts.
 
+The lifted germ is not validated again. phi was validated where it was
+read or built (io.germ_from_json, germs.make_germ), and the chart
+(z - zb) * (-i/2) is real with zero constant term, which compose_many
+enforces; so phi of the chart is real, vanishes at the origin and, as
+phi has no linear part, has none either.
+
 The Levi matrix of the lift is read honestly from the lifted germ by
 germs.levi_matrix; its block relation to the source Levi matrix (mixed
 blocks scaled by +-i/2, parameter block by 1/4) is forced by the
@@ -31,7 +37,6 @@ from .germs import (
     StructureGerm,
     first_integrals,
     levi_matrix,
-    make_germ,
     standard_alphabet,
 )
 from .jets import Jet, compose_many
@@ -48,7 +53,8 @@ class ExternalLift:
 
 
 def external_lift(germ: StructureGerm) -> ExternalLift:
-    """Build the lifted germ and certify the embedding invariants."""
+    """Build the lifted germ, real and flat at 0 by construction (see the
+    module docstring), and certify the embedding invariants."""
     nu, npr, order = germ.nu, germ.nprime, germ.order
     big = standard_alphabet(nu + npr, 0)
     full = germ.alphabet
@@ -62,7 +68,7 @@ def external_lift(germ: StructureGerm) -> ExternalLift:
             Jet.variable(big, order, new) - Jet.variable(big, order, f"zb{nu + l}")
         ) * MINUS_HALF_I
     (phi_lift,) = compose_many([germ.phi], absorb, alphabet=big, order=order)
-    lifted = make_germ(nu + npr, 0, phi_lift)
+    lifted = StructureGerm(nu + npr, 0, phi_lift)
 
     # Every lift variable that the slice leaves out maps to its namesake.
     back: dict[str, Jet] = {}

@@ -157,8 +157,10 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
     certificate of its own, since certified premises imply it below the
     order N, which is more than the elimination reads:
 
-      * make_germ refuses a sigma that is not real, so sigma(zb, z, s)
-        is the conjugate of sigma(z, zb, s);
+      * sigma is real: a germ file's phi is validated where it is read
+        (io.germ_from_json), and a core from central_manifold restricts
+        that phi to a critical graph certified real ("critical graph is
+        real"), so sigma(zb, z, s) is the conjugate of sigma(z, zb, s);
       * the sweeps certify S - i sigma(z, zb, S) = wb through degree
         N - 1, that is F(z, zb, rho, wb) = 0 at that order;
       * conjugation is a ring homomorphism that swaps z with zb and wb

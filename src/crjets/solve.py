@@ -58,12 +58,13 @@ def implicit_solve(
 
     Two certificates, neither of which multiplies jets, make the right
     side zero: the last correction solves J0 delta = r, compared code by
-    code for every equation (a wrong J0^{-1} or a fault in the Jet
-    arithmetic that forms delta fails it), and the sweeps reach the
-    working order (a loop bound off by one fails it). What the premises
-    leave unchecked is r itself: a wrong degree-N layer in the last
-    sweep's composition moves the solution's degree-N layer and passes
-    both. Each caller certifies that layer where it reads the solution.
+    code for every equation (a wrong J0^{-1} or a fault in the
+    coefficient-map arithmetic that forms delta from r fails it), and
+    the sweeps reach the working order (a loop bound off by one fails
+    it). What the premises leave unchecked is r itself: a wrong degree-N
+    layer in the last sweep's composition moves the solution's degree-N
+    layer and passes both. Each caller certifies that layer where it
+    reads the solution.
     """
     if not equations:
         raise PreconditionError("no equations")
@@ -113,7 +114,7 @@ def implicit_solve(
             "Jacobian with respect to the unknowns is singular at the origin"
         ) from None
 
-    guesses: list[Jet] = [Jet.zero(target, work_order) for _ in unknowns]
+    guesses = [Jet.zero(target, work_order) for _ in unknowns]
     for k in range(1, work_order + 1):
         assignment = {u: g.truncate(k) for u, g in zip(unknowns, guesses)}
         residuals = compose_many(
@@ -124,35 +125,29 @@ def implicit_solve(
             certify(low >= k, "implicit_solve", "sweep residual valuation",
                     f"chord sweep {k}: residual of equation {i} has a term of "
                     f"degree {low}, below the swept degree {k}")
-        deltas = []
-        for j in range(len(unknowns)):
-            delta = Jet.zero(target, k)
-            for i, r in enumerate(residuals):
-                c = j0_inv[j][i]
-                if not c.is_zero():
-                    delta = delta + r * c
-            deltas.append(delta)
-            # The sweep certificate shows delta homogeneous of degree k: a
-            # polynomial, exact at the working order.
-            guesses[j] = guesses[j] - Jet(target, work_order, delta.terms)
+        rs = [r.terms for r in residuals]
+        deltas = [_combination(row, rs) for row in j0_inv]
+        # The sweep certificate shows each delta homogeneous of degree k: a
+        # polynomial, exact at the working order.
+        guesses = [g - Jet(target, work_order, d) for g, d in zip(guesses, deltas)]
 
     # The loop runs at least once: an order-0 system has J0 = 0, refused above.
     certify(k == work_order, "implicit_solve", "sweeps reach the working order",
             f"the last sweep reached degree {k}, not the working order {work_order}")
-    certify(all(_combination(row, deltas) == r.terms for row, r in zip(j0, residuals)),
+    certify(all(_combination(row, deltas) == r for row, r in zip(j0, rs)),
             "implicit_solve", "last correction solves J0 delta = r",
             "the last correction does not solve J0 delta = r; "
             "J0^{-1} or the arithmetic forming the correction is corrupted")
     return guesses
 
 
-def _combination(row: Sequence[GaussianRational], jets: Sequence[Jet]) -> dict:
-    """sum_j row[j] * jets[j] as a map from code to nonzero coefficient,
-    formed from the terms by the coefficient-map functions, with no Jet
-    arithmetic."""
+def _combination(row: Sequence[GaussianRational], maps: Sequence[dict]) -> dict:
+    """sum_j row[j] * maps[j] over coefficient maps (code to nonzero
+    coefficient), a map of the same kind, formed by the coefficient-map
+    functions."""
     out: dict = {}
-    for c, jet in zip(row, jets):
-        out = merged(out, scaled(jet.terms, c))
+    for c, terms in zip(row, maps):
+        out = merged(out, scaled(terms, c))
     return out
 
 

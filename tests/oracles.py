@@ -426,11 +426,16 @@ def previous_characteristic_covector(germ):
 
 
 def previous_terms_from_json(records, alphabet, order, label):
-    """io.terms_from_json record by record, with every check in its order."""
+    """io.terms_from_json record by record, with every check in its order:
+    an order past the packing limit first, before any record."""
     from crjets import Jet
     from crjets.errors import ParseError, PreconditionError
     from crjets.io import scalar_from_json
 
+    if order > alphabet.max_exponent:
+        raise PreconditionError(
+            f"order {order} exceeds {alphabet.max_exponent}, the packing limit for this alphabet"
+        )
     if not isinstance(records, list):
         raise ParseError(f"{label}: expected a list of term records")
     seen = {}

@@ -263,7 +263,7 @@ AUDIT = [
     ("conjugate_elimination: slope equations vanish at the elimination", "phi", (CUBIC,),
      last_sweep_term("wp1", "wp1", "wp1", "w"), PASSES),
     ("critical_graph: critical graph is real", "central", (TILTED,), non_real_critical_graph,
-     refused("phi must be a real jet")),
+     caught("straighten: straightened phi has no t-linear term")),
     ("morse_normalize: completed square divides by t^2", "normalize", (TILTED,),
      shifted_critical_point, AttributeError),
     ("morse_normalize: coefficient is rational", "normalize", (TILTED,), complex_congruence,

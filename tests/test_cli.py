@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -335,6 +336,33 @@ def test_order_past_the_packing_limit_is_named(tmp_path, capsys):
     )
 
 
+UNKNOWN_VARIABLE = [{"monomial": {"q": 1}, "coefficient": "1"}]
+
+
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        ("levi", [{"nu": 1, "nprime": 0, "order": 40, "phi": UNKNOWN_VARIABLE}]),
+        ("ode", [{"order": 40, "h": UNKNOWN_VARIABLE}]),
+        ("lift", [SPLIT_MODEL, SPLIT_MODEL,
+                  {"order": 40, "z": [UNKNOWN_VARIABLE], "w": UNKNOWN_VARIABLE}]),
+    ],
+    ids=["germ", "height", "map"],
+)
+def test_file_order_past_the_packing_limit_is_refused_before_its_records(
+    tmp_path, capsys, command, inputs
+):
+    """Order 40 over at most 9 variables is refused for its order, not for
+    the unknown variable q of its first record."""
+    files = [drop(tmp_path, f"in{k}.json", obj) for k, obj in enumerate(inputs)]
+    assert cli.run([command, *files]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "precondition violated: order 40 exceeds 30, the packing limit for this alphabet\n"
+    )
+
+
 def corpus_invocations(tmp_path):
     """Every subcommand on the fixed germs above and a few seeded random
     germs, each with and without --check."""
@@ -480,6 +508,33 @@ def test_exit_one_on_coefficient_past_the_digit_limit(tmp_path, capsys):
     )
     assert cli.run(["levi", path]) == 1
     assert capsys.readouterr().err.startswith("parse error")
+
+
+LONG_INTEGER = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "command, texts",
+    [
+        ("levi", ['{"nu": 1, "nprime": 0, "order": %s, "phi": []}' % LONG_INTEGER]),
+        ("ode", ['{"order": 4, "h": [{"monomial": {"x": %s}}]}' % LONG_INTEGER]),
+        ("lift", [canonical_dumps(SPLIT_MODEL), canonical_dumps(SPLIT_MODEL),
+                  '{"order": 6, "z": [[]], "w": [{"monomial": {"eta": 1}, '
+                  '"coefficient": %s}]}' % LONG_INTEGER]),
+    ],
+    ids=["germ order", "height exponent", "map coefficient"],
+)
+def test_exit_one_on_a_json_integer_past_the_digit_limit(tmp_path, capsys, command, texts):
+    """A bare JSON integer of 5000 digits, which json.loads cannot convert."""
+    paths = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"in{k}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    assert cli.run([command, *paths]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and paths[-1] in err
+    assert str(sys.get_int_max_str_digits()) in err
 
 
 # A germ with one 2,501-digit coefficient, under the parse limit of 4,300

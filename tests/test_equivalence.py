@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from crjets import (
     GaussianRational,
     Jet,
+    central_manifold,
     compose_many,
     equivalence_alphabet,
+    external_lift,
     extract_multiplier,
     generators,
     jet_sqrt,
@@ -20,13 +22,14 @@ from crjets import (
     make_germ,
     model_germ,
     standard_alphabet,
+    straighten,
     verify_lift,
 )
 from crjets import equivalence
 from crjets.equivalence import split_core
 from crjets.errors import PreconditionError
 
-from germ_corpus import random_central, random_definite_germ, sparse_real_germ
+from germ_corpus import random_central, random_definite_germ, random_germ, sparse_real_germ
 
 K = 6
 
@@ -223,6 +226,11 @@ CORE_KINDS = {
     "definite": lambda rng, nu, order: random_definite_germ(rng, nu, 0, order, degmax=3),
     "sparse": lambda rng, nu, order: sparse_real_germ(rng, nu, 0, order),
 }
+GERM_KINDS = {
+    "central": lambda rng, nu, nprime, order: random_germ(rng, nu, nprime, order, degmax=3),
+    "definite": lambda rng, nu, nprime, order: random_definite_germ(rng, nu, nprime, order, degmax=3),
+    "sparse": sparse_real_germ,
+}
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,11 +244,18 @@ CORE_KINDS = {
     st.integers(0, 2**32),
 )
 def test_germs_built_without_make_germ_pass_it(kind, nu, order, coeffs, seed):
-    """model_germ and split_core wrap their phi without make_germ, on the
-    premise that a validated core stays real and flat; make_germ accepts
-    every germ they build."""
-    core = CORE_KINDS[kind](random.Random(seed), nu, order)
+    """model_germ, split_core, straighten, central_manifold and
+    external_lift wrap their phi without make_germ, on the premise that a
+    validated phi stays real and flat under their constructions; make_germ
+    accepts every germ they build. The germ with t variables has one per
+    coefficient drawn, and at least one."""
+    rng = random.Random(seed)
+    core = CORE_KINDS[kind](rng, nu, order)
     model = model_germ(core, coeffs)
     read, _ = split_core(model)
-    for germ in (model, read):
+    full = GERM_KINDS[kind](rng, nu, max(len(coeffs), 1), order)
+    manifold, flat = straighten(full)
+    built = (model, read, flat, manifold.core, central_manifold(full).core,
+             external_lift(full).lift)
+    for germ in built:
         assert make_germ(germ.nu, germ.nprime, germ.phi) == germ
