@@ -1,7 +1,7 @@
 """Truncated product kernel.
 
     unpack(T) -> list             code-sorted (code, a, b, d) tuples of T
-    mul_into(acc, A, B, bcodes, deg_shift, cap)
+    mul_into(acc, A, B, deg_shift, cap)
     finish(acc) -> dict
     finish_unpacked(acc) -> list  the raw nonzero sums, code-sorted, unreduced
     mul_terms(A, B, deg_shift, cap) -> dict
@@ -10,16 +10,19 @@ Coefficient maps send packed monomial codes to GaussianRational values.
 Products run on unpacked operands: each term is a (code, a, b, d) tuple
 holding the coefficient (a + b*i)/d, and the list is sorted by code.
 
-``mul_into`` adds every product monomial of total degree <= cap of the
-unpacked A and B into ``acc``, a dict from code to a raw [a, b, d]
-accumulator; ``bcodes`` lists B's codes. The degree is the topmost field
-of a code, so for a term of A of degree k the admissible terms of B are
-the prefix of codes below (cap - k + 1) << deg_shift: one bisect per term
-of A bounds the pair loop, and no pair tests a degree. Since A is sorted
-too, the loop stops at the first term of A with an empty prefix. Raw
-triples accumulate with a least-common-multiple denominator merge; when
-the product's denominator divides the accumulated one, which is the
-common case, the product is scaled up to it and no gcd is taken.
+``mul_into`` is the one product entry. It adds every product monomial of
+total degree <= cap of the unpacked A and B into ``acc``, a dict from
+code to a raw [a, b, d] accumulator. The shorter operand is the outer
+loop, and the kernel lists the inner one's codes itself. The degree is
+the topmost field of a code, so for an outer term of degree k the
+admissible inner terms are the prefix of codes below
+(cap - k + 1) << deg_shift: one bisect per outer term bounds the pair
+loop, and no pair tests a degree. Since the outer operand is sorted too,
+the loop stops at the first term with an empty prefix, and an empty
+operand makes no pair. Raw triples accumulate with a
+least-common-multiple denominator merge; when the product's denominator
+divides the accumulated one, which is the common case, the product is
+scaled up to it and no gcd is taken.
 
 ``finish`` normalizes each accumulated monomial once and drops exact
 zeros. Several products may accumulate into one ``acc`` before it is
@@ -51,7 +54,10 @@ def unpack(terms: dict) -> list[tuple[int, int, int, int]]:
     return sorted([(c, v.a, v.b, v.d) for c, v in terms.items()])
 
 
-def mul_into(acc: dict, A: list, B: list, bcodes: list, deg_shift: int, cap: int) -> None:
+def mul_into(acc: dict, A: list, B: list, deg_shift: int, cap: int) -> None:
+    if len(A) > len(B):
+        A, B = B, A
+    bcodes = [t[0] for t in B]
     for ca, aa, ab, ad in A:
         stop = bisect_left(bcodes, (cap - (ca >> deg_shift) + 1) << deg_shift)
         if not stop:
@@ -93,11 +99,6 @@ def finish_unpacked(acc: dict) -> list[tuple[int, int, int, int]]:
 
 
 def mul_terms(A: dict, B: dict, deg_shift: int, cap: int) -> dict:
-    if not A or not B:
-        return {}
-    if len(A) > len(B):
-        A, B = B, A
-    inner = unpack(B)
     acc: dict[int, list[int]] = {}
-    mul_into(acc, unpack(A), inner, [t[0] for t in inner], deg_shift, cap)
+    mul_into(acc, unpack(A), unpack(B), deg_shift, cap)
     return finish(acc)

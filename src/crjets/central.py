@@ -64,6 +64,7 @@ from .errors import (
 from .germs import StructureGerm, at_t_zero, model_germ, standard_alphabet, t_hessian
 from .jets import Jet, compose_many, jet_sqrt
 from .linalg import invert_matrix, symmetric_diagonalize
+from .rationals import as_gaussian
 from .solve import implicit_solve
 
 
@@ -166,16 +167,11 @@ def is_straightened(germ: StructureGerm) -> bool:
 def _linear_t_change(
     matrix: list[list[Fraction]], t_names: list[str], full: Alphabet, order: int
 ) -> dict[str, Jet]:
-    """The substitution t_l -> sum_k matrix[l][k] t_k."""
-    t_vars = [Jet.variable(full, order, name) for name in t_names]
-    change = {}
-    for row, name in zip(matrix, t_names):
-        acc = Jet.zero(full, order)
-        for c, tk in zip(row, t_vars):
-            if c:
-                acc = acc + tk * c
-        change[name] = acc
-    return change
+    """The substitution t_l -> sum_k matrix[l][k] t_k, each substitute
+    one jet built from its coefficients."""
+    codes = [full.encode_dict({name: 1}) for name in t_names]
+    return {name: Jet(full, order, {code: as_gaussian(c) for code, c in zip(codes, row)})
+            for row, name in zip(matrix, t_names)}
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,10 @@ def terms_from_json(
     is read. Each monomial is then read in one pass that checks every
     name and exponent and sums the code and the degree. A degree within
     the order is within the field width, so every exponent fits its field
-    and the code is complete once the degree field is added.
+    and the code is complete once the degree field is added. The loop has
+    then refused everything the Jet constructor checks and dropped the
+    zero coefficients, so the jet is wrapped as it is (Jet._raw); the
+    callers read the order as a count of at least 1.
     """
     alphabet.check_order(order)
     if not isinstance(records, list):
@@ -178,7 +181,7 @@ def terms_from_json(
         seen[code] = k
         if not coeff.is_zero():
             data[code] = coeff
-    return Jet(alphabet, order, data)
+    return Jet._raw(alphabet, order, data)
 
 
 def _require_count(obj: Any, key: str, minimum: int = 0) -> int:

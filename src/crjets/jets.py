@@ -513,8 +513,8 @@ def compose_many(
     into one polynomial P_b over the target, and the result is
     sum_b P_b * U^b, accumulated in each outer's raw (a, b, d)
     accumulator, seeded with P_0, and normalized once per output
-    monomial at the end. Every product is one fused product with the
-    shorter operand as the kernel's outer loop, and an intermediate
+    monomial at the end. Every product is one _kernels.mul_into call,
+    which takes the shorter operand as its outer loop, and an intermediate
     operand is kept in the kernel's unpacked form, exact but not reduced
     (_kernels.finish_unpacked), since it is never a result: only the
     results are normalized.
@@ -669,20 +669,13 @@ def compose_many(
         ub = products.get(b)
         if ub is None:
             built: dict[int, list[int]] = {}
-            _fused(built, *(products[half] for half in halves(b)), deg_shift, result_order)
+            _kernels.mul_into(built, *(products[half] for half in halves(b)), deg_shift, result_order)
             ub = _kernels.finish_unpacked(built)
             if b in kept:
                 products[b] = ub
         for poly, acc in users.get(b, ()):
-            _fused(acc, _kernels.unpack(poly), ub, deg_shift, result_order)
+            _kernels.mul_into(acc, _kernels.unpack(poly), ub, deg_shift, result_order)
     return [Jet._raw(target, result_order, _kernels.finish(acc)) for acc in accs]
-
-
-def _fused(acc: dict, first: list, second: list, deg_shift: int, cap: int) -> None:
-    """One fused product into acc, the shorter operand as the outer loop."""
-    if len(first) > len(second):
-        first, second = second, first
-    _kernels.mul_into(acc, first, second, [t[0] for t in second], deg_shift, cap)
 
 
 def _horner(acc: dict, polys: dict, k: int, cap: int,
@@ -726,11 +719,11 @@ def _horner(acc: dict, polys: dict, k: int, cap: int,
                  if c >> deg_shift <= step_cap}
         _horner(fresh, part, k - 1, step_cap, *layout)
         if inner:
-            _fused(fresh, u, inner, deg_shift, step_cap)
+            _kernels.mul_into(fresh, u, inner, deg_shift, step_cap)
         inner = _kernels.finish_unpacked(fresh)
     _horner(acc, by_e.get(0, {}), k - 1, cap, *layout)
     if inner:
-        _fused(acc, u, inner, deg_shift, cap)
+        _kernels.mul_into(acc, u, inner, deg_shift, cap)
 
 
 def _reliable_order(outers: Sequence[Jet], assigned: Mapping[str, Jet],
@@ -802,7 +795,7 @@ def _by_degree(alphabet: Alphabet, order: int, y0: GaussianRational, pairs, seed
         acc = seed(k) if seed else {}
         for left, right in pairs(k, y):
             if left and right:
-                _fused(acc, left, right, alphabet.deg_shift, k)
+                _kernels.mul_into(acc, left, right, alphabet.deg_shift, k)
         layer = _kernels.finish(acc)
         terms.update(layer)
         y.append(_kernels.unpack(layer))

@@ -56,15 +56,6 @@ class GaussianRational:
         self.d = d // g
 
     @classmethod
-    def from_normalized(cls, a: int, b: int, d: int) -> GaussianRational:
-        """Wrap integers already satisfying d > 0, gcd(a, b, d) == 1."""
-        self = object.__new__(cls)
-        self.a = a
-        self.b = b
-        self.d = d
-        return self
-
-    @classmethod
     def normalize(cls, a: int, b: int, d: int) -> GaussianRational:
         """Wrap integers with any denominator sign and common factors."""
         if d == 0:
@@ -99,7 +90,7 @@ class GaussianRational:
         return self.b == 0
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational.from_normalized(self.a, -self.b, self.d)
+        return _wrap(self.a, -self.b, self.d)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -148,7 +139,7 @@ class GaussianRational:
         return o - self
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational.from_normalized(-self.a, -self.b, self.d)
+        return _wrap(-self.a, -self.b, self.d)
 
     def __mul__(self, other: object) -> GaussianRational:
         o = _coerce(other)
@@ -210,9 +201,9 @@ def _coerce(x: object):
         return x
     if isinstance(x, int):
         # int() stores a bool as a plain 0 or 1
-        return GaussianRational.from_normalized(int(x), 0, 1)
+        return _wrap(int(x), 0, 1)
     if isinstance(x, Fraction):
-        return GaussianRational.from_normalized(x.numerator, 0, x.denominator)
+        return _wrap(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
@@ -228,7 +219,7 @@ _new = object.__new__
 
 
 def _wrap(a: int, b: int, d: int) -> GaussianRational:
-    # from_normalized without the classmethod dispatch.
+    """Wrap integers already satisfying d > 0, gcd(a, b, d) == 1."""
     x = _new(GaussianRational)
     x.a = a
     x.b = b

@@ -45,10 +45,16 @@ determinant route never reads the graph jet. They must agree entrywise;
 certified_section_hessian runs both and compares them, so neither route
 can quietly stand in for the other.
 
-The rigidity test checks whether any of that matrix depends on w. A
-monomial with positive w-exponent is a conclusive obstruction at the jet
-level; absence of such monomials is evidence only up to the truncation
-order, and reports say so.
+The rigidity test checks whether any of that matrix depends on w. For
+an s-free phi none of it does, at any order: the center sigma is s-free
+too, so F is invariant under (w, wb) -> (w + c, wb + c) with c real, the
+family of sections is invariant under w -> w + c, and the section
+Hessian is w-free exactly. A monomial with positive w-exponent therefore
+cannot come from an admissible input, only from an arithmetic fault
+shared by both routes, which their comparison cannot see
+(tests/test_segre.py::test_rigid_family_is_always_w_free). The report's
+note keeps its general wording: an offender a conclusive obstruction, a
+clean result evidence up to the truncation order.
 """
 
 from __future__ import annotations
@@ -395,10 +401,13 @@ def certified_section_hessian(germ: StructureGerm) -> SectionHessian:
 def rigid_phi_test(germ: StructureGerm) -> RigidityReport:
     """Test a rigid germ for w-dependence of the section Hessian.
 
-    Requires phi independent of s. Offending monomials (positive
-    w-exponent) of the certified section Hessian disprove rigid-analytic
-    consistency at the jet level; their absence is evidence only up to
-    the truncation order.
+    Requires phi independent of s. Then the section Hessian is w-free
+    exactly, at every order, by the w -> w + c symmetry of the module
+    docstring, so the offending monomials (positive w-exponent) of the
+    certified section Hessian are empty on every admissible input; an
+    offender, and the "w-dependence found" note, can only come from an
+    arithmetic fault shared by both routes. The note for a clean result
+    keeps its wording, evidence up to the truncation order.
     """
     if not germ.phi.derive("s").is_zero():
         raise PreconditionError("germ is not rigid: phi depends on s")
@@ -458,18 +467,17 @@ def ode_right_side(height: Jet) -> Jet:
 
     half = order // 2
     coeffs: list[GaussianRational] = []
-    powers = [Jet.constant(alpha, order, 1)]
-    for _ in range(half):
-        powers.append(powers[-1] * inner)
-    running = Jet.zero(alpha, order)
+    # residual = lhs - sum_{j<k} c_j inner^j; inner has valuation 2 and
+    # x^2 coefficient curvature, so inner^k leads with curvature^k x^(2k).
+    residual, power, lead = lhs, inner, curvature
     for k in range(1, half + 1):
-        residual_coeff = lhs.coefficient({x: 2 * k}) - running.coefficient({x: 2 * k})
-        lead = powers[k].coefficient({x: 2 * k})
-        ck = residual_coeff / lead
+        if k > 1:
+            power = power * inner
+            lead = lead * curvature
+        ck = residual.coefficient({x: 2 * k}) / lead
         coeffs.append(ck)
         if not ck.is_zero():
-            running = running + powers[k] * ck
-    residual = lhs - running
+            residual = residual - power * ck
     if not residual.is_zero():
         bad = residual.valuation()
         raise OdeUnsolvableError(

@@ -42,11 +42,12 @@ def implicit_solve(
     subalphabet, in source order) and have zero constant term.
 
     The working order N is the least equation order. Sweep k = 1 .. N
-    composes the equations truncated to order k at the guesses truncated
-    to order k and raises InvariantError if a residual has a term below
-    degree k; the degree-k residual r, mapped through J0^{-1}, is the
-    correction delta of the guesses, which stay at order N. That is N
-    compositions, at orders 1 .. N, and no other.
+    composes the equations truncated to order k at the guesses, which
+    compose_many truncates to order k itself, and raises InvariantError
+    if a residual has a term below degree k; the degree-k residual r,
+    mapped through J0^{-1}, is the correction delta of the guesses, which
+    stay at order N. That is N compositions, at orders 1 .. N, and no
+    other.
 
     The guesses then solve the equations at order N, by a valuation
     argument over certified premises. Sweep N certifies that r has
@@ -116,9 +117,8 @@ def implicit_solve(
 
     guesses = [Jet.zero(target, work_order) for _ in unknowns]
     for k in range(1, work_order + 1):
-        assignment = {u: g.truncate(k) for u, g in zip(unknowns, guesses)}
         residuals = compose_many(
-            [eq.truncate(k) for eq in eqs], assignment, alphabet=target, order=k
+            [eq.truncate(k) for eq in eqs], dict(zip(unknowns, guesses)), alphabet=target, order=k
         )
         for i, r in enumerate(residuals):
             low = r.valuation()

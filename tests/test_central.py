@@ -114,6 +114,15 @@ def test_morse_with_cubic_correction():
     assert form.base == core["z1"] * core["zb1"]
 
 
+def test_morse_normalize_refuses_a_singular_t_hessian():
+    # Straightened (no t-linear term), but t1 enters only cubically.
+    g = generators(standard_alphabet(1, 1), 6)
+    germ = make_germ(1, 1, g["z1"] * g["zb1"] + g["t1"] * g["t1"] * g["t1"])
+    assert is_straightened(germ)
+    with pytest.raises(DegenerateFormError, match="^constant t-Hessian is singular$"):
+        morse_normalize(germ)
+
+
 def test_morse_indefinite_cross_term():
     # t-part t1 t2 diagonalizes to opposite signs
     a = standard_alphabet(1, 2)

@@ -233,6 +233,68 @@ def test_lift_refuses_models_without_a_split_lift(tmp_path, capsys, source, targ
     assert captured.err == f"precondition violated: {message}\n"
 
 
+WIDE_SPLIT_MODEL = {
+    "nu": 2,
+    "nprime": 1,
+    "order": 6,
+    "phi": [
+        {"monomial": {"z1": 1, "zb1": 1}, "coefficient": "1"},
+        {"monomial": {"z2": 1, "zb2": 1}, "coefficient": "1"},
+        {"monomial": {"t1": 2}, "coefficient": "1"},
+    ],
+}
+
+NEGATIVE_SPLIT_MODEL = {
+    **SPLIT_MODEL,
+    "phi": [{"monomial": {"z1": 1, "zb1": 1}, "coefficient": "-1"}, *SPLIT_MODEL["phi"][1:]],
+}
+
+
+@pytest.mark.parametrize(
+    "target, mapping, message",
+    [
+        (WIDE_SPLIT_MODEL, SCALING_MAP, "source and target have different z dimensions"),
+        ({**SPLIT_MODEL, "order": 5}, SCALING_MAP, "source and target orders differ"),
+        (SPLIT_MODEL, {**SCALING_MAP, "order": 5}, "map components must carry the germ order"),
+        (
+            SPLIT_MODEL,
+            {**SCALING_MAP, "w": [*SCALING_MAP["w"], {"monomial": {}, "coefficient": "1"}]},
+            "map components must vanish at the origin",
+        ),
+        (
+            NEGATIVE_SPLIT_MODEL,
+            {
+                "order": 6,
+                "z": [[{"monomial": {"z1": 1}, "coefficient": "1"}]],
+                "w": [{"monomial": {"eta": 1}, "coefficient": "-1"}],
+            },
+            "target core Levi form must be positive definite",
+        ),
+    ],
+    ids=["z-dimensions", "germ-orders", "map-order", "map-constant", "indefinite-target"],
+)
+def test_lift_refuses_mismatched_map_data(tmp_path, capsys, target, mapping, message):
+    files = [
+        drop(tmp_path, "src.json", SPLIT_MODEL),
+        drop(tmp_path, "tgt.json", target),
+        drop(tmp_path, "map.json", mapping),
+    ]
+    assert cli.run(["lift", *files, "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"precondition violated: {message}\n"
+
+
+@pytest.mark.parametrize("command, kind", [("lift", "map"), ("ode", "height")])
+def test_exit_one_on_a_map_or_height_file_that_is_no_object(tmp_path, capsys, command, kind):
+    array = drop(tmp_path, f"{kind}.json", [])
+    files = [drop(tmp_path, "g.json", SPLIT_MODEL)] * 2 + [array] if command == "lift" else [array]
+    assert cli.run([command, *files]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {array}: {kind} file must be a JSON object\n"
+
+
 def test_text_format(tmp_path, capsys):
     path = drop(tmp_path, "g.json", QUADRIC)
     assert cli.run(["levi", path]) == 0

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from crjets import (
     GaussianRational,
+    I,
     Jet,
+    StructureGerm,
     central_manifold,
     compose_many,
     equivalence_alphabet,
@@ -194,6 +196,26 @@ def test_make_equivalence_rejects_non_maps():
         make_equivalence(core, core, *scaling_map(2, 1))  # identity fails: 4 sigma != sigma
     with pytest.raises(PreconditionError):
         make_equivalence(core, core, *scaling_map(0, 1))  # not invertible
+
+
+def test_make_equivalence_refuses_malformed_endpoints_and_components():
+    core = quadric_core()
+    (z_map,), w_map = scaling_map(1, 1)
+    with pytest.raises(PreconditionError, match="^equivalence endpoints must be core germs$"):
+        make_equivalence(model_germ(core, [Fraction(1)]), core, (z_map,), w_map)
+    with pytest.raises(PreconditionError, match="^expected 1 z components$"):
+        make_equivalence(core, core, (z_map, z_map), w_map)
+    foreign = Jet.variable(core.alphabet, K, "z1")
+    with pytest.raises(PreconditionError, match=r"^map components must live over \(z, eta\)$"):
+        make_equivalence(core, core, (foreign,), w_map)
+
+
+def test_split_core_refuses_a_non_real_square_coefficient():
+    # Built without make_germ, which would refuse the non-real phi first.
+    g = generators(standard_alphabet(1, 1), K)
+    germ = StructureGerm(1, 1, g["z1"] * g["zb1"] + g["t1"] * g["t1"] * I)
+    with pytest.raises(PreconditionError, match="^quadratic coefficient of t1 must be a nonzero rational$"):
+        split_core(germ)
 
 
 def test_split_core_round_trip():

@@ -85,6 +85,13 @@ def test_constructor_validates():
         Jet.variable(XY, 3, "q")
 
 
+def test_constructor_refuses_a_term_above_its_order():
+    with pytest.raises(PreconditionError, match="^term of degree 3 exceeds declared order 2$"):
+        Jet(XY, 2, {XY.encode((2, 1)): GaussianRational(1)})
+    with pytest.raises(PreconditionError, match="^order must be at least 1 to carry a variable$"):
+        Jet.variable(XY, 0, "x")
+
+
 def test_coefficient_beyond_order_raises():
     x = Jet.variable(XY, 2, "x")
     assert x.coefficient({"x": 1}) == GaussianRational(1)
@@ -212,7 +219,7 @@ def test_mul_into_accumulates_raw_products(case):
     for outer, inner in ((p, q), (r, s)):
         a = crjets._kernels.unpack(poly_to_jet(outer, alphabet, 5).terms)
         b = crjets._kernels.unpack(poly_to_jet(inner, alphabet, 5).terms)
-        crjets._kernels.mul_into(acc, a, b, [t[0] for t in b], alphabet.deg_shift, cap)
+        crjets._kernels.mul_into(acc, a, b, alphabet.deg_shift, cap)
     got = crjets._kernels.finish(acc)
     assert jet_to_poly(Jet(alphabet, cap, got)) == padd(padd(seed, pmul(p, q, cap)), pmul(r, s, cap))
     assert_normalized(got)
@@ -224,7 +231,7 @@ def test_unpack_sorts_by_code():
     terms = poly_to_jet(p, WIDE, 5).terms
     got = crjets._kernels.unpack(terms)
     assert [t[0] for t in got] == sorted(terms)
-    assert [GaussianRational.from_normalized(*t[1:]) for t in got] == [terms[t[0]] for t in got]
+    assert [GaussianRational.normalize(*t[1:]) for t in got] == [terms[t[0]] for t in got]
 
 
 def test_finish_normalizes_once_and_drops_zeros():
@@ -457,6 +464,19 @@ def test_compose_rejects_nonzero_constant():
         compose_many([x], {"x": y, "y": 0})
 
 
+def test_compose_many_refuses_mixed_alphabets_and_unknown_names():
+    x, y = Jet.variable(XY, 4, "x"), Jet.variable(XY, 4, "y")
+    z = Jet.variable(ZZB, 4, "z")
+    with pytest.raises(AlphabetMismatchError, match="^outer jets must share one alphabet$"):
+        compose_many([x, z], {"x": y})
+    with pytest.raises(PreconditionError, match="^assignment names unknown variable 'q'$"):
+        compose_many([x], {"q": y})
+    with pytest.raises(AlphabetMismatchError, match="^substituted jets must share one alphabet$"):
+        compose_many([x * y], {"x": y, "y": z})
+    with pytest.raises(PreconditionError, match="^an empty assignment needs an explicit target alphabet$"):
+        compose_many([x], {})
+
+
 # compose_many's grouped evaluation: x and y are often mapped by monomials
 # with coefficient 1 (code arithmetic), u by a general substitute (U^b).
 XYU = Alphabet(("x", "y", "u"), None)
@@ -574,10 +594,10 @@ def count_kernel_calls(monkeypatch):
         finally:
             nested.pop()
 
-    def mul_into(acc, a, b, bcodes, deg_shift, cap):
+    def mul_into(acc, a, b, deg_shift, cap):
         if not nested:
             calls.append("mul_into")
-        return real_into(acc, a, b, bcodes, deg_shift, cap)
+        return real_into(acc, a, b, deg_shift, cap)
 
     monkeypatch.setattr(crjets._kernels, "mul_terms", mul_terms)
     monkeypatch.setattr(crjets._kernels, "mul_into", mul_into)

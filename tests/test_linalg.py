@@ -150,6 +150,16 @@ def test_solve_and_invert():
         invert_matrix(herm([[1, 1], [1, 1]]))
 
 
+def test_shape_refusals():
+    one, zero = Fraction(1), Fraction(0)
+    with pytest.raises(PreconditionError, match="^ragged matrix$"):
+        invert_matrix([[one, zero], [one]])
+    with pytest.raises(PreconditionError, match="^only square matrices invert$"):
+        invert_matrix([[one, zero]])
+    with pytest.raises(PreconditionError, match="^congruence needs a square matrix$"):
+        symmetric_diagonalize([[one, zero]])
+
+
 def test_rank():
     assert rank(herm([[1, 2], [2, 4]])) == 1
     assert rank(herm([[1, 0], [0, 1]])) == 2
