@@ -257,7 +257,7 @@ def morse_normalize(germ: StructureGerm) -> MorseNormalForm:
 
         c0 = factor.constant_term()
         certify(c0.is_real() and not c0.is_zero(), "morse_normalize", "coefficient is rational",
-                f"square coefficient {c0} is not a nonzero rational")
+                "the square coefficient is not a nonzero rational")
         c = c0.real
         root = jet_sqrt(factor * (Fraction(1) / c))
         # root, reliable at order - 2, times a factor of valuation 1.

@@ -31,7 +31,6 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from .central import is_straightened, morse_normalize, straighten
 from .equivalence import (
-    equivalence_alphabet,
     lift_equivalence,
     make_equivalence,
     split_core,
@@ -43,13 +42,12 @@ from .germs import (
     StructureGerm,
     characteristic_covector,
     first_integrals,
-    frame,
+    is_solution,
     _t_block,
     levi_form,
 )
 from .io import (
     canonical_dumps,
-    fraction_to_text,
     germ_from_json,
     height_from_json,
     load_json,
@@ -104,13 +102,11 @@ def _inline(value: Any) -> str | None:
         return value.to_text()
     if isinstance(value, GaussianRational):
         return str(value)
-    if isinstance(value, Fraction):
-        return fraction_to_text(value)
     if isinstance(value, bool):
         return "yes" if value else "no"
     if value is None:
         return "none"
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str, Fraction)):
         return str(value)
     if isinstance(value, (list, tuple)):
         parts = [_inline(v) for v in value]
@@ -216,14 +212,11 @@ def cmd_levi(args: argparse.Namespace) -> Sections:
     }
     checks = None
     if args.check:
-        fields = frame(germ)
         integrals = first_integrals(germ)
         checks = {
-            "frame_annihilates_first_integrals": all(
-                field.apply(h).is_zero() for field in fields for h in integrals.values()
-            ),
+            "frame_annihilates_first_integrals": is_solution(germ, *integrals.values()),
             "first_integral_count": len(integrals),
-            "frame_field_count": len(fields),
+            "frame_field_count": germ.nu + germ.nprime,
         }
     reliable = {"levi_matrix": "exact", "covector": germ.order - 1}
     return _germ_echo(germ), results, reliable, checks
@@ -337,9 +330,7 @@ def cmd_lift(args: argparse.Namespace) -> Sections:
     # certify split shape before any heavier work
     source_core, source_coeffs = split_core(source)
     target_core, target_coeffs = split_core(target)
-    z_maps, w_map = _parse_file(
-        args.mapfile, map_from_json, equivalence_alphabet(source.nu), source.nu, args.order
-    )
+    z_maps, w_map = _parse_file(args.mapfile, map_from_json, source.nu, args.order)
     eq = make_equivalence(source_core, target_core, z_maps, w_map)
     if source_coeffs != target_coeffs:
         raise PreconditionError(

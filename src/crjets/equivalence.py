@@ -39,10 +39,10 @@ from .germs import (
     StructureGerm,
     at_t_zero,
     defining_pullback,
+    first_integrals,
     is_solution,
     levi_form,
     model_germ,
-    standard_alphabet,
 )
 from .jets import Jet, compose_many, jet_sqrt
 from .linalg import rank
@@ -220,7 +220,7 @@ def lift_equivalence(eq: CentralEquivalence, coeffs: Sequence[Fraction]) -> Lift
     target_model = model_germ(eq.target, coeffs)
     order = eq.order
     full = source_model.alphabet
-    w1 = Jet.variable(full, order, "s") + source_model.phi * I
+    w1 = first_integrals(source_model)["w"]
     z_maps, w_map = _pull_back_map(eq.z_maps, eq.w_map, w1, order)
 
     (multiplier_full,) = compose_many(
@@ -268,12 +268,9 @@ def verify_lift(lift: LiftedEquivalence) -> LiftVerification:
 
     solutions = is_solution(src, *lift.z_maps, lift.w_map)
 
-    central = standard_alphabet(nu, 0)
     z_restricted = [at_t_zero(jet, nu) for jet in lift.z_maps]
     w_restricted = at_t_zero(lift.w_map, nu)
-    z_core, w_core = _pull_back_map(
-        eq.z_maps, eq.w_map, Jet.variable(central, order, "s") + eq.source.phi * I, order
-    )
+    z_core, w_core = _pull_back_map(eq.z_maps, eq.w_map, first_integrals(eq.source)["w"], order)
     restricts = z_restricted == z_core and w_restricted == w_core
 
     vanish = all(at_t_zero(jet, nu).is_zero() for jet in lift.t_maps)

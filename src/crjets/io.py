@@ -20,6 +20,7 @@ from math import gcd
 from typing import Any
 
 from .alphabet import Alphabet
+from .equivalence import equivalence_alphabet
 from .errors import ParseError
 from .germs import StructureGerm, make_germ, standard_alphabet
 from .jets import Jet
@@ -27,10 +28,6 @@ from .rationals import GaussianRational
 
 # The one variable of a height jet h(x), shared by every parsed height.
 HEIGHT_ALPHABET = Alphabet(("x",), None)
-
-
-def fraction_to_text(x: Fraction) -> str:
-    return _ratio_text(x.numerator, x.denominator)
 
 
 def _ratio_text(p: int, q: int) -> str:
@@ -240,12 +237,14 @@ def _jet_records(jet: dict, alphabet: Alphabet, order: int) -> Any:
 
 
 def map_from_json(
-    obj: Any, alphabet: Alphabet, nu: int, order_override: int | None = None
+    obj: Any, nu: int, order_override: int | None = None
 ) -> tuple[tuple[Jet, ...], Jet]:
-    """Parse central map data: nu jets under "z" and one under "w"."""
+    """Parse central map data: nu jets under "z" and one under "w", each
+    over equivalence_alphabet(nu)."""
     if not isinstance(obj, dict):
         raise ParseError("map file must be a JSON object")
     order = _require_count(obj, "order", minimum=1)
+    alphabet = equivalence_alphabet(nu)
     z_records = obj.get("z")
     if not isinstance(z_records, list) or len(z_records) != nu:
         raise ParseError(f'"z" must be a list of {nu} term-record lists')
@@ -361,7 +360,7 @@ def _emit(value: Any, newline: str, out: list[str], layouts: dict) -> None:
     elif isinstance(value, GaussianRational):
         out.append(_scalar_text(value, newline))
     elif isinstance(value, Fraction):
-        out.append(f'"{fraction_to_text(value)}"')
+        out.append(f'"{value}"')
     else:
         raise TypeError(f"cannot encode {type(value).__name__} as canonical JSON")
 

@@ -243,13 +243,7 @@ class Jet:
             v = as_gaussian(other)
             if v.is_zero():
                 return self
-            terms = dict(self.terms)
-            s = terms.get(0, ZERO) + v
-            if s.is_zero():
-                terms.pop(0, None)
-            else:
-                terms[0] = s
-            return Jet._raw(self.alphabet, self.order, terms)
+            return Jet._raw(self.alphabet, self.order, merged(self.terms, {0: v}))
         return NotImplemented
 
     __radd__ = __add__

@@ -139,9 +139,9 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
     The outer jet of the solve is sigma itself, so no power of
     s = (w + wb)/2 is expanded: rho is the solution of
     F(z, zb, w, wb) = w - wb - 2i sigma(z, zb, (w + wb)/2) = 0 for w,
-    which is unique. The solve runs over the parameter alphabet
-    (z, zb, wb), and S is then renamed into the Segre alphabet, so no
-    term in w can enter rho.
+    which is unique. The solve places S in the Segre alphabet, and S
+    depends only on its parameters (z, zb, wb), so no term in w can
+    enter rho.
 
     complexify makes no composition of its own. The solver's sweeps
     certify every layer of rho below the order N; the degree-N layer,
@@ -195,8 +195,8 @@ def complexify(core: StructureGerm) -> ComplexifiedHypersurface:
         - core.phi.rename({}, solving) * I
         - Jet.variable(solving, order, "wb")
     )
-    (half,) = implicit_solve([equation], ["s"])
-    rho = half.rename({}, big) * 2 - Jet.variable(big, order, "wb")
+    (half,) = implicit_solve([equation], ["s"], target=big)
+    rho = half * 2 - Jet.variable(big, order, "wb")
 
     certify(rho.coefficient({"wb": 1}) == as_gaussian(1), "complexify", "graph starts as wb",
             "graph jet must start as wb plus higher terms")

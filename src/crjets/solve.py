@@ -128,8 +128,9 @@ def implicit_solve(
         rs = [r.terms for r in residuals]
         deltas = [_combination(row, rs) for row in j0_inv]
         # The sweep certificate shows each delta homogeneous of degree k: a
-        # polynomial, exact at the working order.
-        guesses = [g - Jet(target, work_order, d) for g, d in zip(guesses, deltas)]
+        # polynomial, exact at the working order, and _combination drops
+        # zeros, so the terms need no check of the constructor.
+        guesses = [g - Jet._raw(target, work_order, d) for g, d in zip(guesses, deltas)]
 
     # The loop runs at least once: an order-0 system has J0 = 0, refused above.
     certify(k == work_order, "implicit_solve", "sweeps reach the working order",

@@ -14,15 +14,14 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from crjets.io import fraction_to_text
 from crjets.jets import Jet
 from crjets.rationals import GaussianRational
 
 
 def scalar_to_json(value: GaussianRational) -> Any:
     if value.is_real():
-        return fraction_to_text(value.real)
-    return {"re": fraction_to_text(value.real), "im": fraction_to_text(value.imag)}
+        return str(value.real)
+    return {"re": str(value.real), "im": str(value.imag)}
 
 
 def terms_to_json(jet: Jet) -> list[dict[str, Any]]:
@@ -60,7 +59,7 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, GaussianRational):
         return scalar_to_json(value)
     if isinstance(value, Fraction):
-        return fraction_to_text(value)
+        return str(value)
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, (list, tuple)):

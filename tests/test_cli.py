@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from crjets import Jet, central, cli, compose_many, germs, linalg, make_germ, marson, segre
 from crjets.errors import InvariantError, recording
 from crjets.germs import levi_matrix, t_hessian
-from crjets.io import canonical_dumps, fraction_to_text
+from crjets.io import canonical_dumps
 from crjets.rationals import MINUS_I
 
 from germ_corpus import random_definite_germ, random_fiber_map, random_germ, random_height
@@ -106,7 +106,7 @@ def test_levi_reads_the_levi_matrix_once(tmp_path, capsys, monkeypatch, nu, npri
     monkeypatch.setattr(germs, "levi_matrix", counted)
     res = run_json(tmp_path, capsys, "levi", path)["results"]
     assert len(reads) == 1
-    assert res["t_hessian"] == [[fraction_to_text(x) for x in row] for row in t_hessian(germ)]
+    assert res["t_hessian"] == [[str(x) for x in row] for row in t_hessian(germ)]
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):
@@ -621,6 +621,46 @@ def test_exit_two_on_a_result_past_the_digit_limit(tmp_path, capsys, command):
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("precondition violated: " + command)
         assert "4300 decimal digits" in err
+
+
+# Under the parse limit, but the square coefficient that morse_normalize
+# certifies has about 6,000 digits.
+WIDE_CROSS_TERM = {
+    "nu": 1,
+    "nprime": 2,
+    "order": 3,
+    "phi": [
+        {"monomial": {"z1": 1, "zb1": 1}, "coefficient": "1"},
+        {"monomial": {"t1": 2}, "coefficient": "1"},
+        {"monomial": {"t1": 1, "t2": 1}, "coefficient": str(10**3000)},
+        {"monomial": {"t2": 2}, "coefficient": "1"},
+    ],
+}
+
+
+def test_normalize_writes_no_certified_coefficient_past_the_digit_limit(tmp_path, capsys):
+    """A certificate that holds builds no text from its values."""
+    path = drop(tmp_path, "wide.json", WIDE_CROSS_TERM)
+    limit = sys.get_int_max_str_digits()
+    for flags in ((), ("--format", "json"), ("--check",)):
+        assert cli.run(["normalize", path, *flags]) == 2
+        assert capsys.readouterr() == ("", (
+            f"precondition violated: normalize has a result with an integer of more than "
+            f"{limit} decimal digits, the limit for writing one\n"
+        ))
+
+
+def test_exit_one_on_an_unknown_key_in_a_complex_coefficient(tmp_path, capsys):
+    coefficient = {"re": "1", "im": "0", "x": "2"}
+    path = drop(
+        tmp_path,
+        "extra.json",
+        dict(QUADRIC, phi=[{"monomial": {"z1": 1, "zb1": 1}, "coefficient": coefficient}]),
+    )
+    assert cli.run(["levi", path]) == 1
+    assert capsys.readouterr() == (
+        "", f"parse error: {path}: phi term 0: unexpected keys ['x'] in a complex rational\n"
+    )
 
 
 def test_exit_one_on_usage_errors(capsys):

@@ -17,6 +17,7 @@ from crjets import (
     is_solution,
     levi_form,
     make_germ,
+    model_germ,
     standard_alphabet,
     t_hessian,
 )
@@ -49,6 +50,22 @@ def test_make_germ_validates():
         make_germ(1, 0, g["z1"] * g["z1"])  # not real
     with pytest.raises(PreconditionError):
         make_germ(1, 0, g["z1"] * g["zb1"] + 1)  # constant
+
+
+def test_make_germ_refuses_a_phi_over_another_alphabet():
+    g = generators(standard_alphabet(1, 1), 4)
+    with pytest.raises(
+        PreconditionError,
+        match=r"^phi must live over \('z1', 'zb1', 's'\), got \('z1', 'zb1', 's', 't1'\)$",
+    ):
+        make_germ(1, 0, g["z1"] * g["zb1"])
+
+
+def test_model_germ_refuses_a_zero_coefficient():
+    with pytest.raises(
+        PreconditionError, match="^normal-form quadratic coefficients must be nonzero$"
+    ):
+        model_germ(quadric(), [Fraction(0)])
 
 
 def test_linear_term_check_reads_the_terms(monkeypatch):

@@ -92,6 +92,27 @@ def test_constructor_refuses_a_term_above_its_order():
         Jet.variable(XY, 0, "x")
 
 
+def test_negative_powers_are_refused():
+    x = Jet.variable(XY, 3, "x")
+    with pytest.raises(PreconditionError, match="^negative jet powers go through unit_inverse$"):
+        x ** -1
+
+
+def test_equal_jets_hash_equal():
+    x = Jet.variable(XY, 3, "x")
+    y = Jet.variable(XY, 3, "y")
+    assert (x + y) * 2 == x * 2 + y * 2
+    assert hash((x + y) * 2) == hash(x * 2 + y * 2)
+
+
+def test_scalar_sums():
+    x = Jet.variable(XY, 3, "x")
+    assert (x + 0) is x
+    assert 0 not in ((x + 2) + (-2)).terms
+    assert (x + 2) + (-2) == x
+    assert (x + 2).constant_term() == GaussianRational(2)
+
+
 def test_coefficient_beyond_order_raises():
     x = Jet.variable(XY, 2, "x")
     assert x.coefficient({"x": 1}) == GaussianRational(1)

@@ -114,6 +114,13 @@ def test_parse_rejects_garbage():
             GaussianRational(text)
 
 
+def test_refused_scalars():
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational.normalize(1, 0, 0)
+    with pytest.raises(TypeError, match="^expected an exact scalar, got float$"):
+        as_gaussian(1.5)
+
+
 BIG = 1 << 1000
 # Parts with a numerator or a denominator of at least 1000 bits, and parts
 # whose denominators share the factors 2, 3 and 5.

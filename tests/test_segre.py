@@ -286,6 +286,12 @@ def test_profile_preconditions():
         ode_right_side(height({1: Fraction(1), 2: Fraction(1)}, 6))  # linear term
 
 
+def test_profile_refuses_a_two_variable_height():
+    x = Jet.variable(Alphabet(("x", "y"), None), 6, "x")
+    with pytest.raises(PreconditionError, match="^height must be a one-variable jet$"):
+        ode_right_side(x * x)
+
+
 def test_profile_residual_on_random_even_heights():
     rng = random.Random(8)
     for _ in range(6):
